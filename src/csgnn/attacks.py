@@ -183,9 +183,7 @@ class ResultRow:
     std_acc: float
 
 
-def _run_seed(clean: Graph, spec: AttackSpec, model_name: str, model_cfg, seed: int) -> float:
-    attack_rng = np.random.default_rng([spec.seed, seed])
-    attacked = apply_attack(clean, spec, attack_rng)
+def _score(attacked: Graph, model_name: str, model_cfg, seed: int) -> float:
     if model_name == "csgnn":
         cfg = dataclasses.replace(model_cfg, seed=seed)
         params, _ = train(attacked, cfg)
@@ -201,20 +199,25 @@ def _run_seed(clean: Graph, spec: AttackSpec, model_name: str, model_cfg, seed: 
 def evaluate_robustness(clean: Graph, specs: list, model_cfgs: list,
                         seeds=EVAL_SEEDS) -> list:
     """Poisoning protocol: attack, train on the attacked graph, record test
-    accuracy; one aggregate row per (model, attack spec)."""
+    accuracy; one aggregate row per (model, attack spec). Every model sees
+    the same attacked graph for a given (spec, seed), built once."""
     if not clean.test_mask.any():
         raise ValueError("clean graph needs split masks")
     rows = []
     for spec in specs:
-        for model_name, model_cfg in model_cfgs:
-            accs = [_run_seed(clean, spec, model_name, model_cfg, s) for s in seeds]
+        accs = [[] for _ in model_cfgs]
+        for seed in seeds:
+            attacked = apply_attack(clean, spec, np.random.default_rng([spec.seed, seed]))
+            for per_model, (model_name, model_cfg) in zip(accs, model_cfgs):
+                per_model.append(_score(attacked, model_name, model_cfg, seed))
+        for per_model, (model_name, _) in zip(accs, model_cfgs):
             rows.append(ResultRow(
                 model=model_name,
                 attack_kind=spec.kind.value,
                 budget=spec.budget_token(),
-                seed_count=len(accs),
-                mean_acc=float(np.mean(accs)),
-                std_acc=float(np.std(accs)),
+                seed_count=len(per_model),
+                mean_acc=float(np.mean(per_model)),
+                std_acc=float(np.std(per_model)),
             ))
     return rows
 

@@ -11,6 +11,15 @@ are supported: training the node-side mixing W (with K a positive multiple of
 the identity, the configuration with a Frobenius contraction guarantee) or
 training the channel-mixing K with W fixed to the identity.
 
+On an exactly symmetric A the LeakyReLU cancels pairwise, sigma(x) - sigma(-x)
+= (1 + slope) x, so the field is exactly the weighted-Laplacian map
+
+    X(F, A) = -(1 + slope) W^T L(A o A) W F Ktilde,   L(B) = diag(B 1) - B.
+
+`feature_field` uses that form on symmetric A and the (n, n, c) edge tensors
+otherwise; the reverse pass `feature_field_vjp` exists only for the Laplacian
+form, so training needs an undirected graph.
+
 Writing B = I_c (x) G(A)W, the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
 the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) W F)
 with gamma' = sigma. That structure yields the step-size bound used here: the
@@ -116,17 +125,59 @@ def symmetrized(k: np.ndarray, c: int) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
+def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L(B) x = diag(B 1) x - B x."""
+    return b.sum(axis=1)[:, None] * x - b @ x
+
+
 def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
-    """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde."""
+    """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde.
+
+    Evaluated as -(1 + slope) W^T L(A o A) W F Ktilde when A is exactly
+    symmetric, through the edge tensors otherwise.
+    """
     w = params.W
     g = f if w is None else w @ f
-    pre = _gradient_raw(a, g)
-    v = _adjoint_raw(a, leaky_relu(pre, params.leaky_slope))
+    if np.array_equal(a, a.T):
+        v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, g)
+    else:
+        v = _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), params.leaky_slope))
     if w is not None:
         v = w.T @ v
     if params.K is not None:
         v = v @ symmetrized(params.K, f.shape[1])
     return -v
+
+
+def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
+                      x_bar: np.ndarray) -> tuple:
+    """Reverse of `feature_field` on an exactly symmetric A.
+
+    Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, grads), with
+    grads holding the trained tensor's gradient under "W" (learn_w) or "K"
+    (learn_k). a_bar matches the edge form along symmetric directions, the
+    only ones an adjacency trajectory started from a symmetric A takes.
+    """
+    if not np.array_equal(a, a.T):
+        raise ValueError("the feature-field reverse pass needs an exactly symmetric adjacency")
+    w = params.W
+    scale = 1.0 + params.leaky_slope
+    b = a * a
+    g = f if w is None else w @ f
+    v = scale * _laplacian_apply(b, g)
+    p_bar = -x_bar if params.K is None else -(x_bar @ symmetrized(params.K, f.shape[1]))
+    v_bar = p_bar if w is None else w @ p_bar
+    u_bar = scale * v_bar
+    g_bar = _laplacian_apply(b, u_bar)
+    b_bar = (u_bar * g).sum(axis=1)[:, None] - u_bar @ g.T
+    if params.parameterization == Parameterization.LEARN_W:
+        grads = {"W": v @ p_bar.T + g_bar @ f.T}
+    else:
+        p = v if w is None else w.T @ v
+        k_tilde_bar = -p.T @ x_bar
+        grads = {"K": 0.5 * (k_tilde_bar + k_tilde_bar.T)}
+    f_bar = g_bar if w is None else w.T @ g_bar
+    return f_bar, 2.0 * a * b_bar, grads
 
 
 def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:

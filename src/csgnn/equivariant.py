@@ -72,72 +72,62 @@ class AdjacencyStepConfig:
             raise ValueError(f"step {self.h} exceeds the nonexpansive bound {hmax}")
 
 
-def _terms(a: np.ndarray) -> list:
-    """The nine basis images of `a`, in coefficient order."""
-    n = a.shape[0]
-    d = np.diag(a)
+def _sums(a: np.ndarray) -> tuple:
+    """Diagonal, row sums, column sums, total and trace of a square matrix.
+
+    Column sums are taken as the row sums of the transposed copy, so an
+    exactly symmetric matrix gets bit-identical row and column sums and M
+    maps it to an exactly symmetric image.
+    """
+    d = np.diagonal(a)
     row = a.sum(axis=1)
-    col = a.sum(axis=0)
-    tot = a.sum()
-    tr = d.sum()
-    ones = np.ones((n, n))
-    return [
-        a,
-        np.diag(d),
-        (row[:, None] + col[None, :]) / (2 * n),
-        np.diag(row),
-        tot / n**2 * ones,
-        tot / n * np.eye(n),
-        tr / n**2 * ones,
-        tr / n * np.eye(n),
-        (d[:, None] + d[None, :]) / (2 * n),
-    ]
-
-
-def _apply_raw(a: np.ndarray, k_full: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    for coeff, term in zip(k_full, _terms(a)):
-        if coeff != 0.0:
-            out += coeff * term
-    return out
+    col = np.ascontiguousarray(a.T).sum(axis=1)
+    return d, row, col, float(a.sum()), float(d.sum())
 
 
 def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
-    """Evaluate M(A) term by term with the derived k1."""
+    """Evaluate M(A) from its row/column sums, diagonal, total and trace."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _apply_raw(a, coeffs.full())
+    n = a.shape[0]
+    k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
+    d, row, col, tot, tr = _sums(a)
+    out = (k3 * row + k9 * d)[:, None] / (2 * n) + (k3 * col + k9 * d)[None, :] / (2 * n)
+    out += (k5 * tot + k7 * tr) / n**2
+    out += k1 * a
+    out[np.diag_indices(n)] += k2 * d + k4 * row + (k6 * tot + k8 * tr) / n
+    return out
 
 
 def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
     """Adjoint of A -> M(A): pulls a cotangent on M(A) back to a cotangent on A."""
     n = m_bar.shape[0]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
-    out = k1 * m_bar
-    diag_idx = np.arange(n)
-    if k2 != 0.0:
-        out[diag_idx, diag_idx] += k2 * np.diag(m_bar)
-    if k3 != 0.0:
-        out += k3 / (2 * n) * (m_bar.sum(axis=1)[:, None] + m_bar.sum(axis=0)[None, :])
-    if k4 != 0.0:
-        out += k4 * np.diag(m_bar)[:, None] * np.ones((1, n))
-    if k5 != 0.0:
-        out += k5 / n**2 * m_bar.sum()
-    if k6 != 0.0:
-        out += k6 / n * np.trace(m_bar)
-    if k7 != 0.0:
-        out[diag_idx, diag_idx] += k7 / n**2 * m_bar.sum()
-    if k8 != 0.0:
-        out[diag_idx, diag_idx] += k8 / n * np.trace(m_bar)
-    if k9 != 0.0:
-        out[diag_idx, diag_idx] += k9 / (2 * n) * (m_bar.sum(axis=1) + m_bar.sum(axis=0))
+    d, row, col, tot, tr = _sums(m_bar)
+    out = (k3 / (2 * n) * row + k4 * d)[:, None] + (k3 / (2 * n) * col)[None, :]
+    out += k5 / n**2 * tot + k6 / n * tr
+    out += k1 * m_bar
+    out[np.diag_indices(n)] += k2 * d + k7 / n**2 * tot + k8 / n * tr + k9 / (2 * n) * (row + col)
     return out
 
 
 def coeff_gradients(a: np.ndarray, m_bar: np.ndarray) -> np.ndarray:
     """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients."""
-    return np.array([float((m_bar * t).sum()) for t in _terms(a)])
+    n = a.shape[0]
+    d, row, col, tot, tr = _sums(a)
+    md, mrow, mcol, mtot, mtr = _sums(m_bar)
+    return np.array([
+        float((m_bar * a).sum()),
+        float(md @ d),
+        float(mrow @ row + mcol @ col) / (2 * n),
+        float(md @ row),
+        tot / n**2 * mtot,
+        tot / n * mtr,
+        tr / n**2 * mtot,
+        tr / n * mtr,
+        float((mrow + mcol) @ d) / (2 * n),
+    ])
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -277,18 +267,3 @@ def jacobian_l1_probe(a: np.ndarray, cfg: AdjacencyStepConfig) -> float:
     below KINK_TOL are rejected.
     """
     return jacobian_l1_probe_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope)
-
-
-def coeffs_to_config_dict(cfg: AdjacencyStepConfig) -> dict:
-    out = {f"k{i}": float(v) for i, v in enumerate(cfg.coeffs.k, start=2)}
-    out.update(alpha=float(cfg.coeffs.alpha), h=float(cfg.h), leaky_slope=float(cfg.leaky_slope))
-    return out
-
-
-def config_dict_to_coeffs(d: dict) -> AdjacencyStepConfig:
-    k = np.array([float(d[f"k{i}"]) for i in range(2, 10)])
-    return AdjacencyStepConfig(
-        coeffs=EquivariantCoeffs(k=k, alpha=float(d["alpha"])),
-        h=float(d["h"]),
-        leaky_slope=float(d.get("leaky_slope", 0.1)),
-    )

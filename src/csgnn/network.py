@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import leaky_relu
-from .dynamics import (LayerParams, Parameterization, _adjoint_raw, _gradient_raw,
-                       feature_field, feature_step, symmetrized)
+from .dynamics import LayerParams, Parameterization, feature_field, feature_step, symmetrized
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, equivariant_linear
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
 
@@ -85,7 +84,6 @@ class ForwardTrace:
     input_mask: np.ndarray = None
     layer_masks: list = field(default_factory=list)
     final_mask: np.ndarray = None
-    layer_edge_pre: list = field(default_factory=list)
     layer_adj_pre: list = field(default_factory=list)
     logits: np.ndarray = None
 
@@ -143,22 +141,13 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None,
     for l, layer in enumerate(params.layers):
         ml = next_mask(f.shape)
         f_d = f if ml is None else f * ml
-        fp = layer.feature
-        g_node = f_d if fp.W is None else fp.W @ f_d
-        edge_pre = _gradient_raw(a, g_node)
-        v = _adjoint_raw(a, leaky_relu(edge_pre, fp.leaky_slope))
-        if fp.W is not None:
-            v = fp.W.T @ v
-        if fp.K is not None:
-            v = v @ symmetrized(fp.K, f_d.shape[1])
-        f = f_d + fp.h * -v
+        f = feature_step(f_d, a, layer.feature)
         adj_pre = equivariant_linear(a, layer.adjacency.coeffs)
         a_next = a + layer.adjacency.h * leaky_relu(adj_pre, layer.adjacency.leaky_slope)
         _check_finite(f, f"features after layer {l + 1}")
         _check_finite(a_next, f"adjacency after layer {l + 1}")
         trace.layer_masks.append(ml)
         trace.layer_dropped.append(f_d)
-        trace.layer_edge_pre.append(edge_pre)
         trace.layer_adj_pre.append(adj_pre)
         trace.feature_states.append(f)
         trace.adjacency_states.append(a_next)

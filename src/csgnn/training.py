@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import leaky_relu, leaky_relu_prime
-from .dynamics import (LayerParams, Parameterization, _adjoint_raw, _gradient_raw,
-                       max_feature_step, symmetrized)
-from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, coeff_gradients,
-                          equivariant_linear_adjoint, _max_step)
+from .activations import leaky_relu_prime
+from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
+from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
+                          coeff_gradients, equivariant_linear_adjoint, _max_step)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
 
@@ -98,18 +97,14 @@ def _sign0(x: np.ndarray) -> np.ndarray:
     return np.sign(x)
 
 
-def _sym_grad(k_tilde_bar: np.ndarray) -> np.ndarray:
-    # chain rule through Ktilde = (K + K^T)/2
-    return 0.5 * (k_tilde_bar + k_tilde_bar.T)
-
-
 def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
              logit_grad: np.ndarray) -> dict:
     """Reverse pass over a recorded trace; returns per-tensor gradients.
 
     Keys mirror the trainable tensors: "encoder", "classifier_w",
     "classifier_b", and per layer "layer{l}.W" or "layer{l}.K" plus
-    "layer{l}.k" (the eight free adjacency coefficients).
+    "layer{l}.k" (the eight free adjacency coefficients). Raises ValueError
+    when the input adjacency is not exactly symmetric.
     """
     L = params.depth
     if len(trace.feature_states) != L + 1 or len(trace.layer_dropped) != L:
@@ -125,10 +120,7 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
 
     for l in range(L - 1, -1, -1):
         layer = params.layers[l]
-        fp = layer.feature
         a_prev = trace.adjacency_states[l]
-        f_d = trace.layer_dropped[l]
-        edge_pre = trace.layer_edge_pre[l]
         adj_pre = trace.layer_adj_pre[l]
 
         # adjacency step A_next = A + h*sigma(M(A)): pull a_bar through sigma,
@@ -138,35 +130,12 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
         grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * _sign0(layer.adjacency.coeffs.k)
         a_bar = a_bar + equivariant_linear_adjoint(m_bar, layer.adjacency.coeffs)
 
-        # feature step F_next = F_d + h*X(F_d, A) with
-        # X = -(W^T G^T sigma(G W F_d)) Ktilde
-        x_bar = fp.h * f_bar
-        s = leaky_relu(edge_pre, fp.leaky_slope)
-        g_node = f_d if fp.W is None else fp.W @ f_d
-        ktilde = None if fp.K is None else symmetrized(fp.K, f_d.shape[1])
-        v = _adjoint_raw(a_prev, s)
-
-        if fp.K is not None:
-            p = v if fp.W is None else fp.W.T @ v
-            grads[f"layer{l}.K"] = _sym_grad(-p.T @ x_bar)
-        p_bar = -x_bar if ktilde is None else -(x_bar @ ktilde)
-        if fp.W is not None:
-            w_grad = v @ p_bar.T
-            v_bar = fp.W @ p_bar
-        else:
-            v_bar = p_bar
-
-        s_bar = _gradient_raw(a_prev, v_bar)
-        a_bar = a_bar + (s * (v_bar[:, None, :] - v_bar[None, :, :])).sum(axis=2)
-        u_bar = leaky_relu_prime(edge_pre, fp.leaky_slope) * s_bar
-        g_bar = _adjoint_raw(a_prev, u_bar)
-        a_bar = a_bar + (u_bar * (g_node[:, None, :] - g_node[None, :, :])).sum(axis=2)
-
-        if fp.W is not None:
-            grads[f"layer{l}.W"] = w_grad + g_bar @ f_d.T
-            f_d_bar = fp.W.T @ g_bar
-        else:
-            f_d_bar = g_bar
+        # feature step F_next = F_d + h*X(F_d, A)
+        f_d_bar, a_field_bar, layer_grads = feature_field_vjp(
+            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
+        a_bar = a_bar + a_field_bar
+        for name, grad in layer_grads.items():
+            grads[f"layer{l}.{name}"] = grad
         f_d_bar = f_d_bar + f_bar
 
         mask = trace.layer_masks[l]
@@ -221,15 +190,19 @@ def tensor_group(key: str) -> str:
 
 
 def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = None,
-                   h_feature_caps: list = None, clamp_steps: bool = True) -> NetworkParams:
+                   adjacency: np.ndarray = None, clamp_steps: bool = True) -> NetworkParams:
     """New NetworkParams with updated tensors and re-clamped step sizes.
 
     The adjacency step is clamped to its nonexpansive bound for the new
-    coefficients; the feature step to min(configured h, per-layer cap) when
-    caps are given. `clamp_steps=False` keeps all step sizes exactly as stored
-    (used by finite-difference checks, where the clamp would be a kink).
+    coefficients. Given the input `adjacency`, each feature step is clamped to
+    min(configured h, max_feature_step(A_l, layer)) against the new K or W and
+    the layer's own adjacency state A_l, stepped from `adjacency` with the new
+    coefficients. The clamp is a projection: no gradient flows through it.
+    `clamp_steps=False` keeps all step sizes exactly as stored (used by
+    finite-difference checks, where the clamp would be a kink).
     """
     layers = []
+    a = adjacency if clamp_steps else None
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -241,18 +214,19 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         alpha = min(layer.adjacency.coeffs.alpha, 0.0)
         coeffs = EquivariantCoeffs(k=k_new, alpha=alpha)
         h_adj = layer.adjacency.h if config is None else config.h
+        h_feat = fp.h if config is None else config.h
+        feature = dataclasses.replace(fp, W=new_W, K=new_K, h=h_feat)
         if clamp_steps:
             hmax = _max_step(coeffs.k, alpha)
             if hmax is not None:
                 h_adj = min(h_adj, hmax)
-        h_feat = fp.h if config is None else config.h
-        if h_feature_caps is not None:
-            h_feat = min(h_feat, h_feature_caps[l])
-        layers.append(CoupledLayer(
-            feature=dataclasses.replace(fp, W=new_W, K=new_K, h=h_feat),
-            adjacency=AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
-                                          leaky_slope=layer.adjacency.leaky_slope),
-        ))
+        adj_cfg = AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
+                                      leaky_slope=layer.adjacency.leaky_slope)
+        if a is not None:
+            feature = dataclasses.replace(feature, h=min(h_feat, max_feature_step(a, feature)))
+            if l + 1 < len(params.layers):
+                a = adjacency_step(a, adj_cfg)
+        layers.append(CoupledLayer(feature=feature, adjacency=adj_cfg))
     return NetworkParams(
         encoder=tensors["encoder"],
         layers=tuple(layers),
@@ -379,10 +353,7 @@ def train(g_attacked: Graph, config: TrainConfig):
     c_out = int(g_attacked.labels.max()) + 1
     params = init_params(g_attacked.feat_dim, c_out, g_attacked.n, config, rng)
 
-    # per-layer feature step caps, fixed at initialization
-    h_caps = [max_feature_step(g_attacked.adjacency, layer.feature)
-              for layer in params.layers]
-    params = rebuild_params(params, params_to_tensors(params), config, h_caps)
+    params = rebuild_params(params, params_to_tensors(params), config, g_attacked.adjacency)
 
     state = AdamState.init(params_to_tensors(params))
     best = params
@@ -400,9 +371,10 @@ def train(g_attacked: Graph, config: TrainConfig):
             seed_grad = cross_entropy_logit_grad(logits, g_attacked.labels, g_attacked.train_mask)
             grads = collapse_shared_grads(
                 backward(trace, g_attacked, params, seed_grad), params)
+            del trace  # one trace alive at a time
             tensors, state = adam_step(params_to_tensors(params), grads, state, config)
-            params = rebuild_params(params, tensors, config, h_caps)
-            eval_logits, _ = forward(g_attacked, params, mode="eval")
+            params = rebuild_params(params, tensors, config, g_attacked.adjacency)
+            eval_logits = forward(g_attacked, params, mode="eval")[0]
         except FloatingPointError:
             break
         val_acc = accuracy(eval_logits, g_attacked.labels, g_attacked.val_mask)

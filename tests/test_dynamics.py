@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from csgnn.activations import leaky_relu
 from csgnn.dynamics import (EdgeTensor, LayerParams, Parameterization,
-                            check_feature_contraction, energy, feature_step,
-                            graph_gradient, graph_gradient_adjoint,
-                            gradient_operator_sq_norm, max_feature_step)
+                            check_feature_contraction, energy, feature_field,
+                            feature_field_vjp, feature_step, graph_gradient,
+                            graph_gradient_adjoint, gradient_operator_sq_norm,
+                            max_feature_step)
 
 PATH_GRAPH = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_NODE_F = np.array([[1.0], [3.0]])
@@ -118,6 +122,58 @@ class TestFeatureStep:
         with pytest.raises(ValueError):
             LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
                         W=np.eye(2), K=np.array([[1.0, 0.2], [0.2, 1.0]]))
+
+
+def edge_form_field(f, a, params):
+    """X = -W^T G(A)^T sigma(G(A) W F) Ktilde through the (n, n, c) edge tensors."""
+    w = np.eye(f.shape[0]) if params.W is None else params.W
+    k = np.eye(f.shape[1]) if params.K is None else 0.5 * (params.K + params.K.T)
+    edge = leaky_relu(graph_gradient(a, w @ f).values, params.leaky_slope)
+    return -w.T @ graph_gradient_adjoint(a, EdgeTensor(edge)) @ k
+
+
+def weighted_symmetric(rng, n):
+    a = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    return a + a.T
+
+
+def both_parameterizations(rng, n, c):
+    yield LayerParams(h=0.1, K=rng.standard_normal((c, c)), leaky_slope=0.2)
+    yield LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
+                      W=np.eye(n) + 0.1 * rng.standard_normal((n, n)), K=0.7 * np.eye(c))
+
+
+class TestLaplacianForm:
+    def test_matches_edge_form_on_weighted_symmetric_graph(self):
+        rng = np.random.default_rng(14)
+        n, c = 50, 4
+        a = weighted_symmetric(rng, n)
+        f = rng.standard_normal((n, c))
+        for params in both_parameterizations(rng, n, c):
+            ref = edge_form_field(f, a, params)
+            assert np.abs(feature_field(f, a, params) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_vjp_matches_edge_form_central_differences(self):
+        rng = np.random.default_rng(15)
+        n, c, eps = 8, 3, 1e-6
+        a = weighted_symmetric(rng, n)
+        f = rng.standard_normal((n, c))
+        x_bar = rng.standard_normal((n, c))
+        for params in both_parameterizations(rng, n, c):
+            name = "W" if params.parameterization == Parameterization.LEARN_W else "K"
+            f_bar, a_bar, grads = feature_field_vjp(f, a, params, x_bar)
+            df = rng.standard_normal((n, c))
+            da = rng.standard_normal((n, n))
+            da = da + da.T
+            dp = rng.standard_normal(getattr(params, name).shape)
+
+            def moved(t):
+                p = dataclasses.replace(params, **{name: getattr(params, name) + t * dp})
+                return float((x_bar * edge_form_field(f + t * df, a + t * da, p)).sum())
+
+            numeric = (moved(eps) - moved(-eps)) / (2 * eps)
+            analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (grads[name] * dp).sum())
+            assert analytic == pytest.approx(numeric, rel=1e-7)
 
 
 class TestEnergy:

@@ -3,10 +3,10 @@ import pytest
 
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                                adjacency_step_unchecked, build_T, build_T_raw,
-                               coeffs_to_config_dict, config_dict_to_coeffs,
-                               equivariant_linear, jacobian_l1_probe,
+                               coeff_gradients, equivariant_linear,
+                               equivariant_linear_adjoint, jacobian_l1_probe,
                                jacobian_l1_probe_unchecked, max_step_adjacency,
-                               operator_l1_norm, slope_uniform_margin, vec)
+                               operator_l1_norm, slope_uniform_margin, unvec, vec)
 from csgnn.graph import l1_vec_distance
 
 
@@ -85,6 +85,19 @@ class TestTMatrix:
                 err = np.abs(vec(equivariant_linear(a, c)) - t @ vec(a)).max()
                 assert err <= 1e-10
 
+    def test_adjoint_and_coeff_gradients_match_dense_reference(self):
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                c = random_coeffs(rng)
+                a = rng.standard_normal((n, n))
+                m = rng.standard_normal((n, n))
+                adjoint = unvec(build_T(c, n).T @ vec(m), n)
+                assert np.abs(equivariant_linear_adjoint(m, c) - adjoint).max() <= 1e-10
+                basis = [build_T_raw(np.eye(9)[i], n) @ vec(a) for i in range(9)]
+                assert np.allclose(coeff_gradients(a, m), [vec(m) @ t for t in basis],
+                                   rtol=0, atol=1e-10)
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
             build_T(coeffs_with(k2=1.0), 65)
@@ -136,6 +149,16 @@ class TestAdjacencyStep:
             a = a + a.T
             out = adjacency_step(a, cfg)
             assert np.abs(out - out.T).max() <= 1e-12
+
+    def test_weighted_symmetric_input_stays_exactly_symmetric(self):
+        rng = np.random.default_rng(9)
+        a = rng.random((200, 200)) * (rng.random((200, 200)) < 0.2)
+        a = a + a.T
+        c = random_coeffs(rng)
+        cfg = AdjacencyStepConfig(coeffs=c, h=max_step_adjacency(c))
+        for _ in range(4):
+            a = adjacency_step(a, cfg)
+            assert np.array_equal(a, a.T)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -220,15 +243,3 @@ class TestJacobianProbe:
         d_out = l1_vec_distance(adjacency_step_unchecked(a, c, h, 0.1),
                                 adjacency_step_unchecked(b, c, h, 0.1))
         assert d_out > l1_vec_distance(a, b) * 1.4
-
-
-class TestConfigSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        c = random_coeffs(rng)
-        cfg = AdjacencyStepConfig(coeffs=c, h=0.5 * max_step_adjacency(c), leaky_slope=0.2)
-        back = config_dict_to_coeffs(coeffs_to_config_dict(cfg))
-        assert np.array_equal(back.coeffs.k, cfg.coeffs.k)
-        assert back.coeffs.alpha == cfg.coeffs.alpha
-        assert back.h == cfg.h
-        assert back.leaky_slope == cfg.leaky_slope

@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from csgnn.dynamics import LayerParams, Parameterization
+from csgnn.dynamics import LayerParams, Parameterization, max_feature_step
 from csgnn.equivariant import EquivariantCoeffs, max_step_adjacency
 from csgnn.gradcheck import (analytic_gradients, fd_gradients, loss_at,
                              max_gradient_rel_error, random_instance)
 from csgnn.graph import Graph
-from csgnn.network import NetworkParams, forward
+from csgnn.network import NetworkParams, evolve, forward
 from csgnn.sbm import gen_sbm
 from csgnn.training import (AdamState, TrainConfig, accuracy, adam_step, backward,
                             collapse_shared_grads, cross_entropy_logit_grad,
@@ -122,6 +122,16 @@ class TestBackward:
                   - bypass_loss({**tensors, key: minus})) / (2 * eps)
             assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    def test_asymmetric_input_adjacency_rejected(self):
+        rng = np.random.default_rng(7)
+        g, params, _ = random_instance(rng, dropout_choices=(0.0,))
+        a = g.adjacency.copy()
+        a[0, 1] += 0.5
+        g = dataclasses.replace(g, adjacency=a)
+        logits, trace = forward(g, params, mode="eval")
+        with pytest.raises(ValueError, match="symmetric"):
+            backward(trace, g, params, cross_entropy_logit_grad(logits, g.labels, g.train_mask))
+
     def test_shared_weights_gradients_aggregate(self):
         rng = np.random.default_rng(5)
         cfg = TrainConfig(hidden_dim=3, num_layers=3, share_weights=True, h=0.2,
@@ -206,9 +216,11 @@ class TestTrain:
         g = self._graph()
         cfg = TrainConfig(epochs=15, seed=2, hidden_dim=4, num_layers=2)
         params, _ = train(g, cfg)
-        for layer in params.layers:
+        _, adjacency_states = evolve(g.features @ params.encoder, g.adjacency, params.layers)
+        for layer, a in zip(params.layers, adjacency_states):
             assert layer.adjacency.coeffs.alpha <= 0.0
             assert layer.adjacency.h <= max_step_adjacency(layer.adjacency.coeffs) * (1 + 1e-12)
+            assert layer.feature.h <= max_feature_step(a, layer.feature) * (1 + 1e-12)
 
     def test_history_csv_format(self):
         g = self._graph()
