@@ -163,6 +163,12 @@ def render_certificate(cert: dict, params) -> str:
         lines.append("warning: layers " + ",".join(bad)
                      + " have negative slope-uniform margin; the l1 nonexpansiveness"
                      " of their adjacency step is not certified for all activation patterns")
+    over = [str(row["layer"]) for row in cert["layers"]
+            if row["h_feature"] > row["h_feature_safe"]]
+    if over:
+        lines.append("warning: layers " + ",".join(over)
+                     + " have h_feat above h_feat_safe; their feature step bound does not hold"
+                     " over the eps_adj ball around the clean trajectory")
     lines.append(f"certified output-distance bound = {cert['bound']:.10g}")
     return "\n".join(lines) + "\n"
 

@@ -28,6 +28,11 @@ positive definite Ktilde descent of E (and, for K = lambda*I, nonexpansiveness
 in Frobenius norm) holds for h below
 
     h_safe = 1 / (lam_max(Ktilde)^2 / lam_min(Ktilde) * ||G(A)W||_2^2 + eps).
+
+||G(A)W||_2^2 is lam_max(W^T L(A o A + (A o A)^T) W). Below 256 nodes it comes
+from a dense `eigvalsh` of that matrix; from 256 nodes on, from matrix-free
+Lanczos whose top Ritz value is padded by its residual, so the estimate errs
+towards a smaller step.
 """
 
 from __future__ import annotations
@@ -200,18 +205,78 @@ def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: floa
 
 
 def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
-    """Exact ||G(A) W||_2^2 via the weighted-Laplacian quadratic form.
+    """||G(A) W||_2^2 = lam_max(W^T L(B) W) with B = A o A + (A o A)^T.
 
     For a single channel, (G(A)v)_ij = A_ij (v_i - v_j), so (G(A))^T G(A) is the
-    graph Laplacian with edge weights A_ij^2 + A_ji^2.
+    graph Laplacian L(B) = diag(B 1) - B. Below `_LANCZOS_MIN_N` nodes the
+    Laplacian is formed and `eigvalsh` gives lam_max exactly; from there on
+    `_lanczos_lam_max` computes it from products x -> W^T (d o (W x) - B (W x)),
+    d = B 1, without forming L or W^T L W. Non-finite A or W raises
+    np.linalg.LinAlgError on both paths.
     """
     a = np.asarray(a, dtype=float)
     wts = a * a
     wts = wts + wts.T
-    lap = np.diag(wts.sum(axis=1)) - wts
+    deg = wts.sum(axis=1)
+    if not np.isfinite(deg).all() or (w is not None and not np.isfinite(w).all()):
+        raise np.linalg.LinAlgError("gradient operator has non-finite entries")
+    if a.shape[0] >= _LANCZOS_MIN_N:
+        def lap_apply(x):
+            return deg * x - wts @ x
+        op = lap_apply if w is None else (lambda x: w.T @ lap_apply(w @ x))
+        return _lanczos_lam_max(op, a.shape[0])
+    lap = np.diag(deg) - wts
     if w is not None:
         lap = w.T @ lap @ w
     return float(max(np.linalg.eigvalsh(lap).max(), 0.0))
+
+
+# Measured crossover on SBM adjacencies, one BLAS thread: `eigvalsh` against
+# Lanczos takes 0.7 against 3.5 ms at n=100, 4.8 against 4.7 ms at n=256 and
+# 158 against 45 ms at n=1000.
+_LANCZOS_MIN_N = 256
+_LANCZOS_RTOL = 1e-12
+_LANCZOS_CHECK_EVERY = 4
+
+
+def _lanczos_lam_max(op, n: int) -> float:
+    """Upper estimate of the largest eigenvalue of a symmetric PSD operator.
+
+    Lanczos with full reorthogonalization from a fixed Gaussian start vector
+    (its own generator, seed 0; almost surely not the constant vector, which
+    spans the Laplacian's null space). It stops once the top Ritz pair
+    (theta, y) of the tridiagonal T_k has residual ||op(Q y) - theta Q y|| =
+    beta_k |e_k^T y| <= 1e-12 theta, on breakdown (beta_k = 0: the Krylov
+    space is invariant) or when the Krylov space spans R^n. Some eigenvalue
+    lies within that residual of theta, and theta never exceeds lam_max, so
+    theta + residual is returned: it bounds lam_max from above whenever theta
+    has converged to the top of the spectrum, which a random start vector
+    ensures with probability one.
+    """
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((n, n))  # rows are touched only as the Krylov space grows
+    alphas, betas = [], []
+    for k in range(n):
+        basis[k] = q
+        v = op(q)
+        alphas.append(float(q @ v))
+        vk = basis[:k + 1]
+        v -= vk.T @ (vk @ v)
+        v -= vk.T @ (vk @ v)
+        beta = float(np.linalg.norm(v))
+        last = beta == 0.0 or k + 1 == n
+        # the k x k eigh costs more than a matvec at moderate n, so the
+        # residual is tested every few steps only
+        if last or k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:
+            evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = float(evals[-1])
+            resid = beta * abs(float(evecs[-1, -1]))
+            if last or resid <= _LANCZOS_RTOL * theta:
+                break
+        betas.append(beta)
+        q = v / beta
+    return max(theta + resid, 0.0)
 
 
 def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0) -> float:

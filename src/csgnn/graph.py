@@ -200,6 +200,8 @@ def load_graph(in_dir) -> Graph:
     adjacency = np.zeros((n, n))
     edges = np.loadtxt(src / "edges.txt", dtype=int, ndmin=2)
     if edges.size:
+        if edges.min() < 0:
+            raise ValueError("negative edge index in edges.txt")
         if edges.max() >= n:
             raise ValueError("edge index exceeds node count implied by features.csv")
         adjacency[edges[:, 0], edges[:, 1]] = 1.0

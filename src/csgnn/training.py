@@ -54,6 +54,21 @@ class TrainConfig:
     patience: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be finite and positive, got {self.h}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        for name in ("hidden_dim", "num_layers", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("lr_embed", "lr_node", "lr_adj", "wd_embed", "wd_node", "wd_adj"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+
     def group_lr(self, group: str) -> float:
         return {GROUP_EMBED: self.lr_embed, GROUP_NODE: self.lr_node, GROUP_ADJ: self.lr_adj}[group]
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import csgnn
 from csgnn import config as cfgmod
 from csgnn.cli import main
 from csgnn.graph import load_graph
@@ -97,6 +103,25 @@ class TestTrainCommand:
         assert run(["train", "--out", str(tmp_path),
                     "--set", f"graph={tmp_path}/nope"]) == 3
 
+    def test_negative_edge_index_is_runtime_error(self, sbm_dir, tmp_path):
+        graph = tmp_path / "graph"
+        graph.mkdir()
+        for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
+            (graph / name).write_bytes((sbm_dir / name).read_bytes())
+        with open(graph / "edges.txt", "a") as fh:
+            fh.write("-1 5\n")
+        assert run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
+                    "--set", "epochs=1"]) == 3
+
+    @pytest.mark.parametrize("override", ["hidden_dim=0", "h=nan", "epochs=-3", "lr_node=nan",
+                                          "dropout_p=1"])
+    def test_bad_hyperparameter_is_runtime_error(self, sbm_dir, tmp_path, capsys, override):
+        code = run(["train", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", override])
+        assert code == 3
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_deterministic_outputs(self, sbm_dir, tmp_path):
         args = ["train", "--seed", "1", "--set", f"graph={sbm_dir}",
                 "--set", "epochs=6", "--set", "hidden_dim=4",
@@ -174,6 +199,23 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "certified output-distance bound = 0" in out
+        assert "warning" not in out
+
+    def test_warns_when_feature_step_exceeds_ball_bound(self, sbm_dir, trained_dir, capsys):
+        params = load_checkpoint(trained_dir / "model.ckpt")
+        g = load_graph(sbm_dir)
+        cert = certificate(g.features @ params.encoder, g.adjacency, params,
+                           PerturbationBudget(eps_feat=0.0, eps_adj=5.0))
+        over = [row["layer"] for row in cert["layers"] if row["h_feature"] > row["h_feature_safe"]]
+        assert over
+        code = run(["certify", "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={sbm_dir}", "--set", "eps_feat=0", "--set", "eps_adj=5"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert code == 0
+        assert lines[-1].startswith("certified output-distance bound = ")
+        warning = [line for line in lines if "h_feat above h_feat_safe" in line]
+        assert warning == [lines[-2]]
+        assert warning[0].startswith("warning: layers " + ",".join(map(str, over)) + " ")
 
     def test_bound_matches_in_process_recomputation(self, sbm_dir, trained_dir, capsys):
         code = run(["certify",
@@ -191,3 +233,15 @@ class TestCertifyCommand:
 
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing scipy.sparse.linalg costs 0.3-0.5 s of start-up on every command
+    src = str(Path(csgnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = ("import sys, csgnn.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from csgnn import dynamics
 from csgnn.activations import leaky_relu
-from csgnn.dynamics import (EdgeTensor, LayerParams, Parameterization,
+from csgnn.dynamics import (H_SAFE_EPS, EdgeTensor, LayerParams, Parameterization,
                             check_feature_contraction, energy, feature_field,
                             feature_field_vjp, feature_step, graph_gradient,
                             graph_gradient_adjoint, gradient_operator_sq_norm,
                             max_feature_step)
+from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step
+from csgnn.sbm import gen_sbm
 
 PATH_GRAPH = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_NODE_F = np.array([[1.0], [3.0]])
@@ -260,3 +263,92 @@ class TestContraction:
                 dense[:, col] = (a * (e[:, None] - e[None, :])).reshape(-1)
             sv = np.linalg.norm(dense @ w, 2) ** 2
             assert gradient_operator_sq_norm(a, w) == pytest.approx(sv, rel=1e-10, abs=1e-10)
+
+
+def _dense_lam_max(a, w=None):
+    b = a * a
+    b = b + b.T
+    lap = np.diag(b.sum(axis=1)) - b
+    if w is not None:
+        lap = w.T @ lap @ w
+    return max(float(np.linalg.eigvalsh(lap).max()), 0.0)
+
+
+def _sbm_adjacency(n, seed=0):
+    return np.array(gen_sbm(n=n, classes=2, p_in=0.1, p_out=0.02, feat_dim=2,
+                            signal=1.0, seed=seed).adjacency)
+
+
+def _lanczos_case(name):
+    n = dynamics._LANCZOS_MIN_N + 44
+    rng = np.random.default_rng(21)
+    if name == "sbm":
+        return _sbm_adjacency(n), None
+    if name == "weighted":
+        cfg = AdjacencyStepConfig(coeffs=EquivariantCoeffs(k=0.05 * rng.standard_normal(8),
+                                                           alpha=-1.0), h=0.5)
+        a = adjacency_step(_sbm_adjacency(n), cfg)
+        assert (a != 0).all()
+        return a, None
+    if name == "learn_w":
+        return _sbm_adjacency(n), np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    if name == "repeated_top":
+        half = _sbm_adjacency(n // 2, seed=3)
+        a = np.zeros((n, n))
+        a[:n // 2, :n // 2] = half
+        a[n // 2:, n // 2:] = half
+        return a, None
+    if name == "complete":
+        return np.ones((n, n)) - np.eye(n), None
+    return np.zeros((n, n)), None
+
+
+LANCZOS_CASES = ("sbm", "weighted", "learn_w", "repeated_top", "complete", "edgeless")
+
+
+class TestLanczosStepBound:
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    def test_matches_dense_eigvalsh(self, name):
+        a, w = _lanczos_case(name)
+        assert a.shape[0] >= dynamics._LANCZOS_MIN_N
+        dense = _dense_lam_max(a, w)
+        got = gradient_operator_sq_norm(a, w)
+        if name == "edgeless":
+            assert got == 0.0
+        else:
+            assert abs(got - dense) <= 1e-12 * dense
+        assert gradient_operator_sq_norm(a, w) == got
+
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    def test_step_never_exceeds_dense_oracle(self, name):
+        a, w = _lanczos_case(name)
+        params = (LayerParams(h=1.0) if w is None else
+                  LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w))
+        oracle = 1.0 / (_dense_lam_max(a, w) + H_SAFE_EPS)
+        assert max_feature_step(a, params) <= oracle * (1 + 1e-12)
+
+    def test_repeated_top_case_has_a_double_eigenvalue(self):
+        a, _ = _lanczos_case("repeated_top")
+        lam = np.linalg.eigvalsh(np.diag((2 * a * a).sum(axis=1)) - 2 * a * a)
+        assert lam[-1] - lam[-2] <= 1e-10 * lam[-1]
+
+    @pytest.mark.parametrize("name", LANCZOS_CASES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, name, bad):
+        a, w = _lanczos_case(name)
+        a = a.copy()
+        a[3, 5] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            gradient_operator_sq_norm(a, w)
+        if w is not None:
+            a[3, 5] = 0.0
+            w = w.copy()
+            w[7, 2] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                gradient_operator_sq_norm(a, w)
+
+    def test_dense_path_rejects_non_finite_input(self):
+        a = np.ones((5, 5))
+        a[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            max_feature_step(a, LayerParams(h=1.0))

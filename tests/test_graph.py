@@ -188,3 +188,11 @@ class TestGraphIO:
         g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="binary"):
             save_graph(g, tmp_path)
+
+    @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
+    def test_rejects_out_of_range_edge_index(self, tmp_path, line):
+        g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)), binary=True)
+        save_graph(g, tmp_path)
+        (tmp_path / "edges.txt").write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match="edge index"):
+            load_graph(tmp_path)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from csgnn import dynamics
 from csgnn.dynamics import LayerParams, Parameterization, max_feature_step
 from csgnn.equivariant import EquivariantCoeffs, max_step_adjacency
 from csgnn.gradcheck import (analytic_gradients, fd_gradients, loss_at,
@@ -182,6 +183,41 @@ class TestAdam:
             EquivariantCoeffs(k=np.zeros(8), alpha=0.1)
 
 
+def _dense_h_safe(a, feature):
+    # h_safe of `max_feature_step`, with lam_max(W^T L(A o A + (A o A)^T) W) from eigvalsh
+    b = a * a
+    b = b + b.T
+    lap = np.diag(b.sum(axis=1)) - b
+    if feature.W is not None:
+        lap = feature.W.T @ lap @ feature.W
+    s2 = max(float(np.linalg.eigvalsh(lap).max()), 0.0)
+    if feature.K is None:
+        lam = s2
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (feature.K + feature.K.T))
+        lam = (eigs.max() ** 2 / eigs.min() if eigs.min() > 0 else np.abs(eigs).max()) * s2
+    return 1.0 / (lam + 1e-12)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("h", 0.0), ("h", -0.5), ("h", np.nan), ("h", np.inf),
+        ("epochs", -3),
+        ("hidden_dim", 0), ("num_layers", 0), ("patience", 0),
+        ("lr_embed", np.nan), ("lr_node", -1e-3), ("lr_adj", np.inf),
+        ("wd_embed", -1.0), ("wd_node", np.nan), ("wd_adj", np.inf),
+        ("dropout_p", 1.0), ("dropout_p", -0.1), ("dropout_p", np.nan),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(epochs=0, hidden_dim=1, num_layers=1, patience=1, dropout_p=0.0,
+                    lr_embed=0.0, lr_node=0.0, lr_adj=0.0, wd_embed=0.0, wd_node=0.0,
+                    wd_adj=0.0, h=1e-9)
+
+
 class TestTrain:
     def _graph(self):
         return gen_sbm(n=40, classes=2, p_in=0.4, p_out=0.05, feat_dim=4,
@@ -221,6 +257,18 @@ class TestTrain:
             assert layer.adjacency.coeffs.alpha <= 0.0
             assert layer.adjacency.h <= max_step_adjacency(layer.adjacency.coeffs) * (1 + 1e-12)
             assert layer.feature.h <= max_feature_step(a, layer.feature) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_step_bounds_hold_on_the_lanczos_path(self, parameterization):
+        g = gen_sbm(n=300, classes=2, p_in=0.1, p_out=0.02, feat_dim=4, signal=1.3, seed=0)
+        assert g.n >= dynamics._LANCZOS_MIN_N
+        cfg = TrainConfig(epochs=3, seed=0, hidden_dim=4, num_layers=2, h=10.0,
+                          parameterization=parameterization)
+        params, _ = train(g, cfg)
+        _, adjacency_states = evolve(g.features @ params.encoder, g.adjacency, params.layers)
+        for layer, a in zip(params.layers, adjacency_states):
+            oracle = _dense_h_safe(a, layer.feature)
+            assert oracle * (1 - 1e-9) <= layer.feature.h <= oracle * (1 + 1e-12)
 
     def test_history_csv_format(self):
         g = self._graph()
