@@ -65,6 +65,8 @@ class LayerParams:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError("step size must be nonnegative")
+        if not 0 < self.leaky_slope <= 1:
+            raise ValueError("activation slope must lie in (0, 1]")
         if self.parameterization == Parameterization.LEARN_K and self.W is not None:
             raise ValueError("learn_k parameterization keeps W at the identity")
         if self.parameterization == Parameterization.LEARN_W and self.K is not None:

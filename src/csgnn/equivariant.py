@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import leaky_relu, leaky_relu_prime
+from .activations import leaky_relu
 
 T_SIZE_GUARD = 64
 
@@ -73,30 +73,38 @@ class AdjacencyStepConfig:
 
 
 def _sums(a: np.ndarray) -> tuple:
-    """Diagonal, row sums, column sums, total and trace of a square matrix.
+    """Diagonal, row sums, column sums, total and trace over the last two axes.
 
     Column sums are taken as the row sums of the transposed copy, so an
     exactly symmetric matrix gets bit-identical row and column sums and M
     maps it to an exactly symmetric image.
     """
-    d = np.diagonal(a)
-    row = a.sum(axis=1)
-    col = np.ascontiguousarray(a.T).sum(axis=1)
-    return d, row, col, float(a.sum()), float(d.sum())
+    d = np.diagonal(a, axis1=-2, axis2=-1)
+    row = a.sum(axis=-1)
+    col = np.ascontiguousarray(np.swapaxes(a, -1, -2)).sum(axis=-1)
+    return d, row, col, a.sum(axis=(-2, -1)), d.sum(axis=-1)
+
+
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
 def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
-    """Evaluate M(A) from its row/column sums, diagonal, total and trace."""
+    """Evaluate M(A) from its row/column sums, diagonal, total and trace.
+
+    `a` may be a stack of shape (..., n, n); M acts on each matrix.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    _check_square(a)
+    n = a.shape[-1]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
     d, row, col, tot, tr = _sums(a)
-    out = (k3 * row + k9 * d)[:, None] / (2 * n) + (k3 * col + k9 * d)[None, :] / (2 * n)
-    out += (k5 * tot + k7 * tr) / n**2
+    out = (k3 * row + k9 * d)[..., :, None] / (2 * n) + (k3 * col + k9 * d)[..., None, :] / (2 * n)
+    out += ((k5 * tot + k7 * tr) / n**2)[..., None, None]
     out += k1 * a
-    out[np.diag_indices(n)] += k2 * d + k4 * row + (k6 * tot + k8 * tr) / n
+    diag = np.arange(n)
+    out[..., diag, diag] += k2 * d + k4 * row + ((k6 * tot + k8 * tr) / n)[..., None]
     return out
 
 
@@ -140,44 +148,42 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_T_raw(k_full: np.ndarray, n: int) -> np.ndarray:
-    """Dense n^2 x n^2 matrix T with vec(M(A)) = T vec(A), for raw coefficients k1..k9."""
+    """Dense n^2 x n^2 matrix T with vec(M(A)) = T vec(A), for raw coefficients k1..k9.
+
+    Each basis operator is filled in from its vec-index pattern; its entries
+    are small integers, so T does not depend on how the patterns are built.
+    """
     if n > T_SIZE_GUARD:
         raise ValueError(f"n={n} exceeds the dense T guard (n <= {T_SIZE_GUARD})")
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = np.asarray(k_full, dtype=float)
-    eye = np.eye(n)
-    ones = np.ones((n, n))
-    basis = [np.outer(eye[:, i], eye[:, i]) for i in range(n)]  # e_i e_i^T
-    t = k1 * np.eye(n * n)
-    if k2:
-        t += k2 * sum(np.kron(b, b) for b in basis)
-    if k3:
-        t += k3 / (2 * n) * (np.kron(ones, eye) + np.kron(eye, ones))
-    if k4:
-        t += k4 * sum(np.kron(np.outer(eye[:, i], np.ones(n)), basis[i]) for i in range(n))
-    if k5:
-        t += k5 / n**2 * np.kron(ones, ones)
-    if k6:
-        t += k6 / n * sum(
-            np.kron(np.outer(eye[:, i], np.ones(n)), np.outer(eye[:, i], np.ones(n)))
-            for i in range(n)
-        )
-    if k7:
-        t += k7 / n**2 * sum(
-            np.kron(np.outer(np.ones(n), eye[:, i]), np.outer(np.ones(n), eye[:, i]))
-            for i in range(n)
-        )
-    if k8:
-        t += k8 / n * sum(
-            np.kron(np.outer(eye[:, j], eye[:, i]), np.outer(eye[:, j], eye[:, i]))
-            for i in range(n)
-            for j in range(n)
-        )
-    if k9:
-        t += k9 / (2 * n) * sum(
-            np.kron(np.outer(np.ones(n), eye[:, i]), basis[i])
-            + np.kron(basis[i], np.outer(np.ones(n), eye[:, i]))
-            for i in range(n)
-        )
+    m = n * n
+    idx = np.arange(m).reshape((n, n), order="F")  # idx[i, j]: position of A[i, j] in vec(A)
+    d = np.diagonal(idx)
+
+    def basis(*fills):
+        b = np.zeros((m, m))
+        for rows, cols in fills:
+            b[rows, cols] += 1.0
+        return b
+
+    t = k1 * np.eye(m)
+    if k2:  # diag(diag(A))
+        t += k2 * basis((d, d))
+    if k3:  # A 1 1^T + 1 1^T A: row i's sum and column j's sum land on (i, j)
+        t += k3 / (2 * n) * basis((idx[:, :, None], idx[:, None, :]),
+                                  (idx[:, :, None], idx.T[None, :, :]))
+    if k4:  # diag(A 1)
+        t += k4 * basis((d[:, None], idx))
+    if k5:  # (1^T A 1) 1 1^T
+        t += k5 / n**2 * np.ones((m, m))
+    if k6:  # (1^T A 1) I
+        t += k6 / n * basis((d[:, None], np.arange(m)[None, :]))
+    if k7:  # tr(A) 1 1^T
+        t += k7 / n**2 * basis((np.arange(m)[:, None], d[None, :]))
+    if k8:  # tr(A) I
+        t += k8 / n * basis((d[:, None], d[None, :]))
+    if k9:  # diag(A) 1^T + 1 diag(A)^T: A[i, i] and A[j, j] land on (i, j)
+        t += k9 / (2 * n) * basis((idx, d[:, None]), (idx, d[None, :]))
     return t
 
 
@@ -227,11 +233,18 @@ def slope_uniform_margin(coeffs: EquivariantCoeffs, leaky_slope: float) -> float
 
 def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
                              leaky_slope: float = 0.1) -> np.ndarray:
-    """Euler step without the step-size guard; for diagnostics and fault injection."""
+    """Euler step without the step-size guard; for diagnostics and fault injection.
+
+    `a` may be a stack of shape (..., n, n); each matrix takes its own step.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a + h * leaky_relu(equivariant_linear(a, coeffs), leaky_slope)
+    _check_square(a)
+    # a + h*sigma(M(A)) formed in the activation's own buffer: the same bits
+    # (+ and * commute) without temporaries for h*sigma and for the sum
+    step = leaky_relu(equivariant_linear(a, coeffs), leaky_slope)
+    step *= h
+    step += a
+    return step
 
 
 def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig) -> np.ndarray:
@@ -243,19 +256,22 @@ def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: flo
                                 leaky_slope: float = 0.1) -> float:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
+    m = n * n
     pre = equivariant_linear(a, coeffs)
     if np.any(coeffs.full() != 0.0) and np.any(np.abs(pre) < KINK_TOL):
         raise ValueError("non-smooth point: pre-activation magnitude below tolerance")
-    cols = np.empty((n * n, n * n))
-    base = vec(a)
-    for j in range(n * n):
-        plus = base.copy()
-        minus = base.copy()
-        plus[j] += FD_STEP
-        minus[j] -= FD_STEP
-        step_plus = adjacency_step_unchecked(unvec(plus, n), coeffs, h, leaky_slope)
-        step_minus = adjacency_step_unchecked(unvec(minus, n), coeffs, h, leaky_slope)
-        cols[:, j] = (vec(step_plus) - vec(step_minus)) / (2 * FD_STEP)
+    # Rows 0..m-1 of `shifted` are vec(A) + FD_STEP e_j, rows m..2m-1 are
+    # vec(A) - FD_STEP e_j. Every matrix of the stack keeps the column-major
+    # layout `unvec` gives it, and `cols` is C-ordered, so the sums inside M
+    # and inside the norm round as they would one column at a time.
+    shifted = np.tile(vec(a), (2 * m, 1))
+    j = np.arange(m)
+    shifted[j, j] += FD_STEP
+    shifted[m + j, j] -= FD_STEP
+    stepped = adjacency_step_unchecked(shifted.reshape(2 * m, n, n).transpose(0, 2, 1),
+                                       coeffs, h, leaky_slope)
+    diff = (stepped[:m] - stepped[m:]) / (2 * FD_STEP)
+    cols = np.ascontiguousarray(diff.transpose(0, 2, 1).reshape(m, m).T)
     return operator_l1_norm(cols)
 
 

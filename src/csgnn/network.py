@@ -10,6 +10,7 @@ function of (graph, parameters).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -337,33 +338,106 @@ def save_checkpoint(params: NetworkParams, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+_HEADER_KEYS = ("arrays", "dropout_p", "layers", "share_weights")
+_LAYER_KEYS = ("adjacency_slope", "alpha", "feature_slope", "h_adjacency", "h_feature",
+               "has_K", "has_W", "parameterization")
+_LAYER_NUMBERS = ("h_feature", "feature_slope", "h_adjacency", "adjacency_slope", "alpha")
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(f"checkpoint {message}")
+
+
+def _require_keys(obj, keys, where: str) -> None:
+    _require(isinstance(obj, dict), f"{where} is not an object")
+    missing = [key for key in keys if key not in obj]
+    _require(not missing, f"{where} lacks key(s) {', '.join(missing)}")
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _checked_header(header) -> dict:
+    """Validate a checkpoint header; returns {array name: shape} in body order.
+
+    Every key must be present, numbers finite, flags boolean and shapes lists
+    of non-negative integers, and the arrays must be exactly the ones the
+    layers name: none missing, repeated or unused.
+    """
+    _require_keys(header, _HEADER_KEYS, "header")
+    _require(_is_finite_number(header["dropout_p"]), "dropout_p must be a finite number")
+    _require(isinstance(header["share_weights"], bool), "share_weights must be a boolean")
+    _require(isinstance(header["layers"], list), "layers must be a list")
+    _require(isinstance(header["arrays"], list), "arrays must be a list")
+    expected = {"encoder", "classifier_w", "classifier_b"}
+    for l, meta in enumerate(header["layers"]):
+        _require_keys(meta, _LAYER_KEYS, f"layer {l}")
+        for key in _LAYER_NUMBERS:
+            _require(_is_finite_number(meta[key]), f"layer {l} {key} must be a finite number")
+        for key, suffix in (("has_W", "W"), ("has_K", "K")):
+            _require(isinstance(meta[key], bool), f"layer {l} {key} must be a boolean")
+            if meta[key]:
+                expected.add(f"layer{l}.{suffix}")
+        expected.add(f"layer{l}.k")
+    shapes = {}
+    for spec in header["arrays"]:
+        _require_keys(spec, ("name", "shape"), "array entry")
+        name, shape = spec["name"], spec["shape"]
+        _require(isinstance(name, str), f"array name {name!r} is not a string")
+        _require(name not in shapes, f"array {name!r} appears twice")
+        _require(isinstance(shape, list)
+                 and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape),
+                 f"array {name!r} has shape {shape!r}; expected non-negative integers")
+        shapes[name] = tuple(shape)
+    missing = sorted(expected - shapes.keys())
+    _require(not missing, f"lacks array(s) {', '.join(missing)}")
+    unused = sorted(shapes.keys() - expected)
+    _require(not unused, f"array(s) {', '.join(unused)} are not used by any layer")
+    return shapes
+
+
 def load_checkpoint(path) -> NetworkParams:
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a network checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        data = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError("truncated checkpoint")
-            data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes in checkpoint")
+        raw = memoryview(fh.read())
+    pos = len(_MAGIC) + 12
+
+    def take(count: int) -> memoryview:
+        nonlocal pos
+        if count > len(raw) - pos:
+            raise ValueError("truncated checkpoint")
+        pos += count
+        return raw[pos - count:pos]
+
+    if bytes(raw[:len(_MAGIC)]) != _MAGIC:
+        raise ValueError("not a network checkpoint")
+    if len(raw) < pos:
+        raise ValueError("truncated checkpoint")
+    version, hlen = struct.unpack_from("<IQ", raw, len(_MAGIC))
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    header = json.loads(bytes(take(hlen)).decode())
+    data = {}
+    for name, shape in _checked_header(header).items():
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        _require(np.isfinite(arr).all(), f"array {name!r} has non-finite entries")
+        data[name] = arr
+    if pos != len(raw):
+        raise ValueError("trailing bytes in checkpoint")
     layers = []
     for l, meta in enumerate(header["layers"]):
         layers.append(CoupledLayer(
             feature=LayerParams(
                 h=meta["h_feature"],
                 parameterization=Parameterization(meta["parameterization"]),
-                W=data.get(f"layer{l}.W") if meta["has_W"] else None,
-                K=data.get(f"layer{l}.K") if meta["has_K"] else None,
+                W=data[f"layer{l}.W"] if meta["has_W"] else None,
+                K=data[f"layer{l}.K"] if meta["has_K"] else None,
                 leaky_slope=meta["feature_slope"],
             ),
             adjacency=AdjacencyStepConfig(

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,15 @@ class TestCertifyCommand:
                            PerturbationBudget(eps_feat=0.25, eps_adj=1.5))
         printed = float(out.strip().split("=")[-1])
         assert printed == pytest.approx(cert["bound"], rel=1e-9)
+
+    def test_non_finite_checkpoint_entry_is_runtime_error(self, sbm_dir, trained_dir, tmp_path,
+                                                          capsys):
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))  # last entry of the last k
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2

@@ -121,6 +121,11 @@ class TestFeatureStep:
         with pytest.raises(ValueError):
             LayerParams(h=0.1, parameterization=Parameterization.LEARN_K, W=np.eye(2))
 
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, 2.0, float("nan")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            LayerParams(h=0.1, leaky_slope=slope)
+
     def test_learn_w_requires_scaled_identity_k(self):
         with pytest.raises(ValueError):
             LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
@@ -346,6 +351,12 @@ class TestLanczosStepBound:
             w[7, 2] = bad
             with pytest.raises(np.linalg.LinAlgError):
                 gradient_operator_sq_norm(a, w)
+
+    def test_l1_radius_step_never_exceeds_svd_oracle(self):
+        a, w = _lanczos_case("learn_w")
+        params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w)
+        s = np.sqrt(_dense_lam_max(a, w)) + 2.0 * 0.5 * float(np.linalg.norm(w, 2))
+        assert max_feature_step(a, params, l1_radius=0.5) <= 1.0 / (s * s + H_SAFE_EPS) * (1 + 1e-12)
 
     def test_dense_path_rejects_non_finite_input(self):
         a = np.ones((5, 5))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                               adjacency_step_unchecked, build_T, build_T_raw,
+from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, EquivariantCoeffs,
+                               adjacency_step, adjacency_step_unchecked, build_T, build_T_raw,
                                coeff_gradients, equivariant_linear,
                                equivariant_linear_adjoint, jacobian_l1_probe,
                                jacobian_l1_probe_unchecked, max_step_adjacency,
@@ -20,6 +20,65 @@ def coeffs_with(alpha=0.0, **k_entries):
 def random_coeffs(rng, alpha_shift=0.0):
     return EquivariantCoeffs(k=rng.standard_normal(8),
                              alpha=-abs(rng.standard_normal()) - alpha_shift)
+
+
+def kron_T_raw(k_full, n):
+    """Reference T assembled from Kronecker products of e_i e_j^T, 1 and I."""
+    k1, k2, k3, k4, k5, k6, k7, k8, k9 = np.asarray(k_full, dtype=float)
+    eye = np.eye(n)
+    ones = np.ones((n, n))
+    basis = [np.outer(eye[:, i], eye[:, i]) for i in range(n)]  # e_i e_i^T
+    t = k1 * np.eye(n * n)
+    if k2:
+        t += k2 * sum(np.kron(b, b) for b in basis)
+    if k3:
+        t += k3 / (2 * n) * (np.kron(ones, eye) + np.kron(eye, ones))
+    if k4:
+        t += k4 * sum(np.kron(np.outer(eye[:, i], np.ones(n)), basis[i]) for i in range(n))
+    if k5:
+        t += k5 / n**2 * np.kron(ones, ones)
+    if k6:
+        t += k6 / n * sum(
+            np.kron(np.outer(eye[:, i], np.ones(n)), np.outer(eye[:, i], np.ones(n)))
+            for i in range(n)
+        )
+    if k7:
+        t += k7 / n**2 * sum(
+            np.kron(np.outer(np.ones(n), eye[:, i]), np.outer(np.ones(n), eye[:, i]))
+            for i in range(n)
+        )
+    if k8:
+        t += k8 / n * sum(
+            np.kron(np.outer(eye[:, j], eye[:, i]), np.outer(eye[:, j], eye[:, i]))
+            for i in range(n)
+            for j in range(n)
+        )
+    if k9:
+        t += k9 / (2 * n) * sum(
+            np.kron(np.outer(np.ones(n), eye[:, i]), basis[i])
+            + np.kron(basis[i], np.outer(np.ones(n), eye[:, i]))
+            for i in range(n)
+        )
+    return t
+
+
+def looped_probe(a, coeffs, h, leaky_slope=0.1):
+    """Reference Jacobian probe: one pair of perturbed steps per vec(A) coordinate."""
+    n = a.shape[0]
+    pre = equivariant_linear(a, coeffs)
+    if np.any(coeffs.full() != 0.0) and np.any(np.abs(pre) < KINK_TOL):
+        raise ValueError("non-smooth point: pre-activation magnitude below tolerance")
+    cols = np.empty((n * n, n * n))
+    base = vec(a)
+    for j in range(n * n):
+        plus = base.copy()
+        minus = base.copy()
+        plus[j] += FD_STEP
+        minus[j] -= FD_STEP
+        step_plus = adjacency_step_unchecked(unvec(plus, n), coeffs, h, leaky_slope)
+        step_minus = adjacency_step_unchecked(unvec(minus, n), coeffs, h, leaky_slope)
+        cols[:, j] = (vec(step_plus) - vec(step_minus)) / (2 * FD_STEP)
+    return operator_l1_norm(cols)
 
 
 class TestEquivariantLinear:
@@ -97,6 +156,17 @@ class TestTMatrix:
                 basis = [build_T_raw(np.eye(9)[i], n) @ vec(a) for i in range(9)]
                 assert np.allclose(coeff_gradients(a, m), [vec(m) @ t for t in basis],
                                    rtol=0, atol=1e-10)
+
+    def test_index_patterns_equal_kron_reference(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            for trial in range(12):
+                k_raw = rng.standard_normal(9)
+                if trial % 2:
+                    k_raw[rng.random(9) < 0.5] = 0.0
+                assert np.array_equal(build_T_raw(k_raw, n), kron_T_raw(k_raw, n))
+            for i in range(9):
+                assert np.array_equal(build_T_raw(np.eye(9)[i], n), kron_T_raw(np.eye(9)[i], n))
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
@@ -199,6 +269,26 @@ class TestJacobianProbe:
         a = np.array([[1.0, 0.0], [1.0, 1.0]])  # a zero entry lands on the kink
         with pytest.raises(ValueError, match="non-smooth"):
             jacobian_l1_probe(a, cfg)
+
+    def test_batched_probe_equals_column_loop(self):
+        rng = np.random.default_rng(12)
+        done = 0
+        while done < 250:
+            n = int(rng.integers(1, 9))
+            c = random_coeffs(rng)
+            if rng.random() < 0.2:
+                c = EquivariantCoeffs(k=c.k * (rng.random(8) < 0.5), alpha=c.alpha)
+            h = max_step_adjacency(c) * float(rng.choice([1.0, 0.3, 5.0]))
+            slope = float(rng.choice([0.1, 0.5, 1.0]))
+            a = rng.standard_normal((n, n)) * float(rng.choice([1.0, 1e-3, 1e3]))
+            try:
+                expected = looped_probe(a, c, h, slope)
+            except ValueError:
+                with pytest.raises(ValueError, match="non-smooth"):
+                    jacobian_l1_probe_unchecked(a, c, h, slope)
+                continue
+            done += 1
+            assert jacobian_l1_probe_unchecked(a, c, h, slope) == expected
 
     def test_bounded_in_slope_uniform_regime(self):
         rng = np.random.default_rng(6)

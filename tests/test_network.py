@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from csgnn.dynamics import LayerParams, Parameterization, feature_step
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, max_step_adjacency
 from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
+from csgnn import network
 from csgnn.network import (CoupledLayer, NetworkParams, certificate, estimate_mixed_lipschitz,
                            evolve, expansivity_bound, forward, lipschitz_upper,
                            load_checkpoint, save_checkpoint, weighted_distance)
@@ -272,8 +275,95 @@ class TestCheckpoint:
         assert np.array_equal(loaded.layers[0].feature.W, layer.feature.W)
         assert loaded.layers[0].feature.K is None
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda h, arrays: h.pop("dropout_p"), "header lacks key"),
+        (lambda h, arrays: h["layers"][1].pop("has_K"), "layer 1 lacks key"),
+        (lambda h, arrays: h["arrays"][0].pop("shape"), "array entry lacks key"),
+        (lambda h, arrays: _drop_array(h, arrays, "layer0.K"), r"lacks array\(s\) layer0.K"),
+        (lambda h, arrays: h["layers"][0].update(has_W=True), r"lacks array\(s\) layer0.W"),
+        (lambda h, arrays: _append_array(h, arrays, "encoder"), "'encoder' appears twice"),
+        (lambda h, arrays: _append_array(h, arrays, "layer5.K"), "layer5.K are not used"),
+        (lambda h, arrays: h["layers"][0].update(has_K=False), "layer0.K are not used"),
+        (lambda h, arrays: h["arrays"][2].update(shape=[-2]), "shape"),
+        (lambda h, arrays: h["arrays"][2].update(shape=[2.0]), "shape"),
+        (lambda h, arrays: h["layers"][0].update(h_feature=float("nan")), "h_feature"),
+        (lambda h, arrays: h["layers"][1].update(h_adjacency=float("inf")), "h_adjacency"),
+        (lambda h, arrays: h["layers"][0].update(feature_slope=float("nan")), "feature_slope"),
+        (lambda h, arrays: h["layers"][0].update(adjacency_slope="0.1"), "adjacency_slope"),
+        (lambda h, arrays: h["layers"][0].update(feature_slope=2.0), "slope must lie in"),
+        (lambda h, arrays: h["layers"][1].update(adjacency_slope=0.0), "slope must lie in"),
+        (lambda h, arrays: h["layers"][1].update(alpha=float("-inf")), "alpha"),
+        (lambda h, arrays: h.update(dropout_p=float("nan")), "dropout_p"),
+        (lambda h, arrays: arrays[1].__setitem__(0, np.nan), "'classifier_w' has non-finite"),
+        (lambda h, arrays: arrays[-1].__setitem__(3, -np.inf), "'layer1.k' has non-finite"),
+    ])
+    def test_bad_header_or_body_rejected(self, tmp_path, mutate, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        header, arrays = _checkpoint_parts(path)
+        mutate(header, arrays)
+        _write_checkpoint_parts(path, header, arrays)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    def test_unmodified_parts_round_trip(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        header, arrays = _checkpoint_parts(path)
+        _write_checkpoint_parts(tmp_path / "again.ckpt", header, arrays)
+        load_checkpoint(tmp_path / "again.ckpt")
+
+    def test_shape_larger_than_body_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        header, arrays = _checkpoint_parts(path)
+        header["arrays"][0]["shape"] = [2**40, 2**40]
+        _write_checkpoint_parts(path, header, arrays)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [len(network._MAGIC) + 1, len(network._MAGIC) + 10, 40, -8])
+    def test_truncated_checkpoint_rejected(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def _checkpoint_parts(path):
+    """(header dict, flat arrays in body order) of a checkpoint file."""
+    raw = path.read_bytes()
+    start = len(network._MAGIC) + 4
+    (hlen,) = struct.unpack("<Q", raw[start:start + 8])
+    header = json.loads(raw[start + 8:start + 8 + hlen])
+    offset = start + 8 + hlen
+    arrays = []
+    for spec in header["arrays"]:
+        count = int(np.prod(spec["shape"]))
+        arrays.append(np.frombuffer(raw[offset:offset + 8 * count], dtype="<f8").copy())
+        offset += 8 * count
+    return header, arrays
+
+
+def _write_checkpoint_parts(path, header, arrays):
+    blob = json.dumps(header).encode()
+    path.write_bytes(network._MAGIC + struct.pack("<I", network._VERSION)
+                     + struct.pack("<Q", len(blob)) + blob
+                     + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays))
+
+
+def _drop_array(header, arrays, name):
+    i = [spec["name"] for spec in header["arrays"]].index(name)
+    del header["arrays"][i], arrays[i]
+
+
+def _append_array(header, arrays, name):
+    header["arrays"].append({"name": name, "shape": [2]})
+    arrays.append(np.zeros(2))
