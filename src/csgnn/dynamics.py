@@ -43,6 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .activations import leaky_relu, leaky_relu_antiderivative
+from .stacks import any_of, per_matrix, scalar_or_stack, transposed
 
 H_SAFE_EPS = 1e-12
 
@@ -54,7 +55,12 @@ class Parameterization(str, Enum):
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Per-layer feature-dynamics parameters. W=None / K=None mean identity."""
+    """Per-layer feature-dynamics parameters. W=None / K=None mean identity.
+
+    A stack of layers has W of shape (..., n, n), K of shape (..., c, c) and
+    h of shape (...); the feature functions then act on stacks of states with
+    one layer per state.
+    """
 
     h: float
     parameterization: Parameterization = Parameterization.LEARN_K
@@ -63,7 +69,7 @@ class LayerParams:
     leaky_slope: float = 0.1
 
     def __post_init__(self):
-        if self.h < 0:
+        if any_of(self.h < 0):
             raise ValueError("step size must be nonnegative")
         if not 0 < self.leaky_slope <= 1:
             raise ValueError("activation slope must lie in (0, 1]")
@@ -71,14 +77,15 @@ class LayerParams:
             raise ValueError("learn_k parameterization keeps W at the identity")
         if self.parameterization == Parameterization.LEARN_W and self.K is not None:
             k = np.asarray(self.K, dtype=float)
-            if (k.ndim != 2 or k.shape[0] != k.shape[1]
-                    or not np.array_equal(k, k[0, 0] * np.eye(k.shape[0])) or k[0, 0] <= 0):
+            if (k.ndim < 2 or k.shape[-1] != k.shape[-2]
+                    or not np.array_equal(k, k[..., :1, :1] * np.eye(k.shape[-1]))
+                    or any_of(k[..., 0, 0] <= 0)):
                 raise ValueError("learn_w parameterization requires K = lambda * I with lambda > 0")
         for name in ("W", "K"):
             v = getattr(self, name)
             if v is not None:
                 arr = np.array(v, dtype=float)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
                     raise ValueError(f"{name} must be square")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -88,31 +95,35 @@ class LayerParams:
 class EdgeTensor:
     """Edge-indexed feature differences, zero wherever A_ij = 0."""
 
-    values: np.ndarray  # shape (n, n, c)
+    values: np.ndarray  # shape (n, n, c), or (..., n, n, c) for a stack
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[0] != v.shape[1]:
+        if v.ndim < 3 or v.shape[-3] != v.shape[-2]:
             raise ValueError(f"edge tensor must have shape (n, n, c), got {v.shape}")
         object.__setattr__(self, "values", v)
 
 
+# Every function below that takes adjacency and features also takes stacks
+# (..., n, n) and (..., n, c), with one layer, or a stacked LayerParams, for
+# all of them; each matrix of a stack gets the bits a call on it alone gives.
+
 def _gradient_raw(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return a[:, :, None] * (f[:, None, :] - f[None, :, :])
+    return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
 
 
 def _adjoint_raw(a: np.ndarray, o: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ijk->ik", a, o) - np.einsum("ji,jik->ik", a, o)
+    return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
 
 
 def graph_gradient(a: np.ndarray, f: np.ndarray) -> EdgeTensor:
     """(G(A)F)_ijk = A_ij (F_ik - F_jk)."""
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
-    if f.ndim != 2 or f.shape[0] != a.shape[0]:
-        raise ValueError(f"features must have {a.shape[0]} rows, got {f.shape}")
+    if f.ndim != a.ndim or f.shape[-2] != a.shape[-1]:
+        raise ValueError(f"features must have {a.shape[-1]} rows, got {f.shape}")
     return EdgeTensor(_gradient_raw(a, f))
 
 
@@ -120,7 +131,7 @@ def graph_gradient_adjoint(a: np.ndarray, o: EdgeTensor) -> np.ndarray:
     """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik)."""
     a = np.asarray(a, dtype=float)
     vals = o.values if isinstance(o, EdgeTensor) else np.asarray(o, dtype=float)
-    if vals.shape[0] != a.shape[0] or vals.shape[1] != a.shape[0]:
+    if vals.shape[-3] != a.shape[-1] or vals.shape[-2] != a.shape[-1]:
         raise ValueError(f"edge tensor shape {vals.shape} does not match adjacency {a.shape}")
     return _adjoint_raw(a, vals)
 
@@ -129,12 +140,25 @@ def symmetrized(k: np.ndarray, c: int) -> np.ndarray:
     """Ktilde = (K + K^T)/2, with K=None meaning the c x c identity."""
     if k is None:
         return np.eye(c)
-    return 0.5 * (k + k.T)
+    return 0.5 * (k + transposed(k))
 
 
 def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L(B) x = diag(B 1) x - B x."""
-    return b.sum(axis=1)[:, None] * x - b @ x
+    return b.sum(axis=-1)[..., :, None] * x - b @ x
+
+
+def _field_core(g: np.ndarray, a: np.ndarray, slope: float) -> np.ndarray:
+    """G(A)^T sigma(G(A) g), in the Laplacian form on each exactly symmetric matrix."""
+    sym = (a == transposed(a)).all(axis=(-2, -1))
+    if not any_of(~sym):
+        return (1.0 + slope) * _laplacian_apply(a * a, g)
+    if not any_of(sym):
+        return _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), slope))
+    v = np.empty(g.shape)
+    v[sym] = _field_core(g[sym], a[sym], slope)
+    v[~sym] = _field_core(g[~sym], a[~sym], slope)
+    return v
 
 
 def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
@@ -145,14 +169,11 @@ def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarr
     """
     w = params.W
     g = f if w is None else w @ f
-    if np.array_equal(a, a.T):
-        v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, g)
-    else:
-        v = _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), params.leaky_slope))
+    v = _field_core(g, a, params.leaky_slope)
     if w is not None:
-        v = w.T @ v
+        v = transposed(w) @ v
     if params.K is not None:
-        v = v @ symmetrized(params.K, f.shape[1])
+        v = v @ symmetrized(params.K, f.shape[-1])
     return -v
 
 
@@ -191,19 +212,26 @@ def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarra
     """One explicit Euler step F + h X(F, A)."""
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
-    if f.shape[0] != a.shape[0]:
+    if f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features ({f.shape}) and adjacency ({a.shape}) disagree on n")
-    return f + params.h * feature_field(f, a, params)
+    return f + per_matrix(params.h) * feature_field(f, a, params)
 
 
 def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: float = 0.1) -> float:
-    """Convex layer energy: entrywise antiderivative of sigma over G(A) W F, summed."""
+    """Convex layer energy: entrywise antiderivative of sigma over G(A) W F, summed.
+
+    A float for one state, one energy per state for stacks.
+    """
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
     g = f if w is None else np.asarray(w, dtype=float) @ f
-    if g.shape[0] != a.shape[0]:
+    if g.shape[-2] != a.shape[-1]:
         raise ValueError("shape mismatch between adjacency and (projected) features")
-    return float(leaky_relu_antiderivative(_gradient_raw(a, g), leaky_slope).sum())
+    e = leaky_relu_antiderivative(_gradient_raw(a, g), leaky_slope).sum(axis=(-3, -2, -1))
+    return scalar_or_stack(e)
+
+
+_ROW_BLOCK = 128  # rows of B formed at a time by `gradient_operator_sq_norm`
 
 
 def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
@@ -214,23 +242,31 @@ def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
     Laplacian is formed and `eigvalsh` gives lam_max exactly; from there on
     `_lanczos_lam_max` computes it from products x -> W^T (d o (W x) - B (W x)),
     d = B 1, without forming L or W^T L W. Non-finite A or W raises
-    np.linalg.LinAlgError on both paths.
+    np.linalg.LinAlgError on both paths. A stack of adjacency matrices (with
+    W None, one W, or one W each) takes the dense path and gives one value
+    per matrix.
     """
     a = np.asarray(a, dtype=float)
-    wts = a * a
-    wts = wts + wts.T
-    deg = wts.sum(axis=1)
+    wts = np.empty(a.shape)
+    # B built a block of rows at a time, so no second n x n array is alive
+    for r in range(0, a.shape[-1], _ROW_BLOCK):
+        rows, cols = a[..., r:r + _ROW_BLOCK, :], transposed(a[..., :, r:r + _ROW_BLOCK])
+        wts[..., r:r + _ROW_BLOCK, :] = rows * rows + cols * cols
+    deg = wts.sum(axis=-1)
     if not np.isfinite(deg).all() or (w is not None and not np.isfinite(w).all()):
         raise np.linalg.LinAlgError("gradient operator has non-finite entries")
-    if a.shape[0] >= _LANCZOS_MIN_N:
+    n = a.shape[-1]
+    if a.ndim == 2 and n >= _LANCZOS_MIN_N:
         def lap_apply(x):
             return deg * x - wts @ x
         op = lap_apply if w is None else (lambda x: w.T @ lap_apply(w @ x))
-        return _lanczos_lam_max(op, a.shape[0])
-    lap = np.diag(deg) - wts
+        return _lanczos_lam_max(op, n)
+    lap = 0.0 - wts  # np.diag(deg) - wts to the bit, with +0 off the diagonal
+    lap.reshape(lap.shape[:-2] + (n * n,))[..., ::n + 1] += deg
     if w is not None:
-        lap = w.T @ lap @ w
-    return float(max(np.linalg.eigvalsh(lap).max(), 0.0))
+        lap = transposed(w) @ lap @ w
+    lam = np.linalg.eigvalsh(lap).max(axis=-1)
+    return float(max(lam, 0.0)) if lam.ndim == 0 else np.maximum(lam, 0.0)
 
 
 # Measured crossover on SBM adjacencies, one BLAS thread: `eigvalsh` against
@@ -292,20 +328,29 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     A positive `l1_radius` makes the bound hold uniformly over every adjacency
     matrix within that vectorized-l1 distance of `a` (the gradient operator is
     linear in A with ||G(dA)||_2 <= 2 ||vec(dA)||_1).
+
+    For a stack of adjacency matrices and a stacked `params` (and optionally
+    one radius per matrix), one bound per matrix. Squares are taken with
+    `np.float_power`, the libm `pow` a float's `** 2` calls; an array's `** 2`
+    rounds as x * x, which differs in the last bit on about one value in a
+    thousand.
     """
     s2 = gradient_operator_sq_norm(a, params.W)
-    if l1_radius > 0.0:
-        w2 = 1.0 if params.W is None else float(np.linalg.norm(params.W, 2))
-        s2 = (np.sqrt(s2) + 2.0 * l1_radius * w2) ** 2
+    if any_of(l1_radius > 0.0):
+        w2 = 1.0 if params.W is None else np.linalg.norm(params.W, 2, axis=(-2, -1))
+        s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius * w2, 2), s2)
     if params.K is None:
         lam_est = s2
     else:
-        eigs = np.linalg.eigvalsh(symmetrized(params.K, params.K.shape[0]))
-        if eigs.min() > 0:
-            lam_est = eigs.max() ** 2 / eigs.min() * s2
-        else:
-            lam_est = np.abs(eigs).max() * s2
-    return 1.0 / (lam_est + H_SAFE_EPS)
+        eigs = np.linalg.eigvalsh(symmetrized(params.K, params.K.shape[-1]))
+        lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
+        # lam_max^2 / lam_min where Ktilde is positive definite, the plain
+        # operator norm elsewhere
+        ratio = np.divide(np.float_power(hi, 2), lo, where=lo > 0,
+                          out=np.asarray(np.abs(eigs).max(axis=-1)))
+        lam_est = ratio * s2
+    h = 1.0 / (lam_est + H_SAFE_EPS)
+    return scalar_or_stack(h)
 
 
 def check_feature_contraction(f: np.ndarray, df: np.ndarray, a: np.ndarray,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import leaky_relu
+from .stacks import any_of, per_matrix
 
 T_SIZE_GUARD = 64
 
@@ -33,6 +34,8 @@ class EquivariantCoeffs:
     """Free coefficients k2..k9 plus the contractivity margin alpha <= 0.
 
     k1 is never stored; it is always derived so that k1 + sum |k_i| = alpha.
+    A stack of coefficient sets has k of shape (..., 8) and alpha of shape
+    (...); M then acts on a stack of matrices with one set per matrix.
     """
 
     k: np.ndarray  # the eight free coefficients k2..k9
@@ -41,18 +44,28 @@ class EquivariantCoeffs:
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
         k.setflags(write=False)
-        if k.shape != (8,):
+        if k.ndim < 1 or k.shape[-1] != 8:
             raise ValueError("expected the eight free coefficients k2..k9")
-        if self.alpha > 0:
+        if k.ndim > 1:
+            alpha = np.array(self.alpha, dtype=float)
+            alpha.setflags(write=False)
+            object.__setattr__(self, "alpha", alpha)
+        if getattr(self.alpha, "shape", ()) != k.shape[:-1]:
+            raise ValueError("expected one alpha per set of free coefficients")
+        if any_of(self.alpha > 0):
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
         object.__setattr__(self, "k", k)
 
     @property
-    def k1(self) -> float:
+    def k1(self):
+        if self.k.ndim > 1:
+            return self.alpha - np.abs(self.k).sum(axis=-1)
         return float(self.alpha - np.abs(self.k).sum())
 
     def full(self) -> np.ndarray:
-        """All nine coefficients (k1..k9) with k1 derived."""
+        """All nine coefficients (k1..k9) with k1 derived, along the last axis."""
+        if self.k.ndim > 1:
+            return np.concatenate([self.k1[..., None], self.k], axis=-1)
         return np.concatenate([[self.k1], self.k])
 
 
@@ -63,12 +76,12 @@ class AdjacencyStepConfig:
     leaky_slope: float = 0.1
 
     def __post_init__(self):
-        if self.h <= 0:
+        if any_of(self.h <= 0):
             raise ValueError("step size must be positive")
         if not 0 < self.leaky_slope <= 1:
             raise ValueError("activation slope must lie in (0, 1]")
         hmax = _max_step(self.coeffs.k, self.coeffs.alpha)
-        if hmax is not None and self.h > hmax * (1 + 1e-12):
+        if hmax is not None and any_of(self.h > hmax * (1 + 1e-12)):
             raise ValueError(f"step {self.h} exceeds the nonexpansive bound {hmax}")
 
 
@@ -90,15 +103,27 @@ def _check_square(a: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
+def _broadcast_coeffs(coeffs: EquivariantCoeffs) -> tuple:
+    """k1..k9: scalars for one coefficient set; for a stack of sets, shaped
+    for where M uses them: k1 against whole matrices (..., 1, 1), k2-k4 and
+    k9 against rows (..., 1), k5-k8 against totals and traces (...)."""
+    full = coeffs.full()
+    if full.ndim == 1:
+        return tuple(full)
+    k = np.moveaxis(full, -1, 0)
+    return (k[0][..., None, None], *k[1:4, ..., None], *k[4:8], k[8][..., None])
+
+
 def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
     """Evaluate M(A) from its row/column sums, diagonal, total and trace.
 
-    `a` may be a stack of shape (..., n, n); M acts on each matrix.
+    `a` may be a stack of shape (..., n, n); M acts on each matrix, with one
+    coefficient set for all of them or, for stacked coefficients, one each.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
     n = a.shape[-1]
-    k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
+    k1, k2, k3, k4, k5, k6, k7, k8, k9 = _broadcast_coeffs(coeffs)
     d, row, col, tot, tr = _sums(a)
     out = (k3 * row + k9 * d)[..., :, None] / (2 * n) + (k3 * col + k9 * d)[..., None, :] / (2 * n)
     out += ((k5 * tot + k7 * tr) / n**2)[..., None, None]
@@ -199,8 +224,8 @@ def operator_l1_norm(t: np.ndarray) -> float:
 
 
 def _max_step(k: np.ndarray, alpha: float):
-    denom = 2 * np.abs(k).sum() - alpha
-    if denom == 0.0:
+    denom = 2 * np.abs(k).sum(axis=-1) - alpha
+    if any_of(denom == 0.0):
         return None
     return 2.0 / denom
 
@@ -235,14 +260,15 @@ def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
                              leaky_slope: float = 0.1) -> np.ndarray:
     """Euler step without the step-size guard; for diagnostics and fault injection.
 
-    `a` may be a stack of shape (..., n, n); each matrix takes its own step.
+    `a` may be a stack of shape (..., n, n); each matrix takes its own step,
+    with stacked coefficients and an array `h` giving one per matrix.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
     # a + h*sigma(M(A)) formed in the activation's own buffer: the same bits
     # (+ and * commute) without temporaries for h*sigma and for the sum
     step = leaky_relu(equivariant_linear(a, coeffs), leaky_slope)
-    step *= h
+    step *= per_matrix(h)
     step += a
     return step
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .stacks import any_of, scalar_or_stack
+
 
 def _as_readonly(a: np.ndarray, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -120,7 +122,7 @@ class PerturbationBudget:
     eps_adj: float
 
     def __post_init__(self):
-        if self.eps_feat < 0 or self.eps_adj < 0:
+        if any_of(self.eps_feat < 0) or any_of(self.eps_adj < 0):
             raise ValueError("budgets must be nonnegative")
 
 
@@ -138,18 +140,22 @@ def l0_distance(a: np.ndarray, a_star: np.ndarray) -> int:
 
 
 def l1_vec_distance(a: np.ndarray, a_star: np.ndarray) -> float:
-    """Vectorized l1 distance: sum of absolute entrywise differences."""
+    """Vectorized l1 distance: sum of absolute entrywise differences.
+
+    For stacks of shape (..., n, m), one distance per pair of matrices.
+    """
     a = np.asarray(a, dtype=float)
     a_star = np.asarray(a_star, dtype=float)
     _check_same_shape(a, a_star)
-    return float(np.abs(a - a_star).sum())
+    return scalar_or_stack(np.abs(a - a_star).sum(axis=(-2, -1)))
 
 
 def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
+    """For stacks of shape (..., n, c), one distance per pair of matrices."""
     f = np.asarray(f, dtype=float)
     f_star = np.asarray(f_star, dtype=float)
     _check_same_shape(f, f_star)
-    return float(np.sqrt(((f - f_star) ** 2).sum()))
+    return scalar_or_stack(np.sqrt(((f - f_star) ** 2).sum(axis=(-2, -1))))
 
 
 def permute_graph(g: Graph, p: Permutation) -> Graph:

@@ -20,6 +20,7 @@ from .activations import leaky_relu
 from .dynamics import LayerParams, Parameterization, feature_field, feature_step, symmetrized
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, equivariant_linear
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
+from .stacks import scalar_or_stack, transposed
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,8 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None,
 def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
     """Apply the L coupled Euler layers to an embedded state, without dropout.
 
-    Returns the full state lists ([F0..FL], [A0..AL]).
+    Returns the full state lists ([F0..FL], [A0..AL]). Stacked states and
+    layers evolve one trajectory per state.
     """
     fs, as_ = [np.asarray(f0, dtype=float)], [np.asarray(a0, dtype=float)]
     for layer in layers:
@@ -177,7 +179,10 @@ def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
 
 
 def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
-    """d_{m1,m2}((F,A),(F*,A*)) = m1 ||F-F*||_F + m2 ||vec(A)-vec(A*)||_1."""
+    """d_{m1,m2}((F,A),(F*,A*)) = m1 ||F-F*||_F + m2 ||vec(A)-vec(A*)||_1.
+
+    One distance per pair of states for stacked states.
+    """
     if m1 <= 0 or m2 <= 0:
         raise ValueError("weights must be positive")
     f1, a1 = s1
@@ -186,21 +191,47 @@ def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
 
 
 def expansivity_bound(h: list, lip_estimates: list, budget: PerturbationBudget) -> float:
-    """Certified output-distance bound eps1 + eps2 * (1 + sum_i lip_i * h_i)."""
+    """Certified output-distance bound eps1 + eps2 * (1 + sum_i lip_i * h_i).
+
+    The layers run along the last axis of `h` and `lip_estimates`; leading
+    axes, and budgets holding arrays, give one bound per configuration.
+    """
     h = np.asarray(h, dtype=float)
     lip = np.asarray(lip_estimates, dtype=float)
     if h.shape != lip.shape:
         raise ValueError("step-size and Lipschitz lists must have equal length")
     if np.any(h < 0) or np.any(lip < 0):
         raise ValueError("step sizes and Lipschitz estimates must be nonnegative")
-    return float(budget.eps_feat + budget.eps_adj * (1.0 + float((lip * h).sum())))
+    bound = budget.eps_feat + budget.eps_adj * (1.0 + (lip * h).sum(axis=-1))
+    return scalar_or_stack(bound)
+
+
+_EPS = np.finfo(float).eps
 
 
 def _max_row_gap(g: np.ndarray) -> float:
-    """Largest pairwise euclidean distance between rows of g."""
-    sq = (g * g).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (g @ g.T)
-    return float(np.sqrt(max(d2.max(), 0.0)))
+    """Upper bound on the largest pairwise euclidean distance between rows of g
+    (of each matrix, for a stack).
+
+    The rows are centred first, so a shared offset does not cancel the
+    differences away, and the Gram-form squared distances are padded by a
+    bound on their rounding error: with the largest centred squared row norm
+    s, the squared norms and inner products are each off by at most about
+    c eps s/2 and the sums by about 2 eps s, and centring moves each row by at
+    most eps sqrt(s)/2.
+    """
+    g = g - g.mean(axis=-2, keepdims=True)
+    sq = (g * g).sum(axis=-1)
+    # |g_i|^2 + |g_j|^2 - 2 g_i.g_j built in the Gram matrix's own buffer: one
+    # n x n array, where the plain expression holds two at once
+    d2 = g @ transposed(g)
+    d2 *= -2.0
+    d2 += sq[..., :, None]
+    d2 += sq[..., None, :]
+    s = sq.max(axis=-1)
+    d2 = d2.max(axis=(-2, -1)) + 2.0 * (g.shape[-1] + 4) * _EPS * s
+    gap = (np.sqrt(np.maximum(d2, 0.0)) + 2.0 * _EPS * np.sqrt(s)) * (1.0 + 4.0 * _EPS)
+    return scalar_or_stack(gap)
 
 
 def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> float:
@@ -211,13 +242,16 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     both the outer aggregation and the inner edge differences are linear in A
     with entrywise factors at most `max_abs_entry`, the activation is
     1-Lipschitz with sigma(0)=0, and each edge row of G(A)WF has euclidean
-    norm at most the largest pairwise row gap of WF.
+    norm at most the largest pairwise row gap of WF. Stacked features and
+    layers (and one `max_abs_entry` each) give one bound per state.
     """
     f = np.asarray(f, dtype=float)
     g = f if layer.W is None else layer.W @ f
-    w2 = 1.0 if layer.W is None else float(np.linalg.norm(layer.W, 2))
-    k2 = 1.0 if layer.K is None else float(np.linalg.norm(symmetrized(layer.K, layer.K.shape[0]), 2))
-    return 4.0 * float(max_abs_entry) * _max_row_gap(g) * w2 * k2
+    w2 = 1.0 if layer.W is None else np.linalg.norm(layer.W, 2, axis=(-2, -1))
+    k2 = (1.0 if layer.K is None
+          else np.linalg.norm(symmetrized(layer.K, layer.K.shape[-1]), 2, axis=(-2, -1)))
+    lip = 4.0 * np.asarray(max_abs_entry, dtype=float) * _max_row_gap(g) * w2 * k2
+    return scalar_or_stack(lip)
 
 
 def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, rng,
@@ -243,7 +277,8 @@ def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, 
         lower = max(lower, float(np.linalg.norm(moved - base)) / probe_step)
         max_abs = max(max_abs, float(np.abs(a).max()) + probe_step)
     upper = lipschitz_upper(f, layer, max_abs)
-    assert lower <= upper + 1e-12, "sampled Lipschitz quotient exceeded the analytic bound"
+    if not lower <= upper + 1e-12:
+        raise ArithmeticError(f"sampled Lipschitz quotient {lower} exceeded the analytic bound {upper}")
     return lower, upper
 
 

@@ -363,3 +363,19 @@ class TestLanczosStepBound:
         a[1, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             max_feature_step(a, LayerParams(h=1.0))
+
+
+@pytest.mark.parametrize("n", [dynamics._ROW_BLOCK - 1, dynamics._LANCZOS_MIN_N + 44])
+def test_blockwise_edge_weights_match_the_whole_matrix_form(n):
+    # B = A o A + (A o A)^T is built a block of rows at a time; the norm must
+    # be the one the whole-matrix B gives, to the bit
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    wts = a * a
+    wts = wts + wts.T
+    deg = wts.sum(axis=1)
+    if n >= dynamics._LANCZOS_MIN_N:
+        expected = dynamics._lanczos_lam_max(lambda x: deg * x - wts @ x, n)
+    else:
+        expected = float(max(np.linalg.eigvalsh(np.diag(deg) - wts).max(), 0.0))
+    assert dynamics.gradient_operator_sq_norm(a) == expected

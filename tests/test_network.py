@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,40 @@ class TestMixedLipschitz:
             diff = np.linalg.norm(feature_field(f, a + d, layer) - feature_field(f, a, layer))
             bound = lipschitz_upper(f, layer, max(np.abs(a).max(), np.abs(a + d).max()))
             assert diff <= bound * l1_vec_distance(a + d, a) + 1e-9
+
+
+    def test_bound_violation_raises_a_real_error(self, monkeypatch):
+        # an `assert` would vanish under `python -O`
+        monkeypatch.setattr(network, "lipschitz_upper", lambda f, layer, max_abs_entry: 0.0)
+        rng = np.random.default_rng(4)
+        with pytest.raises(ArithmeticError, match="exceeded the analytic bound"):
+            estimate_mixed_lipschitz(rng.standard_normal((4, 2)), LayerParams(h=0.1, K=np.eye(2)), 3, rng)
+
+
+def _exact_max_sq_gap(g) -> Fraction:
+    rows = [[Fraction(x) for x in row] for row in g.tolist()]
+    return max(sum((x - y) ** 2 for x, y in zip(r, q)) for r in rows for q in rows)
+
+
+class TestMaxRowGap:
+    def test_shared_offset_does_not_cancel_the_gap(self):
+        assert network._max_row_gap(np.array([[1e8, 0.0], [1e8, 0.1]])) >= 0.1
+
+    def test_bounds_the_exact_pairwise_max_from_above(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n, c = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+            spread = 10.0 ** rng.uniform(-3, 3)
+            offset = 10.0 ** rng.uniform(0, 9) * rng.standard_normal(c)
+            g = spread * rng.standard_normal((n, c)) + offset
+            exact = _exact_max_sq_gap(g)
+            gap = network._max_row_gap(g)
+            assert Fraction(gap) ** 2 >= exact
+            assert gap <= float(exact) ** 0.5 * (1 + 1e-12)
+
+    def test_zero_and_single_rows(self):
+        assert network._max_row_gap(np.zeros((3, 2))) == 0.0
+        assert network._max_row_gap(np.array([[5.0, -1.0]])) == 0.0
 
 
 class TestCertificate:

@@ -1,0 +1,198 @@
+"""Every function that takes stacks gives each matrix of a stack the bits a
+call on that matrix alone gives."""
+
+import numpy as np
+import pytest
+
+from csgnn import dynamics, equivariant, graph, network
+from csgnn.dynamics import LayerParams, Parameterization
+from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs
+from csgnn.graph import PerturbationBudget
+from csgnn.network import CoupledLayer
+
+NS = range(1, 9)
+M = 6  # matrices per stack
+
+
+def _coeff_sets(rng, zero_some: bool) -> list:
+    sets = []
+    for i in range(M):
+        k = rng.standard_normal(8)
+        alpha = -abs(rng.standard_normal())
+        if zero_some:  # some zero coefficients; set 1 is all zero, so M = 0 there
+            k = k * (rng.random(8) < 0.5) * (i != 1)
+            alpha = 0.0 if i % 2 else alpha
+        sets.append(EquivariantCoeffs(k=k, alpha=alpha))
+    return sets
+
+
+def _adjacency(rng, n: int, symmetric: bool) -> np.ndarray:
+    a = rng.standard_normal((M, n, n))
+    if symmetric:
+        a = a + np.swapaxes(a, -1, -2)
+    return a
+
+
+def _stacked(sets: list) -> EquivariantCoeffs:
+    return EquivariantCoeffs(k=np.array([c.k for c in sets]), alpha=np.array([c.alpha for c in sets]))
+
+
+def _same(stacked, per_slice) -> bool:
+    return np.array_equal(stacked, np.array(per_slice))
+
+
+def _learn_w(rng, n: int, c: int) -> tuple:
+    """Stacked learn_w parameters and the per-matrix ones."""
+    w = rng.standard_normal((M, n, n))
+    lam = 0.2 + rng.random(M)
+    k = lam[:, None, None] * np.eye(c)
+    h = rng.random(M)
+    singles = [LayerParams(h=h[i], parameterization=Parameterization.LEARN_W, W=w[i], K=k[i])
+               for i in range(M)]
+    return LayerParams(h=h, parameterization=Parameterization.LEARN_W, W=w, K=k), singles
+
+
+def _learn_k(rng, c: int, definite: bool) -> tuple:
+    b = rng.standard_normal((M, c, c))
+    k = b @ np.swapaxes(b, -1, -2) + 0.05 * np.eye(c) if definite else b
+    h = rng.random(M)
+    return LayerParams(h=h, K=k), [LayerParams(h=h[i], K=k[i]) for i in range(M)]
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("zero_some", [False, True])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_adjacency_functions_match_per_matrix_calls(n, zero_some, symmetric):
+    rng = np.random.default_rng(100 * n + 10 * zero_some + symmetric)
+    sets = _coeff_sets(rng, zero_some)
+    coeffs = _stacked(sets)
+    a = _adjacency(rng, n, symmetric)
+    assert _same(coeffs.full(), [c.full() for c in sets])
+    assert _same(coeffs.k1, [c.k1 for c in sets])
+    assert _same(equivariant.equivariant_linear(a, coeffs),
+                 [equivariant.equivariant_linear(a[i], sets[i]) for i in range(M)])
+    # one coefficient set for the whole stack, as the Jacobian probe uses it
+    assert _same(equivariant.equivariant_linear(a, sets[0]),
+                 [equivariant.equivariant_linear(a[i], sets[0]) for i in range(M)])
+    if zero_some:
+        with pytest.raises(ValueError, match="unbounded"):
+            equivariant.max_step_adjacency(coeffs)
+        h = rng.random(M)
+    else:
+        h = equivariant.max_step_adjacency(coeffs)
+        assert _same(h, [equivariant.max_step_adjacency(c) for c in sets])
+    assert _same(equivariant.adjacency_step_unchecked(a, coeffs, h, 0.3),
+                 [equivariant.adjacency_step_unchecked(a[i], sets[i], h[i], 0.3) for i in range(M)])
+    if not zero_some:
+        cfg = AdjacencyStepConfig(coeffs=coeffs, h=h)
+        assert _same(equivariant.adjacency_step(a, cfg),
+                     [equivariant.adjacency_step(a[i], AdjacencyStepConfig(coeffs=sets[i], h=h[i]))
+                      for i in range(M)])
+
+
+def test_stacked_step_config_checks_every_step():
+    rng = np.random.default_rng(0)
+    coeffs = _stacked(_coeff_sets(rng, False))
+    h = equivariant.max_step_adjacency(coeffs)
+    h[3] *= 1.01
+    with pytest.raises(ValueError, match="exceeds"):
+        AdjacencyStepConfig(coeffs=coeffs, h=h)
+    with pytest.raises(ValueError, match="positive"):
+        AdjacencyStepConfig(coeffs=coeffs, h=np.zeros(M))
+    with pytest.raises(ValueError, match="one alpha"):
+        EquivariantCoeffs(k=np.zeros((M, 8)), alpha=-1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        EquivariantCoeffs(k=np.zeros((2, 8)), alpha=np.array([-1.0, 0.5]))
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("kind", ["learn_w", "learn_k", "learn_k_indefinite", "identity"])
+def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
+    rng = np.random.default_rng(1000 * n + 10 * symmetric + len(kind))
+    c = int(rng.integers(1, 5))
+    if kind == "learn_w":
+        params, singles = _learn_w(rng, n, c)
+    elif kind == "identity":
+        h = rng.random(M)
+        params, singles = LayerParams(h=h), [LayerParams(h=h[i]) for i in range(M)]
+    else:
+        params, singles = _learn_k(rng, c, definite=kind == "learn_k")
+    a = _adjacency(rng, n, symmetric)
+    f = rng.standard_normal((M, n, c))
+    o = rng.standard_normal((M, n, n, c))
+    w = params.W
+    assert _same(dynamics.graph_gradient(a, f).values,
+                 [dynamics.graph_gradient(a[i], f[i]).values for i in range(M)])
+    assert _same(dynamics.graph_gradient_adjoint(a, dynamics.EdgeTensor(o)),
+                 [dynamics.graph_gradient_adjoint(a[i], dynamics.EdgeTensor(o[i])) for i in range(M)])
+    assert _same(dynamics.feature_field(f, a, params),
+                 [dynamics.feature_field(f[i], a[i], singles[i]) for i in range(M)])
+    assert _same(dynamics.feature_step(f, a, params),
+                 [dynamics.feature_step(f[i], a[i], singles[i]) for i in range(M)])
+    assert _same(dynamics.energy(a, f, w, 0.2),
+                 [dynamics.energy(a[i], f[i], None if w is None else w[i], 0.2) for i in range(M)])
+    assert _same(dynamics.gradient_operator_sq_norm(a, w),
+                 [dynamics.gradient_operator_sq_norm(a[i], None if w is None else w[i])
+                  for i in range(M)])
+    assert _same(dynamics.max_feature_step(a, params),
+                 [dynamics.max_feature_step(a[i], singles[i]) for i in range(M)])
+    radius = rng.random(M) * (rng.random(M) < 0.7)
+    assert _same(dynamics.max_feature_step(a, params, l1_radius=radius),
+                 [dynamics.max_feature_step(a[i], singles[i], l1_radius=radius[i]) for i in range(M)])
+    assert _same(dynamics.max_feature_step(a, params, l1_radius=0.5),
+                 [dynamics.max_feature_step(a[i], singles[i], l1_radius=0.5) for i in range(M)])
+    entry = 1.0 + rng.random(M)
+    assert _same(network.lipschitz_upper(f, params, entry),
+                 [network.lipschitz_upper(f[i], singles[i], entry[i]) for i in range(M)])
+
+
+def test_mixed_symmetry_stack_takes_each_matrix_form():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((M, 5, 5))
+    a[::2] = a[::2] + np.swapaxes(a[::2], -1, -2)
+    assert [np.array_equal(x, x.T) for x in a] == [True, False] * (M // 2)
+    f = rng.standard_normal((M, 5, 3))
+    params = LayerParams(h=0.1, leaky_slope=0.3)
+    assert _same(dynamics.feature_field(f, a, params),
+                 [dynamics.feature_field(f[i], a[i], params) for i in range(M)])
+
+
+def test_float_power_rounds_as_a_float_square():
+    # the stacked step bound squares with np.float_power so that it rounds as
+    # the `** 2` of a single float does; an array's `** 2` does not always
+    x = np.abs(np.random.default_rng(3).standard_normal(20000)) * 7.0
+    assert _same(np.float_power(x, 2), [v ** 2 for v in x.tolist()])
+
+
+@pytest.mark.parametrize("n", NS)
+def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
+    rng = np.random.default_rng(50 + n)
+    c = int(rng.integers(1, 5))
+    f, fp = rng.standard_normal((2, M, n, c))
+    a = _adjacency(rng, n, symmetric=True)
+    ap = _adjacency(rng, n, symmetric=True)
+    assert _same(graph.l1_vec_distance(a, ap), [graph.l1_vec_distance(a[i], ap[i]) for i in range(M)])
+    assert _same(graph.frobenius_distance(f, fp),
+                 [graph.frobenius_distance(f[i], fp[i]) for i in range(M)])
+    assert _same(network.weighted_distance(0.5, 2.0, (f, a), (fp, ap)),
+                 [network.weighted_distance(0.5, 2.0, (f[i], a[i]), (fp[i], ap[i])) for i in range(M)])
+    assert _same(network._max_row_gap(f), [network._max_row_gap(f[i]) for i in range(M)])
+
+    sets = _coeff_sets(rng, False)
+    coeffs = _stacked(sets)
+    h_adj = equivariant.max_step_adjacency(coeffs)
+    feature, singles = _learn_w(rng, n, c)
+    layers = [CoupledLayer(feature=feature, adjacency=AdjacencyStepConfig(coeffs=coeffs, h=h_adj))]
+    fs, as_ = network.evolve(f, a, layers * 2)
+    for i in range(M):
+        one = [CoupledLayer(feature=singles[i], adjacency=AdjacencyStepConfig(coeffs=sets[i], h=h_adj[i]))]
+        fs_i, as_i = network.evolve(f[i], a[i], one * 2)
+        assert all(np.array_equal(x[i], y) for x, y in zip(fs, fs_i))
+        assert all(np.array_equal(x[i], y) for x, y in zip(as_, as_i))
+
+    hs, lips = rng.random((2, M, 3))
+    eps_feat, eps_adj = rng.random((2, M))
+    assert _same(network.expansivity_bound(hs, lips, PerturbationBudget(eps_feat, eps_adj)),
+                 [network.expansivity_bound(hs[i], lips[i], PerturbationBudget(eps_feat[i], eps_adj[i]))
+                  for i in range(M)])

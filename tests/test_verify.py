@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from csgnn.verify import (FAIL, PASS, REPORT, all_passed, render_report, run_all)
 
@@ -59,6 +60,71 @@ summary: 17 passed, 0 failed, 2 informational
 def test_report_matches_golden_text():
     results, _ = run_all(seed=0, trials_scale=0.1)
     assert render_report(results) == GOLDEN_SEED0_SCALE01
+
+
+# The reports of `csgnn verify --seed 0` (default trials) and `csgnn verify
+# --seed 1 --set trials_scale=0.1` as the per-trial loops produced them,
+# before the suites evaluated same-shaped trials as stacks.
+GOLDEN_SEED0_DEFAULT = """\
+check                                        status  trials      worst-slack
+metric_l0_l1_binary_agreement                PASS    1000        0.000e+00
+metric_l1_lower_bound                        PASS    500         0.000e+00
+graph_permutation_composition                PASS    200         0.000e+00
+adjacency_l1_contraction                     PASS    1000        -1.667e+00
+adjacency_equivariance                       PASS    1000        4.423e-16
+adjacency_symmetry_preservation              PASS    1000        0.000e+00
+equivariant_map_linearity                    PASS    300         3.866e-16
+tmatrix_vectorization_consistency            PASS    200         7.105e-15
+tmatrix_l1_norm_bound                        PASS    200         2.665e-15
+adjacency_jacobian_probe_margin_regime       PASS    100         9.821e-01
+    coefficients restricted to slope * (-alpha) >= (1-slope) * sum|k|
+adjacency_jacobian_probe_unconstrained       REPORT  100         1.455e+00
+    96/100 smooth points exceed 1+1e-6: the l1 step bound is not pointwise sufficient once the activation derivative varies (see slope_uniform_margin); informational only
+feature_gradient_adjointness                 PASS    500         8.047e-15
+feature_frobenius_contraction                PASS    1000        -4.975e-04
+feature_energy_monotonicity                  PASS    1000        -1.576e-05
+feature_constant_row_fixed_point             PASS    200         0.000e+00
+feature_step_equivariance                    PASS    500         6.430e-16
+coupled_expansivity_bound                    PASS    200         -1.457e-01
+coupled_weighted_contraction                 REPORT  100         1.000e-02
+    m1=0.001, m2=0.001 shrink the distance on 99.0% of layers
+gradient_finite_difference                   PASS    5           9.368e-08
+summary: 17 passed, 0 failed, 2 informational
+"""
+
+GOLDEN_SEED1_SCALE01 = """\
+check                                        status  trials      worst-slack
+metric_l0_l1_binary_agreement                PASS    100         0.000e+00
+metric_l1_lower_bound                        PASS    50          0.000e+00
+graph_permutation_composition                PASS    20          0.000e+00
+adjacency_l1_contraction                     PASS    100         -2.747e+00
+adjacency_equivariance                       PASS    100         2.576e-16
+adjacency_symmetry_preservation              PASS    100         0.000e+00
+equivariant_map_linearity                    PASS    30          4.060e-16
+tmatrix_vectorization_consistency            PASS    20          3.553e-15
+tmatrix_l1_norm_bound                        PASS    20          -5.399e-01
+adjacency_jacobian_probe_margin_regime       PASS    10          9.579e-01
+    coefficients restricted to slope * (-alpha) >= (1-slope) * sum|k|
+adjacency_jacobian_probe_unconstrained       REPORT  10          1.279e+00
+    10/10 smooth points exceed 1+1e-6: the l1 step bound is not pointwise sufficient once the activation derivative varies (see slope_uniform_margin); informational only
+feature_gradient_adjointness                 PASS    50          3.826e-15
+feature_frobenius_contraction                PASS    100         -1.843e-02
+feature_energy_monotonicity                  PASS    100         -6.889e-05
+feature_constant_row_fixed_point             PASS    20          0.000e+00
+feature_step_equivariance                    PASS    50          3.155e-16
+coupled_expansivity_bound                    PASS    20          -2.865e-01
+coupled_weighted_contraction                 REPORT  10          0.000e+00
+    m1=0.001, m2=0.001 shrink the distance on 100.0% of layers
+gradient_finite_difference                   PASS    2           1.577e-08
+summary: 17 passed, 0 failed, 2 informational
+"""
+
+
+@pytest.mark.parametrize("seed,scale,golden", [(0, 1.0, GOLDEN_SEED0_DEFAULT),
+                                               (1, 0.1, GOLDEN_SEED1_SCALE01)])
+def test_report_matches_loop_golden_text(seed, scale, golden):
+    results, _ = run_all(seed=seed, trials_scale=scale)
+    assert render_report(results) == golden
 
 
 def test_unconstrained_probe_documents_violations():
