@@ -17,7 +17,8 @@ import numpy as np
 import dataclasses
 
 from .graph import Graph
-from .training import TrainConfig, accuracy, cross_entropy_logit_grad, train
+from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
+                       cross_entropy_logit_grad, select_checkpoint, train)
 from .network import forward
 
 EVAL_SEEDS = tuple(range(10))
@@ -37,8 +38,9 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.edge_ratio < 0 or self.feat_eps < 0:
-            raise ValueError("attack budgets must be nonnegative")
+        for budget in (self.edge_ratio, self.feat_eps):
+            if not (np.isfinite(budget) and budget >= 0):
+                raise ValueError(f"attack budgets must be finite and nonnegative, got {budget}")
 
     def budget_token(self) -> str:
         if self.kind == AttackKind.RANDOM_EDGES:
@@ -114,61 +116,46 @@ def _sym_normalized(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
+def _gcn_logits(a_hat: np.ndarray, a_hat_f: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple:
+    """GCN logits from A_hat and A_hat F, with the first layer's
+    pre-activation and the propagated hidden state that the gradient needs."""
+    pre = a_hat_f @ w1
+    prop = a_hat @ np.maximum(pre, 0.0)
+    return prop @ w2, pre, prop
+
+
 def gcn_baseline_forward(g: Graph, weights: GCNWeights) -> np.ndarray:
     """Two propagation rounds: A_hat relu(A_hat F W1) W2 with A_hat the
     symmetric-normalized adjacency with self-loops."""
     if g.features.shape[1] != weights.w1.shape[0]:
         raise ValueError("feature width does not match first GCN weight")
     a_hat = _sym_normalized(g.adjacency)
-    hidden = np.maximum(a_hat @ g.features @ weights.w1, 0.0)
-    return a_hat @ hidden @ weights.w2
+    return _gcn_logits(a_hat, a_hat @ g.features, weights.w1, weights.w2)[0]
 
 
-def train_gcn(g: Graph, seed: int = 0, hidden: int = 16, epochs: int = 200,
-              lr: float = 1e-2, weight_decay: float = 5e-4, patience: int = 50):
-    """Adam training of the baseline on the (possibly attacked) graph."""
-    rng = np.random.default_rng(seed)
-    c_in = g.feat_dim
-    c_out = int(g.labels.max()) + 1
-
-    def uni(fi, fo):
-        s = np.sqrt(6.0 / (fi + fo))
-        return rng.uniform(-s, s, size=(fi, fo))
-
-    w = {"w1": uni(c_in, hidden), "w2": uni(hidden, c_out)}
-    m = {k: np.zeros_like(v) for k, v in w.items()}
-    v = {k: np.zeros_like(val) for k, val in w.items()}
+def train_gcn(g: Graph, seed: int = 0, hidden: int = 16, epochs: int = 200) -> GCNWeights:
+    """Train the baseline on the (possibly attacked) graph as the coupled model
+    is trained: the same initialization, Adam step and checkpoint selection,
+    with the node group's learning rate, weight decay and the patience of a
+    default `TrainConfig`."""
+    config = TrainConfig(epochs=epochs, hidden_dim=hidden, seed=seed)
+    rng = np.random.default_rng(config.seed)
+    w = {"w1": _uniform_init(rng, g.feat_dim, hidden),
+         "w2": _uniform_init(rng, hidden, int(g.labels.max()) + 1)}
+    state = AdamState.init(w)
     a_hat = _sym_normalized(g.adjacency)
-    f = g.features
-    best, best_val, since = dict(w), -np.inf, 0
-    for t in range(1, epochs + 1):
-        pre = a_hat @ f @ w["w1"]
-        hid = np.maximum(pre, 0.0)
-        prop = a_hat @ hid
-        logits = prop @ w["w2"]
+    a_hat_f = a_hat @ g.features
+
+    def epoch_step(epoch, w):
+        logits, pre, prop = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])
         gl = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
-        grads = {
-            "w2": prop.T @ gl,
-            "w1": (a_hat @ f).T @ ((pre > 0) * ((a_hat @ gl) @ w["w2"].T)),
-        }
-        for key in w:
-            m[key] = 0.9 * m[key] + 0.1 * grads[key]
-            v[key] = 0.999 * v[key] + 0.001 * grads[key] ** 2
-            m_hat = m[key] / (1 - 0.9 ** t)
-            v_hat = v[key] / (1 - 0.999 ** t)
-            w[key] = w[key] - lr * m_hat / (np.sqrt(v_hat) + 1e-8) - lr * weight_decay * w[key]
-        logits = gcn_baseline_forward(g, GCNWeights(**w))
-        # same selection policy as the coupled model: latest among accuracy ties
-        val = accuracy(logits, g.labels, g.val_mask)
-        if val > best_val:
-            best_val, best, since = val, dict(w), 0
-        else:
-            if val == best_val:
-                best = dict(w)
-            since += 1
-            if since >= patience:
-                break
-    return GCNWeights(**best)
+        grads = {"w1": a_hat_f.T @ ((pre > 0) * ((a_hat @ gl) @ w["w2"].T)),
+                 "w2": prop.T @ gl}
+        w, _ = adam_step(w, grads, state, config)
+        logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
+        return w, accuracy(logits, g.labels, g.val_mask)
+
+    return GCNWeights(**select_checkpoint(w, config.epochs, config.patience, epoch_step))
 
 
 # --- evaluation harness ---------------------------------------------------------
@@ -203,6 +190,8 @@ def evaluate_robustness(clean: Graph, specs: list, model_cfgs: list,
     the same attacked graph for a given (spec, seed), built once."""
     if not clean.test_mask.any():
         raise ValueError("clean graph needs split masks")
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
     rows = []
     for spec in specs:
         accs = [[] for _ in model_cfgs]

@@ -58,15 +58,11 @@ class EquivariantCoeffs:
 
     @property
     def k1(self):
-        if self.k.ndim > 1:
-            return self.alpha - np.abs(self.k).sum(axis=-1)
-        return float(self.alpha - np.abs(self.k).sum())
+        return self.alpha - np.abs(self.k).sum(axis=-1)
 
     def full(self) -> np.ndarray:
         """All nine coefficients (k1..k9) with k1 derived, along the last axis."""
-        if self.k.ndim > 1:
-            return np.concatenate([self.k1[..., None], self.k], axis=-1)
-        return np.concatenate([[self.k1], self.k])
+        return np.concatenate([self.k1[..., None], self.k], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -104,14 +100,12 @@ def _check_square(a: np.ndarray) -> None:
 
 
 def _broadcast_coeffs(coeffs: EquivariantCoeffs) -> tuple:
-    """k1..k9: scalars for one coefficient set; for a stack of sets, shaped
-    for where M uses them: k1 against whole matrices (..., 1, 1), k2-k4 and
-    k9 against rows (..., 1), k5-k8 against totals and traces (...)."""
-    full = coeffs.full()
-    if full.ndim == 1:
-        return tuple(full)
-    k = np.moveaxis(full, -1, 0)
-    return (k[0][..., None, None], *k[1:4, ..., None], *k[4:8], k[8][..., None])
+    """k1..k9 shaped for where M uses them: k1 against whole matrices
+    (..., 1, 1), k2-k4 and k9 against rows (..., 1), k5-k8 against totals and
+    traces (...); the leading axes are empty for one coefficient set."""
+    k, row = coeffs.k, coeffs.k[..., None]
+    return (coeffs.k1[..., None, None], row[..., 0, :], row[..., 1, :], row[..., 2, :],
+            k[..., 3], k[..., 4], k[..., 5], k[..., 6], row[..., 7, :])
 
 
 def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .dynamics import Parameterization
-from .equivariant import max_step_adjacency
+from .equivariant import equivariant_linear, max_step_adjacency
 from .graph import Graph
 from .network import NetworkParams, forward
 from .training import (TrainConfig, backward, collapse_shared_grads,
@@ -70,13 +70,15 @@ def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: 
         masks = None
         if trace.input_mask is not None:
             masks = [trace.input_mask, *trace.layer_masks, trace.final_mask]
-        if _smooth_point(trace):
+        if _smooth_point(trace, params):
             return g, params, masks
     raise RuntimeError("could not find a smooth random instance")
 
 
-def _smooth_point(trace) -> bool:
-    return not any(np.any(np.abs(adj_pre) < KINK_GUARD) for adj_pre in trace.layer_adj_pre)
+def _smooth_point(trace, params: NetworkParams) -> bool:
+    # every layer's pre-activation M(A_l), the last one's included, stays off the kink
+    return not any(np.any(np.abs(equivariant_linear(a, layer.adjacency.coeffs)) < KINK_GUARD)
+                   for a, layer in zip(trace.adjacency_states, params.layers))
 
 
 def loss_at(g: Graph, params: NetworkParams, masks) -> float:
@@ -105,7 +107,7 @@ def fd_gradients(g: Graph, params: NetworkParams, masks, step: float = FD_STEP) 
                 arr = np.array(base)
                 arr.reshape(-1)[idx] += sign * step
                 bumped[key] = arr
-                p = rebuild_params(params, bumped, clamp_steps=False)
+                p = rebuild_params(params, bumped)
                 flat[idx] += sign * loss_at(g, p, masks)
         out[key] = grad / (2.0 * step)
     return out

@@ -122,8 +122,9 @@ class PerturbationBudget:
     eps_adj: float
 
     def __post_init__(self):
-        if any_of(self.eps_feat < 0) or any_of(self.eps_adj < 0):
-            raise ValueError("budgets must be nonnegative")
+        for eps in (self.eps_feat, self.eps_adj):
+            if any_of(~np.isfinite(eps) | (eps < 0)):
+                raise ValueError(f"budgets must be finite and nonnegative, got {eps}")
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:

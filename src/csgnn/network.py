@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import leaky_relu
 from .dynamics import LayerParams, Parameterization, feature_field, feature_step, symmetrized
-from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, equivariant_linear
+from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
 from .stacks import scalar_or_stack, transposed
 
@@ -86,8 +85,6 @@ class ForwardTrace:
     input_mask: np.ndarray = None
     layer_masks: list = field(default_factory=list)
     final_mask: np.ndarray = None
-    layer_adj_pre: list = field(default_factory=list)
-    logits: np.ndarray = None
 
 
 def _dropout_mask(shape, p: float, rng) -> np.ndarray:
@@ -144,16 +141,13 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None,
         ml = next_mask(f.shape)
         f_d = f if ml is None else f * ml
         f = feature_step(f_d, a, layer.feature)
-        adj_pre = equivariant_linear(a, layer.adjacency.coeffs)
-        a_next = a + layer.adjacency.h * leaky_relu(adj_pre, layer.adjacency.leaky_slope)
+        a = adjacency_step(a, layer.adjacency)
         _check_finite(f, f"features after layer {l + 1}")
-        _check_finite(a_next, f"adjacency after layer {l + 1}")
+        _check_finite(a, f"adjacency after layer {l + 1}")
         trace.layer_masks.append(ml)
         trace.layer_dropped.append(f_d)
-        trace.layer_adj_pre.append(adj_pre)
         trace.feature_states.append(f)
-        trace.adjacency_states.append(a_next)
-        a = a_next
+        trace.adjacency_states.append(a)
 
     mf = next_mask(f.shape)
     f_out = f if mf is None else f * mf
@@ -161,7 +155,6 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None,
     _check_finite(logits, "logits")
     trace.final_mask = mf
     trace.final_dropped = f_out
-    trace.logits = logits
     return logits, trace
 
 

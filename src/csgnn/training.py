@@ -18,7 +18,8 @@ import numpy as np
 from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                          coeff_gradients, equivariant_linear_adjoint, _max_step)
+                          coeff_gradients, equivariant_linear, equivariant_linear_adjoint,
+                          _max_step)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
 
@@ -118,8 +119,10 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
 
     Keys mirror the trainable tensors: "encoder", "classifier_w",
     "classifier_b", and per layer "layer{l}.W" or "layer{l}.K" plus
-    "layer{l}.k" (the eight free adjacency coefficients). Raises ValueError
-    when the input adjacency is not exactly symmetric.
+    "layer{l}.k" (the eight free adjacency coefficients). Nothing reads the
+    last layer's adjacency output, so its "layer{L-1}.k" is zero and its
+    adjacency step is not pulled back. Raises ValueError when the input
+    adjacency is not exactly symmetric.
     """
     L = params.depth
     if len(trace.feature_states) != L + 1 or len(trace.layer_dropped) != L:
@@ -136,14 +139,18 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     for l in range(L - 1, -1, -1):
         layer = params.layers[l]
         a_prev = trace.adjacency_states[l]
-        adj_pre = trace.layer_adj_pre[l]
 
-        # adjacency step A_next = A + h*sigma(M(A)): pull a_bar through sigma,
-        # the coefficients, and the linear map itself
-        m_bar = layer.adjacency.h * leaky_relu_prime(adj_pre, layer.adjacency.leaky_slope) * a_bar
-        raw_k = coeff_gradients(a_prev, m_bar)
-        grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * _sign0(layer.adjacency.coeffs.k)
-        a_bar = a_bar + equivariant_linear_adjoint(m_bar, layer.adjacency.coeffs)
+        if l == L - 1:
+            grads[f"layer{l}.k"] = np.zeros(8)
+        else:
+            # adjacency step A_next = A + h*sigma(M(A)): pull a_bar through
+            # sigma, the coefficients, and the linear map itself
+            adj = layer.adjacency
+            adj_pre = equivariant_linear(a_prev, adj.coeffs)
+            m_bar = adj.h * leaky_relu_prime(adj_pre, adj.leaky_slope) * a_bar
+            raw_k = coeff_gradients(a_prev, m_bar)
+            grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * _sign0(adj.coeffs.k)
+            a_bar = a_bar + equivariant_linear_adjoint(m_bar, adj.coeffs)
 
         # feature step F_next = F_d + h*X(F_d, A)
         f_d_bar, a_field_bar, layer_grads = feature_field_vjp(
@@ -197,6 +204,8 @@ def collapse_shared_grads(grads: dict, params: NetworkParams) -> dict:
 
 
 def tensor_group(key: str) -> str:
+    """The parameter group of a tensor key; any key not named here (the GCN
+    baseline's weights among them) is in the node group."""
     if key in ("encoder", "classifier_w", "classifier_b"):
         return GROUP_EMBED
     if key.endswith(".k"):
@@ -205,7 +214,7 @@ def tensor_group(key: str) -> str:
 
 
 def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = None,
-                   adjacency: np.ndarray = None, clamp_steps: bool = True) -> NetworkParams:
+                   adjacency: np.ndarray = None) -> NetworkParams:
     """New NetworkParams with updated tensors and re-clamped step sizes.
 
     The adjacency step is clamped to its nonexpansive bound for the new
@@ -213,11 +222,11 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     min(configured h, max_feature_step(A_l, layer)) against the new K or W and
     the layer's own adjacency state A_l, stepped from `adjacency` with the new
     coefficients. The clamp is a projection: no gradient flows through it.
-    `clamp_steps=False` keeps all step sizes exactly as stored (used by
-    finite-difference checks, where the clamp would be a kink).
+    Without `config` the stored step sizes are the starting point, and without
+    `adjacency` the feature steps stay as stored.
     """
     layers = []
-    a = adjacency if clamp_steps else None
+    a = adjacency
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -231,10 +240,9 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         h_adj = layer.adjacency.h if config is None else config.h
         h_feat = fp.h if config is None else config.h
         feature = dataclasses.replace(fp, W=new_W, K=new_K, h=h_feat)
-        if clamp_steps:
-            hmax = _max_step(coeffs.k, alpha)
-            if hmax is not None:
-                h_adj = min(h_adj, hmax)
+        hmax = _max_step(coeffs.k, alpha)
+        if hmax is not None:
+            h_adj = min(h_adj, hmax)
         adj_cfg = AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
                                       leaky_slope=layer.adjacency.leaky_slope)
         if a is not None:
@@ -261,9 +269,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = BETA1
-    beta2: float = BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def init(cls, tensors: dict) -> "AdamState":
@@ -285,12 +290,38 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, config: TrainConfig)
             raise ValueError(f"gradient shape mismatch for {key}")
         lr = config.group_lr(tensor_group(key))
         wd = config.group_wd(tensor_group(key))
-        state.m[key] = state.beta1 * state.m[key] + (1 - state.beta1) * grad
-        state.v[key] = state.beta2 * state.v[key] + (1 - state.beta2) * grad * grad
-        m_hat = state.m[key] / (1 - state.beta1 ** t)
-        v_hat = state.v[key] / (1 - state.beta2 ** t)
-        out[key] = p - lr * (m_hat / (np.sqrt(v_hat) + state.eps)) - lr * wd * p
+        state.m[key] = BETA1 * state.m[key] + (1 - BETA1) * grad
+        state.v[key] = BETA2 * state.v[key] + (1 - BETA2) * grad * grad
+        m_hat = state.m[key] / (1 - BETA1 ** t)
+        v_hat = state.v[key] / (1 - BETA2 ** t)
+        out[key] = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)) - lr * wd * p
     return out, state
+
+
+def select_checkpoint(initial, epochs: int, patience: int, epoch_step):
+    """Run up to `epochs` epochs; returns the checkpoint with the best
+    validation accuracy (`initial` when no epoch completes).
+
+    `epoch_step(epoch, current)` trains one epoch from `current` and returns
+    (next checkpoint, its validation accuracy), or None to stop. Validation
+    accuracy is coarse on small splits: a tie takes the later checkpoint, and
+    training stops after `patience` epochs without a strict improvement.
+    """
+    best, best_val, since_best, current = initial, -np.inf, 0, initial
+    for epoch in range(epochs):
+        step = epoch_step(epoch, current)
+        if step is None:
+            break
+        current, val_acc = step
+        if val_acc > best_val:
+            best, best_val, since_best = current, val_acc, 0
+            continue
+        if val_acc == best_val:
+            best = current
+        since_best += 1
+        if since_best >= patience:
+            break
+    return best
 
 
 # --- initialization and the training loop -------------------------------------
@@ -357,10 +388,8 @@ class EpochRecord:
 def train(g_attacked: Graph, config: TrainConfig):
     """Train on the (possibly poisoned) graph; returns (best params, history).
 
-    The model only ever sees `g_attacked`. The checkpoint with the best
-    validation accuracy is returned; training stops early after `patience`
-    epochs without improvement, and a non-finite forward aborts with the last
-    good checkpoint.
+    The model only ever sees `g_attacked`. The checkpoint is picked by
+    `select_checkpoint`; a non-finite forward stops training there.
     """
     if not g_attacked.train_mask.any() or not g_attacked.val_mask.any():
         raise ValueError("training requires nonempty train and validation masks")
@@ -371,42 +400,30 @@ def train(g_attacked: Graph, config: TrainConfig):
     params = rebuild_params(params, params_to_tensors(params), config, g_attacked.adjacency)
 
     state = AdamState.init(params_to_tensors(params))
-    best = params
-    # validation accuracy is coarse on small splits: ties keep the most-trained
-    # checkpoint, patience counts epochs without a strict accuracy improvement
-    best_val = -np.inf
-    since_best = 0
     history = []
-    for epoch in range(config.epochs):
+
+    def epoch_step(epoch, params):
         try:
             logits, trace = forward(g_attacked, params, mode="train", rng=rng)
             loss = masked_cross_entropy(logits, g_attacked.labels, g_attacked.train_mask)
             if not np.isfinite(loss):
-                break
+                return None
             seed_grad = cross_entropy_logit_grad(logits, g_attacked.labels, g_attacked.train_mask)
             grads = collapse_shared_grads(
                 backward(trace, g_attacked, params, seed_grad), params)
             del trace  # one trace alive at a time
-            tensors, state = adam_step(params_to_tensors(params), grads, state, config)
+            tensors, _ = adam_step(params_to_tensors(params), grads, state, config)
             params = rebuild_params(params, tensors, config, g_attacked.adjacency)
             eval_logits = forward(g_attacked, params, mode="eval")[0]
         except FloatingPointError:
-            break
+            return None
         val_acc = accuracy(eval_logits, g_attacked.labels, g_attacked.val_mask)
         test_acc = accuracy(eval_logits, g_attacked.labels, g_attacked.test_mask)
         history.append(EpochRecord(epoch=epoch, train_loss=loss,
                                    val_acc=val_acc, test_acc=test_acc))
-        if val_acc > best_val:
-            best_val = val_acc
-            best = params
-            since_best = 0
-        else:
-            if val_acc == best_val:
-                best = params
-            since_best += 1
-            if since_best >= config.patience:
-                break
-    return best, history
+        return params, val_acc
+
+    return select_checkpoint(params, config.epochs, config.patience, epoch_step), history
 
 
 def history_to_csv(history: list) -> str:

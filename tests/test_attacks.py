@@ -99,6 +99,11 @@ class TestFeatureNoiseAttack:
         with pytest.raises(ValueError):
             AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=-1.0)
 
+    @pytest.mark.parametrize("budget", [{"edge_ratio": float("nan")}, {"feat_eps": float("inf")}])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="finite"):
+            AttackSpec(kind=AttackKind.BOTH, **budget)
+
 
 class TestGCNBaseline:
     def test_single_node_identity_weights(self):
@@ -126,6 +131,14 @@ class TestGCNBaseline:
         a_hat = d_inv_sqrt @ a_hat @ d_inv_sqrt
         oracle = a_hat @ np.maximum(a_hat @ g.features @ w.w1, 0.0) @ w.w2
         assert np.allclose(gcn_baseline_forward(g, w), oracle, atol=1e-12)
+
+    def test_training_starts_from_the_shared_uniform_init(self):
+        from csgnn.training import _uniform_init
+        g = small_graph(np.random.default_rng(9))
+        rng = np.random.default_rng(3)
+        w1, w2 = _uniform_init(rng, 3, 4), _uniform_init(rng, 4, 2)
+        w = train_gcn(g, seed=3, hidden=4, epochs=0)
+        assert np.array_equal(w.w1, w1) and np.array_equal(w.w2, w2)
 
     def test_isolated_node_handled_by_self_loop(self):
         adjacency = np.zeros((3, 3))
@@ -156,6 +169,41 @@ class TestEvaluateRobustness:
         assert {(r.model, r.budget) for r in rows} == {
             ("csgnn", "0"), ("csgnn", "0.5"), ("gcn", "0"), ("gcn", "0.5")}
         assert all(r.seed_count == 2 for r in rows)
+
+    def test_empty_seeds_rejected(self):
+        spec = AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.0)
+        with pytest.raises(ValueError, match="seed"):
+            evaluate_robustness(self._clean(), [spec], [("gcn", {})], seeds=())
+
+    def test_sweep_capture_sees_every_fit(self, monkeypatch):
+        # the benchmark's sweep workload wraps these three module globals, calling
+        # train_gcn with the graph as the only positional argument
+        import csgnn.attacks as attacks
+        orig = {name: getattr(attacks, name) for name in ("apply_attack", "train", "train_gcn")}
+        events = []
+
+        def capture_attack(g, spec, rng=None):
+            events.append("attack")
+            return orig["apply_attack"](g, spec, rng)
+
+        def capture_train(g, config):
+            params, history = orig["train"](g, config)
+            events.append(("csgnn", len(history)))
+            return params, history
+
+        def capture_gcn(g, **kwargs):
+            events.append(("gcn", kwargs["seed"]))
+            return orig["train_gcn"](g, **kwargs)
+
+        monkeypatch.setattr(attacks, "apply_attack", capture_attack)
+        monkeypatch.setattr(attacks, "train", capture_train)
+        monkeypatch.setattr(attacks, "train_gcn", capture_gcn)
+        cfg = TrainConfig(epochs=3, hidden_dim=4, num_layers=2, patience=3)
+        rows = evaluate_robustness(
+            self._clean(), [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5, seed=0)],
+            [("csgnn", cfg), ("gcn", {"epochs": 3})], seeds=(0, 1))
+        assert events == ["attack", ("csgnn", 3), ("gcn", 0), "attack", ("csgnn", 3), ("gcn", 1)]
+        assert [r.seed_count for r in rows] == [2, 2]
 
     def test_zero_ratio_equals_clean_training(self):
         clean = self._clean()

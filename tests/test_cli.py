@@ -148,6 +148,13 @@ class TestAttackSweep:
         models = {line.split(",")[0] for line in lines[1:]}
         assert models == {"csgnn", "gcn"}
 
+    def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
+        code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", "n_seeds=0", "--set", "epochs=2"])
+        assert code == 3
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, tmp_path, capsys):
@@ -240,6 +247,15 @@ class TestCertifyCommand:
         code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["eps_feat=nan", "eps_adj=nan", "eps_feat=inf"])
+    def test_non_finite_budget_is_runtime_error(self, sbm_dir, trained_dir, capsys, override):
+        code = run(["certify", "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={sbm_dir}", "--set", override])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "finite" in captured.err
+        assert "certified" not in captured.out
 
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2

@@ -151,6 +151,11 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             PerturbationBudget(eps_feat=-1.0, eps_adj=0.0)
 
+    def test_budget_finite(self):
+        for eps in (float("nan"), float("inf"), np.array([0.5, float("nan")])):
+            with pytest.raises(ValueError, match="finite"):
+                PerturbationBudget(eps_feat=0.0, eps_adj=eps)
+
     def test_arrays_are_readonly(self):
         g = _random_graph(np.random.default_rng(4), 3)
         with pytest.raises(ValueError):

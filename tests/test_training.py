@@ -15,7 +15,7 @@ from csgnn.sbm import gen_sbm
 from csgnn.training import (AdamState, TrainConfig, accuracy, adam_step, backward,
                             collapse_shared_grads, cross_entropy_logit_grad,
                             history_to_csv, init_params, masked_cross_entropy,
-                            params_to_tensors, rebuild_params, train)
+                            params_to_tensors, rebuild_params, select_checkpoint, train)
 
 
 class TestMaskedCrossEntropy:
@@ -102,7 +102,7 @@ class TestBackward:
         from csgnn.training import masked_cross_entropy as ce
 
         def bypass_loss(tensors):
-            p = rebuild_params(params, tensors, clamp_steps=False)
+            p = rebuild_params(params, tensors)
             f = g.features @ p.encoder
             for layer in p.layers:
                 f = feature_step(f, g.adjacency, layer.feature)
@@ -181,6 +181,37 @@ class TestAdam:
     def test_positive_alpha_rejected_at_type_level(self):
         with pytest.raises(ValueError):
             EquivariantCoeffs(k=np.zeros(8), alpha=0.1)
+
+
+class TestSelectCheckpoint:
+    @staticmethod
+    def _run(accs, patience):
+        # checkpoint e + 1 is the one epoch e trains; its accuracy is accs[e]
+        seen = []
+
+        def step(epoch, current):
+            seen.append(epoch)
+            return epoch + 1, accs[epoch]
+
+        return select_checkpoint(0, len(accs), patience, step), seen
+
+    def test_tie_takes_the_later_checkpoint(self):
+        best, _ = self._run([0.5, 0.7, 0.7, 0.6], patience=10)
+        assert best == 3
+
+    def test_patience_counts_epochs_without_strict_improvement(self):
+        # the ties at epochs 1 and 3 move the checkpoint but do not reset patience
+        best, seen = self._run([0.7, 0.7, 0.6, 0.7, 0.9], patience=3)
+        assert seen == [0, 1, 2, 3]
+        assert best == 4
+
+    def test_strict_improvement_resets_patience(self):
+        best, seen = self._run([0.5, 0.4, 0.6, 0.4, 0.4, 0.9], patience=2)
+        assert seen == [0, 1, 2, 3, 4]
+        assert best == 3
+
+    def test_stop_before_any_epoch_keeps_the_initial_checkpoint(self):
+        assert select_checkpoint("init", 5, 2, lambda epoch, current: None) == "init"
 
 
 def _dense_h_safe(a, feature):
