@@ -9,14 +9,12 @@ engine, property suites, and certificates around it.
 from .graph import (Graph, Permutation, PerturbationBudget, frobenius_distance,
                     l0_distance, l1_vec_distance, load_graph, permute_graph, save_graph)
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                          build_T, equivariant_linear, jacobian_l1_probe,
-                          max_step_adjacency, operator_l1_norm)
-from .dynamics import (EdgeTensor, LayerParams, Parameterization, check_feature_contraction,
-                       energy, feature_step, graph_gradient, graph_gradient_adjoint,
-                       max_feature_step)
-from .network import (CoupledLayer, ForwardTrace, NetworkParams, certificate,
-                      estimate_mixed_lipschitz, evolve, expansivity_bound, forward,
-                      load_checkpoint, save_checkpoint, weighted_distance)
+                          build_T, equivariant_linear, max_step_adjacency, operator_l1_norm)
+from .dynamics import (LayerParams, Parameterization, energy, feature_step, graph_gradient,
+                       graph_gradient_adjoint, max_feature_step)
+from .network import (CoupledLayer, ForwardTrace, NetworkParams, certificate, evolve,
+                      expansivity_bound, forward, load_checkpoint, save_checkpoint,
+                      weighted_distance)
 from .training import (AdamState, TrainConfig, adam_step, backward,
                        masked_cross_entropy, train)
 from .attacks import (AttackKind, AttackSpec, evaluate_robustness, feature_noise_attack,

@@ -9,12 +9,11 @@ inside the Frobenius budget.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-import dataclasses
 
 from .graph import Graph
 from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
@@ -133,15 +132,14 @@ def gcn_baseline_forward(g: Graph, weights: GCNWeights) -> np.ndarray:
     return _gcn_logits(a_hat, a_hat @ g.features, weights.w1, weights.w2)[0]
 
 
-def train_gcn(g: Graph, seed: int = 0, hidden: int = 16, epochs: int = 200) -> GCNWeights:
+def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     """Train the baseline on the (possibly attacked) graph as the coupled model
     is trained: the same initialization, Adam step and checkpoint selection,
-    with the node group's learning rate, weight decay and the patience of a
-    default `TrainConfig`."""
-    config = TrainConfig(epochs=epochs, hidden_dim=hidden, seed=seed)
+    with `config`'s seed, epochs, patience, `hidden_dim` and node-group
+    learning rate and weight decay."""
     rng = np.random.default_rng(config.seed)
-    w = {"w1": _uniform_init(rng, g.feat_dim, hidden),
-         "w2": _uniform_init(rng, hidden, int(g.labels.max()) + 1)}
+    w = {"w1": _uniform_init(rng, g.feat_dim, config.hidden_dim),
+         "w2": _uniform_init(rng, config.hidden_dim, int(g.labels.max()) + 1)}
     state = AdamState.init(w)
     a_hat = _sym_normalized(g.adjacency)
     a_hat_f = a_hat @ g.features
@@ -170,36 +168,40 @@ class ResultRow:
     std_acc: float
 
 
-def _score(attacked: Graph, model_name: str, model_cfg, seed: int) -> float:
+MODELS = ("csgnn", "gcn")
+
+
+def _score(attacked: Graph, model_name: str, config: TrainConfig) -> float:
     if model_name == "csgnn":
-        cfg = dataclasses.replace(model_cfg, seed=seed)
-        params, _ = train(attacked, cfg)
+        params, _ = train(attacked, config)
         logits, _ = forward(attacked, params, mode="eval")
     elif model_name == "gcn":
-        weights = train_gcn(attacked, seed=seed, **(model_cfg or {}))
-        logits = gcn_baseline_forward(attacked, weights)
+        # the config by keyword: perfbench's sweep capture wraps train_gcn(g, **kwargs)
+        logits = gcn_baseline_forward(attacked, train_gcn(attacked, config=config))
     else:
         raise ValueError(f"unknown model {model_name!r}")
     return accuracy(logits, attacked.labels, attacked.test_mask)
 
 
-def evaluate_robustness(clean: Graph, specs: list, model_cfgs: list,
+def evaluate_robustness(clean: Graph, specs: list, models: list, config: TrainConfig,
                         seeds=EVAL_SEEDS) -> list:
     """Poisoning protocol: attack, train on the attacked graph, record test
     accuracy; one aggregate row per (model, attack spec). Every model sees
-    the same attacked graph for a given (spec, seed), built once."""
+    the same attacked graph for a given (spec, seed), built once, and trains
+    with `config` under that seed."""
     if not clean.test_mask.any():
         raise ValueError("clean graph needs split masks")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     rows = []
     for spec in specs:
-        accs = [[] for _ in model_cfgs]
+        accs = [[] for _ in models]
         for seed in seeds:
             attacked = apply_attack(clean, spec, np.random.default_rng([spec.seed, seed]))
-            for per_model, (model_name, model_cfg) in zip(accs, model_cfgs):
-                per_model.append(_score(attacked, model_name, model_cfg, seed))
-        for per_model, (model_name, _) in zip(accs, model_cfgs):
+            seeded = dataclasses.replace(config, seed=seed)
+            for per_model, model_name in zip(accs, models):
+                per_model.append(_score(attacked, model_name, seeded))
+        for per_model, model_name in zip(accs, models):
             rows.append(ResultRow(
                 model=model_name,
                 attack_kind=spec.kind.value,

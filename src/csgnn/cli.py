@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import verify as verifymod
-from .attacks import AttackKind, AttackSpec, evaluate_robustness, results_to_csv
+from .attacks import MODELS, AttackKind, AttackSpec, evaluate_robustness, results_to_csv
 from .graph import PerturbationBudget, load_graph, save_graph
 from .network import certificate, forward, load_checkpoint, save_checkpoint
 from .sbm import gen_sbm
@@ -89,19 +89,12 @@ def cmd_attack_sweep(args) -> int:
     seed0 = int(values.get("seed", 0))
     specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
     specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
-    models = str(values.get("models", "csgnn,gcn")).split(",")
-    model_cfgs = []
+    models = [name.strip() for name in str(values.get("models", "csgnn,gcn")).split(",")]
     for name in models:
-        name = name.strip()
-        if name == "csgnn":
-            model_cfgs.append(("csgnn", tc))
-        elif name == "gcn":
-            model_cfgs.append(("gcn", {"hidden": int(values.get("gcn_hidden", 16)),
-                                       "epochs": int(values.get("epochs", 200))}))
-        else:
+        if name not in MODELS:
             raise SystemExit2(f"unknown model {name!r}")
     n_seeds = int(values.get("n_seeds", 10))
-    rows = evaluate_robustness(g, specs, model_cfgs, seeds=tuple(range(n_seeds)))
+    rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(n_seeds)))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)
     (out / "results.csv").write_text(csv_text)

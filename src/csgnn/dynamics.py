@@ -91,19 +91,6 @@ class LayerParams:
                 object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class EdgeTensor:
-    """Edge-indexed feature differences, zero wherever A_ij = 0."""
-
-    values: np.ndarray  # shape (n, n, c), or (..., n, n, c) for a stack
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim < 3 or v.shape[-3] != v.shape[-2]:
-            raise ValueError(f"edge tensor must have shape (n, n, c), got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-
 # Every function below that takes adjacency and features also takes stacks
 # (..., n, n) and (..., n, c), with one layer, or a stacked LayerParams, for
 # all of them; each matrix of a stack gets the bits a call on it alone gives.
@@ -116,24 +103,24 @@ def _adjoint_raw(a: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
 
 
-def graph_gradient(a: np.ndarray, f: np.ndarray) -> EdgeTensor:
-    """(G(A)F)_ijk = A_ij (F_ik - F_jk)."""
+def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(G(A)F)_ijk = A_ij (F_ik - F_jk): an (n, n, c) edge tensor, zero wherever A_ij = 0."""
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     if f.ndim != a.ndim or f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features must have {a.shape[-1]} rows, got {f.shape}")
-    return EdgeTensor(_gradient_raw(a, f))
+    return _gradient_raw(a, f)
 
 
-def graph_gradient_adjoint(a: np.ndarray, o: EdgeTensor) -> np.ndarray:
-    """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik)."""
+def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik) for an (n, n, c) edge tensor O."""
     a = np.asarray(a, dtype=float)
-    vals = o.values if isinstance(o, EdgeTensor) else np.asarray(o, dtype=float)
-    if vals.shape[-3] != a.shape[-1] or vals.shape[-2] != a.shape[-1]:
-        raise ValueError(f"edge tensor shape {vals.shape} does not match adjacency {a.shape}")
-    return _adjoint_raw(a, vals)
+    o = np.asarray(o, dtype=float)
+    if o.ndim < 3 or o.shape[-3] != a.shape[-1] or o.shape[-2] != a.shape[-1]:
+        raise ValueError(f"edge tensor shape {o.shape} does not match adjacency {a.shape}")
+    return _adjoint_raw(a, o)
 
 
 def symmetrized(k: np.ndarray, c: int) -> np.ndarray:
@@ -351,14 +338,3 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
         lam_est = ratio * s2
     h = 1.0 / (lam_est + H_SAFE_EPS)
     return scalar_or_stack(h)
-
-
-def check_feature_contraction(f: np.ndarray, df: np.ndarray, a: np.ndarray,
-                              params: LayerParams, slack: float = 1e-9) -> bool:
-    """Does the step shrink the Frobenius distance between F and F + dF?
-
-    Diagnostic for the K = lambda*I configuration; never raises.
-    """
-    base = feature_step(f, a, params)
-    moved = feature_step(f + df, a, params)
-    return float(np.linalg.norm(moved - base)) <= float(np.linalg.norm(df)) + slack

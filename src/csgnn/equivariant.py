@@ -76,8 +76,8 @@ class AdjacencyStepConfig:
             raise ValueError("step size must be positive")
         if not 0 < self.leaky_slope <= 1:
             raise ValueError("activation slope must lie in (0, 1]")
-        hmax = _max_step(self.coeffs.k, self.coeffs.alpha)
-        if hmax is not None and any_of(self.h > hmax * (1 + 1e-12)):
+        hmax = max_step_adjacency(self.coeffs)
+        if any_of(self.h > hmax * (1 + 1e-12)):
             raise ValueError(f"step {self.h} exceeds the nonexpansive bound {hmax}")
 
 
@@ -217,19 +217,15 @@ def operator_l1_norm(t: np.ndarray) -> float:
     return float(np.abs(t).sum(axis=0).max())
 
 
-def _max_step(k: np.ndarray, alpha: float):
-    denom = 2 * np.abs(k).sum(axis=-1) - alpha
-    if any_of(denom == 0.0):
-        return None
-    return 2.0 / denom
-
-
 def max_step_adjacency(coeffs: EquivariantCoeffs) -> float:
-    """Largest h for which the Euler step is provably nonexpansive in vectorized l1."""
-    hmax = _max_step(coeffs.k, coeffs.alpha)
-    if hmax is None:
-        raise ValueError("unbounded step: all coefficients and alpha are zero")
-    return hmax
+    """Largest h for which the Euler step is provably nonexpansive in vectorized l1.
+
+    inf where all coefficients and alpha are zero (the step is then the
+    identity); one bound per set for stacked coefficients.
+    """
+    denom = 2 * np.abs(coeffs.k).sum(axis=-1) - coeffs.alpha
+    with np.errstate(divide="ignore"):
+        return 2.0 / denom
 
 
 def slope_uniform_margin(coeffs: EquivariantCoeffs, leaky_slope: float) -> float:
@@ -274,6 +270,12 @@ def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig) -> np.ndarray:
 
 def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
                                 leaky_slope: float = 0.1) -> float:
+    """Finite-difference l1 operator norm of the Euler step's Jacobian at `a`.
+
+    Central differences with step FD_STEP on every vec(A) coordinate, with no
+    step-size guard on h. The point must be smooth: probes where some
+    pre-activation entry of M(A) has magnitude below KINK_TOL are rejected.
+    """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     m = n * n
@@ -293,13 +295,3 @@ def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: flo
     diff = (stepped[:m] - stepped[m:]) / (2 * FD_STEP)
     cols = np.ascontiguousarray(diff.transpose(0, 2, 1).reshape(m, m).T)
     return operator_l1_norm(cols)
-
-
-def jacobian_l1_probe(a: np.ndarray, cfg: AdjacencyStepConfig) -> float:
-    """Finite-difference l1 operator norm of the step's Jacobian at `a`.
-
-    Central differences with step FD_STEP on every vec(A) coordinate. The point
-    must be smooth: probes where some pre-activation entry of M(A) has magnitude
-    below KINK_TOL are rejected.
-    """
-    return jacobian_l1_probe_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope)

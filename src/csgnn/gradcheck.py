@@ -27,7 +27,12 @@ KINK_GUARD = 2e-4
 
 
 def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: int = 80):
-    """A random (graph, params, masks) triple at a smooth point of the loss."""
+    """A random (graph, params, dropout seed) triple at a smooth point of the loss.
+
+    Every training-mode forward from a fresh generator on the seed draws the
+    same dropout masks, so the loss is a deterministic function of the
+    parameters.
+    """
     for _ in range(max_tries):
         n = int(rng.integers(4, n_max + 1))
         c_in = int(rng.integers(2, 4))
@@ -65,13 +70,9 @@ def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: 
             layers = [layers[0]] * len(layers)
         params = dataclasses.replace(params, layers=tuple(layers))
 
-        mask_rng = np.random.default_rng(cfg.seed)
-        _, trace = forward(g, params, mode="train", rng=mask_rng)
-        masks = None
-        if trace.input_mask is not None:
-            masks = [trace.input_mask, *trace.layer_masks, trace.final_mask]
+        _, trace = _seeded_forward(g, params, cfg.seed)
         if _smooth_point(trace, params):
-            return g, params, masks
+            return g, params, cfg.seed
     raise RuntimeError("could not find a smooth random instance")
 
 
@@ -81,20 +82,22 @@ def _smooth_point(trace, params: NetworkParams) -> bool:
                    for a, layer in zip(trace.adjacency_states, params.layers))
 
 
-def loss_at(g: Graph, params: NetworkParams, masks) -> float:
-    mode = "eval" if masks is None else "train"
-    logits, _ = forward(g, params, mode=mode, dropout_masks=masks)
+def _seeded_forward(g: Graph, params: NetworkParams, seed: int):
+    return forward(g, params, mode="train", rng=np.random.default_rng(seed))
+
+
+def loss_at(g: Graph, params: NetworkParams, seed: int) -> float:
+    logits, _ = _seeded_forward(g, params, seed)
     return masked_cross_entropy(logits, g.labels, g.train_mask)
 
 
-def analytic_gradients(g: Graph, params: NetworkParams, masks) -> dict:
-    mode = "eval" if masks is None else "train"
-    logits, trace = forward(g, params, mode=mode, dropout_masks=masks)
-    seed = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
-    return collapse_shared_grads(backward(trace, g, params, seed), params)
+def analytic_gradients(g: Graph, params: NetworkParams, seed: int) -> dict:
+    logits, trace = _seeded_forward(g, params, seed)
+    logit_grad = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
+    return collapse_shared_grads(backward(trace, g, params, logit_grad), params)
 
 
-def fd_gradients(g: Graph, params: NetworkParams, masks, step: float = FD_STEP) -> dict:
+def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_STEP) -> dict:
     tensors = params_to_tensors(params)
     out = {}
     for key, base in tensors.items():
@@ -108,16 +111,16 @@ def fd_gradients(g: Graph, params: NetworkParams, masks, step: float = FD_STEP) 
                 arr.reshape(-1)[idx] += sign * step
                 bumped[key] = arr
                 p = rebuild_params(params, bumped)
-                flat[idx] += sign * loss_at(g, p, masks)
+                flat[idx] += sign * loss_at(g, p, seed)
         out[key] = grad / (2.0 * step)
     return out
 
 
 def max_gradient_rel_error(rng, step: float = FD_STEP) -> float:
     """Worst per-tensor relative deviation between backward and central FD."""
-    g, params, masks = random_instance(rng)
-    analytic = analytic_gradients(g, params, masks)
-    numeric = fd_gradients(g, params, masks, step)
+    g, params, seed = random_instance(rng)
+    analytic = analytic_gradients(g, params, seed)
+    numeric = fd_gradients(g, params, seed, step)
     worst = 0.0
     for key, fd in numeric.items():
         diff = float(np.abs(analytic[key] - fd).max())

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import LayerParams, Parameterization, feature_field, feature_step, symmetrized
-from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step
+from .dynamics import LayerParams, Parameterization, feature_step, max_feature_step, symmetrized
+from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
 from .stacks import scalar_or_stack, transposed
 
@@ -70,19 +70,19 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """States and cached intermediates of one forward pass.
+    """What the reverse pass reads from one forward pass.
 
-    feature_states[l] / adjacency_states[l] hold (F, A) after l coupled layers;
-    the remaining fields cache what the reverse pass needs (dropout masks are
-    the applied multiplicative masks, None in evaluation mode).
+    adjacency_states[l] is layer l's input adjacency A_l, for l = 0..L-1;
+    input_dropped is the raw input after dropout, layer_dropped[l] the
+    features entering layer l's step after dropout, and final_dropped the
+    features the classifier reads. The masks are the applied multiplicative
+    dropout masks, None in evaluation mode.
     """
 
-    feature_states: list
-    adjacency_states: list
+    adjacency_states: list = field(default_factory=list)
     input_dropped: np.ndarray = None
     layer_dropped: list = field(default_factory=list)
     final_dropped: np.ndarray = None
-    input_mask: np.ndarray = None
     layer_masks: list = field(default_factory=list)
     final_mask: np.ndarray = None
 
@@ -96,64 +96,49 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite values in {what}")
 
 
-def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None,
-            dropout_masks: list = None):
+def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     """Run the network; returns (logits, trace).
 
-    `mode` is "train" (dropout active, `rng` required) or "eval" (dropout is the
-    identity). `dropout_masks` replays recorded masks instead of sampling; it
-    must hold the input mask, one mask per layer, and the final mask, in order.
+    `mode` is "train" (dropout active; `rng` draws the masks, the input's
+    first, then one per layer, then the classifier's) or "eval" (dropout is
+    the identity). The last layer's adjacency step is not taken: nothing
+    reads A_L.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     if g.features.shape[1] != params.encoder.shape[0]:
         raise ValueError(
             f"feature width {g.features.shape[1]} does not match encoder input {params.encoder.shape[0]}")
-    use_dropout = mode == "train" and (params.dropout_p > 0.0 or dropout_masks is not None)
-    if use_dropout and dropout_masks is None and rng is None:
-        raise ValueError("train mode with dropout needs an rng or recorded masks")
+    use_dropout = mode == "train" and params.dropout_p > 0.0
+    if use_dropout and rng is None:
+        raise ValueError("train mode with dropout needs an rng")
 
-    L = params.depth
-    replay = list(dropout_masks) if dropout_masks is not None else None
-    if replay is not None and len(replay) != L + 2:
-        raise ValueError(f"expected {L + 2} dropout masks, got {len(replay)}")
-
-    def next_mask(shape):
+    def dropout(x):
         if not use_dropout:
-            return None
-        if replay is not None:
-            return replay.pop(0)
-        return _dropout_mask(shape, params.dropout_p, rng)
+            return x, None
+        mask = _dropout_mask(x.shape, params.dropout_p, rng)
+        return x * mask, mask
 
-    trace = ForwardTrace(feature_states=[], adjacency_states=[])
-
-    m0 = next_mask(g.features.shape)
-    f_in = g.features if m0 is None else g.features * m0
+    f_in, _ = dropout(g.features)
     f = f_in @ params.encoder
     a = g.adjacency
     _check_finite(f, "encoded features")
-    trace.input_mask = m0
-    trace.input_dropped = f_in
-    trace.feature_states.append(f)
-    trace.adjacency_states.append(a)
+    trace = ForwardTrace(adjacency_states=[a], input_dropped=f_in)
 
     for l, layer in enumerate(params.layers):
-        ml = next_mask(f.shape)
-        f_d = f if ml is None else f * ml
+        f_d, ml = dropout(f)
         f = feature_step(f_d, a, layer.feature)
-        a = adjacency_step(a, layer.adjacency)
         _check_finite(f, f"features after layer {l + 1}")
-        _check_finite(a, f"adjacency after layer {l + 1}")
         trace.layer_masks.append(ml)
         trace.layer_dropped.append(f_d)
-        trace.feature_states.append(f)
-        trace.adjacency_states.append(a)
+        if l + 1 < params.depth:
+            a = adjacency_step(a, layer.adjacency)
+            _check_finite(a, f"adjacency after layer {l + 1}")
+            trace.adjacency_states.append(a)
 
-    mf = next_mask(f.shape)
-    f_out = f if mf is None else f * mf
+    f_out, trace.final_mask = dropout(f)
     logits = f_out @ params.classifier_w + params.classifier_b
     _check_finite(logits, "logits")
-    trace.final_mask = mf
     trace.final_dropped = f_out
     return logits, trace
 
@@ -247,34 +232,6 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     return scalar_or_stack(lip)
 
 
-def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, rng,
-                             probe_step: float = 1e-4):
-    """Sampled lower bound and analytic upper bound for Lip(A -> X(F, A)).
-
-    Samples adjacency matrices with entries uniform in [0, 1) and l1-unit
-    perturbation directions; the upper bound covers the whole sampled region,
-    so lower <= upper on every call.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    lower = 0.0
-    max_abs = 0.0
-    for _ in range(n_samples):
-        a = rng.random((n, n))
-        direction = rng.standard_normal((n, n))
-        direction /= np.abs(direction).sum()
-        moved = feature_field(f, a + probe_step * direction, layer)
-        base = feature_field(f, a, layer)
-        lower = max(lower, float(np.linalg.norm(moved - base)) / probe_step)
-        max_abs = max(max_abs, float(np.abs(a).max()) + probe_step)
-    upper = lipschitz_upper(f, layer, max_abs)
-    if not lower <= upper + 1e-12:
-        raise ArithmeticError(f"sampled Lipschitz quotient {lower} exceeded the analytic bound {upper}")
-    return lower, upper
-
-
 def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
                 budget: PerturbationBudget) -> dict:
     """Per-layer expansivity certificate for the coupled map on an embedded state.
@@ -284,9 +241,6 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
     admissible perturbed state stays, by adjacency nonexpansiveness), and
     assembles the final output-distance bound.
     """
-    from .dynamics import max_feature_step
-    from .equivariant import max_step_adjacency
-
     fs, as_ = evolve(f0, a0, params.layers)
     rows = []
     lips = []
@@ -294,15 +248,11 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
     for l, layer in enumerate(params.layers):
         lip = lipschitz_upper(fs[l], layer.feature,
                               float(np.abs(as_[l]).max()) + budget.eps_adj)
-        try:
-            h_adj_max = max_step_adjacency(layer.adjacency.coeffs)
-        except ValueError:
-            h_adj_max = float("inf")
         rows.append({
             "layer": l + 1,
             "h_feature": layer.feature.h,
             "h_adjacency": layer.adjacency.h,
-            "h_adjacency_max": h_adj_max,
+            "h_adjacency_max": max_step_adjacency(layer.adjacency.coeffs),
             "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
             "lipschitz_upper": lip,
         })

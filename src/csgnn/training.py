@@ -5,7 +5,7 @@ Gradients are propagated manually through the recorded forward trace. The only
 non-smooth parameter path is the derived leading adjacency coefficient
 k1 = alpha - sum |k_i|; the subgradient of |k_i| at zero is taken as 0. After
 every optimizer step the per-layer step sizes are re-clamped to their
-contractive bounds and alpha is projected back to the nonpositive half-line.
+contractive bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           coeff_gradients, equivariant_linear, equivariant_linear_adjoint,
-                          _max_step)
+                          max_step_adjacency)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
 
@@ -120,12 +120,12 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     Keys mirror the trainable tensors: "encoder", "classifier_w",
     "classifier_b", and per layer "layer{l}.W" or "layer{l}.K" plus
     "layer{l}.k" (the eight free adjacency coefficients). Nothing reads the
-    last layer's adjacency output, so its "layer{L-1}.k" is zero and its
-    adjacency step is not pulled back. Raises ValueError when the input
-    adjacency is not exactly symmetric.
+    last layer's adjacency output, so `forward` does not compute it, its
+    "layer{L-1}.k" is zero and its adjacency step is not pulled back. Raises
+    ValueError when the input adjacency is not exactly symmetric.
     """
     L = params.depth
-    if len(trace.feature_states) != L + 1 or len(trace.layer_dropped) != L:
+    if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
         raise ValueError("trace does not match the given parameters")
 
     grads = {}
@@ -234,15 +234,11 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
             new_W, new_K = tensors[f"layer{slot}.W"], fp.K
         else:
             new_W, new_K = None, tensors[f"layer{slot}.K"]
-        k_new = np.asarray(tensors[f"layer{slot}.k"], dtype=float)
-        alpha = min(layer.adjacency.coeffs.alpha, 0.0)
-        coeffs = EquivariantCoeffs(k=k_new, alpha=alpha)
-        h_adj = layer.adjacency.h if config is None else config.h
+        coeffs = EquivariantCoeffs(k=np.asarray(tensors[f"layer{slot}.k"], dtype=float),
+                                   alpha=layer.adjacency.coeffs.alpha)
+        h_adj = min(layer.adjacency.h if config is None else config.h, max_step_adjacency(coeffs))
         h_feat = fp.h if config is None else config.h
         feature = dataclasses.replace(fp, W=new_W, K=new_K, h=h_feat)
-        hmax = _max_step(coeffs.k, alpha)
-        if hmax is not None:
-            h_adj = min(h_adj, hmax)
         adj_cfg = AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
                                       leaky_slope=layer.adjacency.leaky_slope)
         if a is not None:
@@ -356,12 +352,11 @@ def init_params(c_in: int, c_out: int, n: int, config: TrainConfig, rng) -> Netw
     for l in range(config.num_layers):
         W, K, k = slots[0 if config.share_weights else l]
         coeffs = EquivariantCoeffs(k=k, alpha=config.alpha)
-        hmax = _max_step(coeffs.k, coeffs.alpha)
-        h_adj = config.h if hmax is None else min(config.h, hmax)
         layers.append(CoupledLayer(
             feature=LayerParams(h=config.h, parameterization=config.parameterization,
                                 W=W, K=K, leaky_slope=config.leaky_slope),
-            adjacency=AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
+            adjacency=AdjacencyStepConfig(coeffs=coeffs,
+                                          h=min(config.h, max_step_adjacency(coeffs)),
                                           leaky_slope=config.leaky_slope),
         ))
     return NetworkParams(encoder=encoder, layers=tuple(layers),

@@ -323,8 +323,8 @@ def check_feature_adjointness(rng, trials: int) -> CheckResult:
                 rng.standard_normal((n, n, c)))
 
     def evaluate(a, f, o):
-        lhs = (dynamics.graph_gradient(a, f).values * o).sum(axis=(-3, -2, -1))
-        rhs = (f * dynamics.graph_gradient_adjoint(a, dynamics.EdgeTensor(o))).sum(axis=(-2, -1))
+        lhs = (dynamics.graph_gradient(a, f) * o).sum(axis=(-3, -2, -1))
+        rhs = (f * dynamics.graph_gradient_adjoint(a, o)).sum(axis=(-2, -1))
         return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
 
     return _stacked_check("feature_gradient_adjointness", trials, draw, evaluate, 0.0, 1e-10)

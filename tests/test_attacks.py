@@ -137,7 +137,7 @@ class TestGCNBaseline:
         g = small_graph(np.random.default_rng(9))
         rng = np.random.default_rng(3)
         w1, w2 = _uniform_init(rng, 3, 4), _uniform_init(rng, 4, 2)
-        w = train_gcn(g, seed=3, hidden=4, epochs=0)
+        w = train_gcn(g, TrainConfig(seed=3, hidden_dim=4, epochs=0))
         assert np.array_equal(w.w1, w1) and np.array_equal(w.w2, w2)
 
     def test_isolated_node_handled_by_self_loop(self):
@@ -155,7 +155,7 @@ class TestEvaluateRobustness:
                        signal=1.5, seed=0)
 
     def test_empty_specs_give_header_only_table(self):
-        rows = evaluate_robustness(self._clean(), [], [("gcn", {})], seeds=(0,))
+        rows = evaluate_robustness(self._clean(), [], ["gcn"], TrainConfig(), seeds=(0,))
         assert rows == []
         assert results_to_csv(rows) == "model,attack_kind,budget,seed_count,mean_acc,std_acc\n"
 
@@ -163,8 +163,7 @@ class TestEvaluateRobustness:
         cfg = TrainConfig(epochs=4, hidden_dim=4, num_layers=2)
         specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=0)
                  for r in (0.0, 0.5)]
-        rows = evaluate_robustness(self._clean(), specs,
-                                   [("csgnn", cfg), ("gcn", {"epochs": 4})], seeds=(0, 1))
+        rows = evaluate_robustness(self._clean(), specs, ["csgnn", "gcn"], cfg, seeds=(0, 1))
         assert len(rows) == 4
         assert {(r.model, r.budget) for r in rows} == {
             ("csgnn", "0"), ("csgnn", "0.5"), ("gcn", "0"), ("gcn", "0.5")}
@@ -173,7 +172,7 @@ class TestEvaluateRobustness:
     def test_empty_seeds_rejected(self):
         spec = AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.0)
         with pytest.raises(ValueError, match="seed"):
-            evaluate_robustness(self._clean(), [spec], [("gcn", {})], seeds=())
+            evaluate_robustness(self._clean(), [spec], ["gcn"], TrainConfig(), seeds=())
 
     def test_sweep_capture_sees_every_fit(self, monkeypatch):
         # the benchmark's sweep workload wraps these three module globals, calling
@@ -192,7 +191,7 @@ class TestEvaluateRobustness:
             return params, history
 
         def capture_gcn(g, **kwargs):
-            events.append(("gcn", kwargs["seed"]))
+            events.append(("gcn", kwargs["config"].seed, kwargs["config"].epochs))
             return orig["train_gcn"](g, **kwargs)
 
         monkeypatch.setattr(attacks, "apply_attack", capture_attack)
@@ -201,8 +200,9 @@ class TestEvaluateRobustness:
         cfg = TrainConfig(epochs=3, hidden_dim=4, num_layers=2, patience=3)
         rows = evaluate_robustness(
             self._clean(), [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5, seed=0)],
-            [("csgnn", cfg), ("gcn", {"epochs": 3})], seeds=(0, 1))
-        assert events == ["attack", ("csgnn", 3), ("gcn", 0), "attack", ("csgnn", 3), ("gcn", 1)]
+            ["csgnn", "gcn"], cfg, seeds=(0, 1))
+        assert events == ["attack", ("csgnn", 3), ("gcn", 0, 3),
+                          "attack", ("csgnn", 3), ("gcn", 1, 3)]
         assert [r.seed_count for r in rows] == [2, 2]
 
     def test_zero_ratio_equals_clean_training(self):
@@ -210,7 +210,7 @@ class TestEvaluateRobustness:
         cfg = TrainConfig(epochs=5, hidden_dim=4, num_layers=2, seed=0)
         rows = evaluate_robustness(clean, [AttackSpec(kind=AttackKind.RANDOM_EDGES,
                                                       edge_ratio=0.0, seed=0)],
-                                   [("csgnn", cfg)], seeds=(0,))
+                                   ["csgnn"], cfg, seeds=(0,))
         from csgnn.training import train
         from csgnn.network import forward
         import dataclasses

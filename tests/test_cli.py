@@ -148,6 +148,18 @@ class TestAttackSweep:
         models = {line.split(",")[0] for line in lines[1:]}
         assert models == {"csgnn", "gcn"}
 
+    def test_gcn_trains_with_the_run_config(self, sbm_dir, tmp_path):
+        # both models take the run's TrainConfig: an override must move the gcn row too
+        args = ["attack-sweep", "--seed", "0", "--set", f"graph={sbm_dir}",
+                "--set", "edge_ratios=0", "--set", "n_seeds=3", "--set", "epochs=40"]
+        rows = {}
+        for patience in (1, 40):
+            out = tmp_path / f"p{patience}"
+            assert run(args + ["--set", f"patience={patience}", "--out", str(out)]) == 0
+            lines = (out / "results.csv").read_text().splitlines()[1:]
+            rows[patience] = {line.split(",")[0]: line for line in lines}
+        assert rows[1]["gcn"] != rows[40]["gcn"]
+
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", "n_seeds=0", "--set", "epochs=2"])

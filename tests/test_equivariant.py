@@ -4,8 +4,8 @@ import pytest
 from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, EquivariantCoeffs,
                                adjacency_step, adjacency_step_unchecked, build_T, build_T_raw,
                                coeff_gradients, equivariant_linear,
-                               equivariant_linear_adjoint, jacobian_l1_probe,
-                               jacobian_l1_probe_unchecked, max_step_adjacency,
+                               equivariant_linear_adjoint, jacobian_l1_probe_unchecked,
+                               max_step_adjacency,
                                operator_l1_norm, slope_uniform_margin, unvec, vec)
 from csgnn.graph import l1_vec_distance
 
@@ -193,9 +193,11 @@ class TestMaxStep:
         c = EquivariantCoeffs(k=0.1 * np.ones(8), alpha=-1.0)
         assert max_step_adjacency(c) == pytest.approx(2.0 / 2.6, rel=1e-12)
 
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError, match="unbounded step"):
-            max_step_adjacency(EquivariantCoeffs(k=np.zeros(8), alpha=0.0))
+    def test_degenerate_is_unbounded(self):
+        c = EquivariantCoeffs(k=np.zeros(8), alpha=0.0)
+        assert max_step_adjacency(c) == np.inf
+        for h in (1e-300, 0.7, 1e300):
+            assert AdjacencyStepConfig(coeffs=c, h=h).h == h
 
     def test_config_rejects_oversized_step(self):
         c = coeffs_with(k2=1.0, alpha=-1.0)
@@ -259,16 +261,15 @@ class TestAdjacencyStep:
 
 class TestJacobianProbe:
     def test_zero_coefficients_give_exact_identity(self):
-        cfg = AdjacencyStepConfig(coeffs=EquivariantCoeffs(k=np.zeros(8), alpha=0.0), h=0.7)
         a = np.random.default_rng(0).standard_normal((3, 3))
-        assert jacobian_l1_probe(a, cfg) == pytest.approx(1.0, abs=1e-9)
+        assert jacobian_l1_probe_unchecked(a, EquivariantCoeffs(k=np.zeros(8), alpha=0.0),
+                                           0.7) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_kink_points(self):
         c = EquivariantCoeffs(k=np.zeros(8), alpha=-1.0)  # M(A) = -A
-        cfg = AdjacencyStepConfig(coeffs=c, h=1.0)
         a = np.array([[1.0, 0.0], [1.0, 1.0]])  # a zero entry lands on the kink
         with pytest.raises(ValueError, match="non-smooth"):
-            jacobian_l1_probe(a, cfg)
+            jacobian_l1_probe_unchecked(a, c, 1.0)
 
     def test_batched_probe_equals_column_loop(self):
         rng = np.random.default_rng(12)

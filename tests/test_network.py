@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csgnn.dynamics import LayerParams, Parameterization, feature_step
-from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, max_step_adjacency
+from csgnn.dynamics import LayerParams, Parameterization, feature_field, feature_step
+from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
+                               max_step_adjacency)
 from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
 from csgnn import network
-from csgnn.network import (CoupledLayer, NetworkParams, certificate, estimate_mixed_lipschitz,
-                           evolve, expansivity_bound, forward, lipschitz_upper,
-                           load_checkpoint, save_checkpoint, weighted_distance)
+from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, expansivity_bound,
+                           forward, lipschitz_upper, load_checkpoint, save_checkpoint,
+                           weighted_distance)
 
 
 def zero_dynamics_layer(c, h=0.5):
@@ -61,8 +62,28 @@ class TestForward:
         )
         logits, trace = forward(g, params, mode="eval")
         assert np.array_equal(logits, g.features)
-        assert len(trace.feature_states) == 2
-        assert np.array_equal(trace.adjacency_states[1], g.adjacency)
+        assert len(trace.layer_dropped) == 1
+        assert np.array_equal(trace.final_dropped, g.features)
+        assert len(trace.adjacency_states) == 1
+        assert np.array_equal(trace.adjacency_states[0], g.adjacency)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_last_adjacency_step_is_not_taken(self, depth, monkeypatch):
+        rng = np.random.default_rng(9)
+        g = random_graph(rng, 5, 3)
+        params = random_params(rng, 3, 4, 2, depth=depth)
+        calls = []
+
+        def counting_step(a, cfg):
+            calls.append(cfg)
+            return adjacency_step(a, cfg)
+
+        monkeypatch.setattr(network, "adjacency_step", counting_step)
+        _, trace = forward(g, params, mode="eval")
+        assert len(calls) == depth - 1
+        assert len(trace.adjacency_states) == depth
+        _, as_ = evolve(g.features @ params.encoder, g.adjacency, params.layers)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_[:depth]))
 
     def test_eval_mode_is_bit_deterministic(self):
         rng = np.random.default_rng(1)
@@ -87,9 +108,13 @@ class TestForward:
         g = random_graph(rng, 5, 3)
         params = random_params(rng, 3, 4, 2, dropout_p=0.4)
         logits, trace = forward(g, params, mode="train", rng=np.random.default_rng(0))
-        masks = [trace.input_mask, *trace.layer_masks, trace.final_mask]
-        replayed, _ = forward(g, params, mode="train", dropout_masks=masks)
-        assert np.array_equal(logits, replayed)
+        input_mask = (np.random.default_rng(0).random(g.features.shape) >= 0.4) / 0.6
+        assert np.array_equal(trace.input_dropped, g.features * input_mask)
+        f = trace.input_dropped @ params.encoder
+        for layer, a, mask in zip(params.layers, trace.adjacency_states, trace.layer_masks):
+            f = feature_step(f * mask, a, layer.feature)
+        assert np.array_equal(f * trace.final_mask, trace.final_dropped)
+        assert np.array_equal(logits, trace.final_dropped @ params.classifier_w + params.classifier_b)
 
     def test_eval_matches_evolve(self):
         rng = np.random.default_rng(4)
@@ -97,8 +122,9 @@ class TestForward:
         params = random_params(rng, 3, 4, 2)
         _, trace = forward(g, params, mode="eval")
         fs, as_ = evolve(g.features @ params.encoder, g.adjacency, params.layers)
-        assert np.array_equal(trace.feature_states[-1], fs[-1])
-        assert np.array_equal(trace.adjacency_states[-1], as_[-1])
+        assert np.array_equal(trace.final_dropped, fs[-1])
+        assert all(np.array_equal(a, b) for a, b in zip(trace.layer_dropped, fs[:-1]))
+        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_[:-1]))
 
     def test_nan_aborts_with_diagnostic(self):
         rng = np.random.default_rng(5)
@@ -174,6 +200,34 @@ class TestExpansivityBound:
             expansivity_bound([-0.1], [1.0], b)
 
 
+def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, rng,
+                             probe_step: float = 1e-4):
+    """Sampled lower bound and analytic upper bound for Lip(A -> X(F, A)).
+
+    Samples adjacency matrices with entries uniform in [0, 1) and l1-unit
+    perturbation directions; the upper bound covers the whole sampled region,
+    so lower <= upper on every call.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    f = np.asarray(f, dtype=float)
+    n = f.shape[0]
+    lower = 0.0
+    max_abs = 0.0
+    for _ in range(n_samples):
+        a = rng.random((n, n))
+        direction = rng.standard_normal((n, n))
+        direction /= np.abs(direction).sum()
+        moved = feature_field(f, a + probe_step * direction, layer)
+        base = feature_field(f, a, layer)
+        lower = max(lower, float(np.linalg.norm(moved - base)) / probe_step)
+        max_abs = max(max_abs, float(np.abs(a).max()) + probe_step)
+    upper = network.lipschitz_upper(f, layer, max_abs)
+    if not lower <= upper + 1e-12:
+        raise ArithmeticError(f"sampled Lipschitz quotient {lower} exceeded the analytic bound {upper}")
+    return lower, upper
+
+
 class TestMixedLipschitz:
     def test_zero_features_give_zero_bounds(self):
         layer = LayerParams(h=0.1, K=np.eye(2))
@@ -206,7 +260,6 @@ class TestMixedLipschitz:
             f = rng.standard_normal((n, c))
             a = rng.random((n, n))
             d = rng.standard_normal((n, n))
-            from csgnn.dynamics import feature_field
             diff = np.linalg.norm(feature_field(f, a + d, layer) - feature_field(f, a, layer))
             bound = lipschitz_upper(f, layer, max(np.abs(a).max(), np.abs(a + d).max()))
             assert diff <= bound * l1_vec_distance(a + d, a) + 1e-9

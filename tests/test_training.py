@@ -69,12 +69,31 @@ class TestMaskedCrossEntropy:
 class TestBackward:
     def test_zero_loss_seed_gives_zero_gradients(self):
         rng = np.random.default_rng(2)
-        g, params, masks = random_instance(rng)
-        mode = "eval" if masks is None else "train"
-        logits, trace = forward(g, params, mode=mode, dropout_masks=masks)
+        g, params, seed = random_instance(rng)
+        logits, trace = forward(g, params, mode="train", rng=np.random.default_rng(seed))
         grads = backward(trace, g, params, np.zeros_like(logits))
         for val in grads.values():
             assert np.abs(val).max() == 0.0
+
+    def test_seeded_loss_replays_the_sampled_masks(self):
+        # the gradient check draws its dropout masks from a fresh generator on
+        # the instance's seed; the loss must be the one under the masks that a
+        # training forward from that seed applies, bit for bit
+        rng = np.random.default_rng(8)
+        g, params, seed = random_instance(rng, dropout_choices=(0.3,))
+        logits, trace = forward(g, params, mode="train", rng=np.random.default_rng(seed))
+        assert all(np.any(m == 0.0) for m in (*trace.layer_masks, trace.final_mask))
+        f = trace.input_dropped @ params.encoder
+        for layer, a, mask in zip(params.layers, trace.adjacency_states, trace.layer_masks):
+            f = dynamics.feature_step(f * mask, a, layer.feature)
+        replayed = (f * trace.final_mask) @ params.classifier_w + params.classifier_b
+        assert np.array_equal(replayed, logits)
+        assert loss_at(g, params, seed) == masked_cross_entropy(logits, g.labels, g.train_mask)
+        expected = collapse_shared_grads(
+            backward(trace, g, params, cross_entropy_logit_grad(logits, g.labels, g.train_mask)),
+            params)
+        got = analytic_gradients(g, params, seed)
+        assert all(np.array_equal(got[key], expected[key]) for key in expected)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -86,7 +105,7 @@ class TestBackward:
         # feature-side tensors must match finite differences of a forward that
         # skips the adjacency system entirely
         rng = np.random.default_rng(4)
-        g, params, _ = random_instance(rng, dropout_choices=(0.0,))
+        g, params, seed = random_instance(rng, dropout_choices=(0.0,))
         frozen = []
         for layer in params.layers:
             adj = dataclasses.replace(layer.adjacency,
@@ -96,7 +115,7 @@ class TestBackward:
         if params.share_weights:
             frozen = [frozen[0]] * len(frozen)
         params = dataclasses.replace(params, layers=tuple(frozen))
-        grads = analytic_gradients(g, params, None)
+        grads = analytic_gradients(g, params, seed)
 
         from csgnn.dynamics import feature_step
         from csgnn.training import masked_cross_entropy as ce

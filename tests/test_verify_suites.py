@@ -84,8 +84,8 @@ def loop_feature_adjointness(rng, trials):
         a = rng.standard_normal((n, n))
         f = rng.standard_normal((n, c))
         o = rng.standard_normal((n, n, c))
-        lhs = float((dynamics.graph_gradient(a, f).values * o).sum())
-        rhs = float((f * dynamics.graph_gradient_adjoint(a, dynamics.EdgeTensor(o))).sum())
+        lhs = float((dynamics.graph_gradient(a, f) * o).sum())
+        rhs = float((f * dynamics.graph_gradient_adjoint(a, o)).sum())
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
