@@ -18,7 +18,11 @@ On an exactly symmetric A the LeakyReLU cancels pairwise, sigma(x) - sigma(-x)
 
 `feature_field` uses that form on symmetric A and the (n, n, c) edge tensors
 otherwise; the reverse pass `feature_field_vjp` exists only for the Laplacian
-form, so training needs an undirected graph.
+form, so training needs an undirected graph. Each function that depends on
+symmetry checks it per call unless told `assume_symmetric=True`: the network
+decides it once per trajectory, from A_0 (`Graph.symmetric`,
+`equivariant.symmetric_trajectory`), since the adjacency step keeps an exactly
+symmetric row-major matrix exactly symmetric.
 
 Writing B = I_c (x) G(A)W, the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
 the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) W F)
@@ -43,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .activations import leaky_relu, leaky_relu_antiderivative
-from .stacks import any_of, per_matrix, scalar_or_stack, transposed
+from .stacks import all_symmetric, any_of, per_matrix, scalar_or_stack, transposed
 
 H_SAFE_EPS = 1e-12
 
@@ -135,28 +139,38 @@ def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b.sum(axis=-1)[..., :, None] * x - b @ x
 
 
-def _field_core(g: np.ndarray, a: np.ndarray, slope: float) -> np.ndarray:
-    """G(A)^T sigma(G(A) g), in the Laplacian form on each exactly symmetric matrix."""
-    sym = (a == transposed(a)).all(axis=(-2, -1))
-    if not any_of(~sym):
-        return (1.0 + slope) * _laplacian_apply(a * a, g)
-    if not any_of(sym):
-        return _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), slope))
-    v = np.empty(g.shape)
-    v[sym] = _field_core(g[sym], a[sym], slope)
-    v[~sym] = _field_core(g[~sym], a[~sym], slope)
-    return v
+def _field_core(g: np.ndarray, a: np.ndarray, slope: float,
+                assume_symmetric: bool = False) -> np.ndarray:
+    """G(A)^T sigma(G(A) g), in the Laplacian form on each exactly symmetric matrix.
+
+    Which matrices are symmetric is checked here, one matrix at a time,
+    unless `assume_symmetric` says that all of them are; the Laplacian form
+    is exact only then. The network decides that once per trajectory
+    (`Graph.symmetric`, `equivariant.symmetric_trajectory`).
+    """
+    if not assume_symmetric:
+        sym = (a == transposed(a)).all(axis=(-2, -1))
+        if not any_of(sym):
+            return _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), slope))
+        if any_of(~sym):
+            v = np.empty(g.shape)
+            v[sym] = _field_core(g[sym], a[sym], slope, assume_symmetric=True)
+            v[~sym] = _field_core(g[~sym], a[~sym], slope)
+            return v
+    return (1.0 + slope) * _laplacian_apply(a * a, g)
 
 
-def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
+def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams,
+                  assume_symmetric: bool = False) -> np.ndarray:
     """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde.
 
     Evaluated as -(1 + slope) W^T L(A o A) W F Ktilde when A is exactly
-    symmetric, through the edge tensors otherwise.
+    symmetric, through the edge tensors otherwise. `assume_symmetric`
+    promises the former and skips the check.
     """
     w = params.W
     g = f if w is None else w @ f
-    v = _field_core(g, a, params.leaky_slope)
+    v = _field_core(g, a, params.leaky_slope, assume_symmetric)
     if w is not None:
         v = transposed(w) @ v
     if params.K is not None:
@@ -165,15 +179,17 @@ def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarr
 
 
 def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
-                      x_bar: np.ndarray) -> tuple:
+                      x_bar: np.ndarray, assume_symmetric: bool = False) -> tuple:
     """Reverse of `feature_field` on an exactly symmetric A.
 
     Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, grads), with
     grads holding the trained tensor's gradient under "W" (learn_w) or "K"
     (learn_k). a_bar matches the edge form along symmetric directions, the
     only ones an adjacency trajectory started from a symmetric A takes.
+    Raises ValueError on an asymmetric A, unless `assume_symmetric` says the
+    caller has ruled that out.
     """
-    if not np.array_equal(a, a.T):
+    if not assume_symmetric and not all_symmetric(a):
         raise ValueError("the feature-field reverse pass needs an exactly symmetric adjacency")
     w = params.W
     scale = 1.0 + params.leaky_slope
@@ -195,13 +211,14 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     return f_bar, 2.0 * a * b_bar, grads
 
 
-def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
-    """One explicit Euler step F + h X(F, A)."""
+def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams,
+                 assume_symmetric: bool = False) -> np.ndarray:
+    """One explicit Euler step F + h X(F, A); `assume_symmetric` as in `feature_field`."""
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
     if f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features ({f.shape}) and adjacency ({a.shape}) disagree on n")
-    return f + per_matrix(params.h) * feature_field(f, a, params)
+    return f + per_matrix(params.h) * feature_field(f, a, params, assume_symmetric)
 
 
 def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: float = 0.1) -> float:
@@ -221,7 +238,8 @@ def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: floa
 _ROW_BLOCK = 128  # rows of B formed at a time by `gradient_operator_sq_norm`
 
 
-def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
+def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None,
+                              assume_symmetric: bool = False) -> float:
     """||G(A) W||_2^2 = lam_max(W^T L(B) W) with B = A o A + (A o A)^T.
 
     For a single channel, (G(A)v)_ij = A_ij (v_i - v_j), so (G(A))^T G(A) is the
@@ -231,14 +249,20 @@ def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
     d = B 1, without forming L or W^T L W. Non-finite A or W raises
     np.linalg.LinAlgError on both paths. A stack of adjacency matrices (with
     W None, one W, or one W each) takes the dense path and gives one value
-    per matrix.
+    per matrix. `assume_symmetric` promises that every matrix of `a` is
+    exactly symmetric, so B is 2 (A o A): x*x + x*x and 2*(x*x) are the same
+    float.
     """
     a = np.asarray(a, dtype=float)
-    wts = np.empty(a.shape)
-    # B built a block of rows at a time, so no second n x n array is alive
-    for r in range(0, a.shape[-1], _ROW_BLOCK):
-        rows, cols = a[..., r:r + _ROW_BLOCK, :], transposed(a[..., :, r:r + _ROW_BLOCK])
-        wts[..., r:r + _ROW_BLOCK, :] = rows * rows + cols * cols
+    if assume_symmetric:
+        wts = np.multiply(a, a, order="C")
+        wts *= 2.0
+    else:
+        wts = np.empty(a.shape)
+        # B built a block of rows at a time, so no second n x n array is alive
+        for r in range(0, a.shape[-1], _ROW_BLOCK):
+            rows, cols = a[..., r:r + _ROW_BLOCK, :], transposed(a[..., :, r:r + _ROW_BLOCK])
+            wts[..., r:r + _ROW_BLOCK, :] = rows * rows + cols * cols
     deg = wts.sum(axis=-1)
     if not np.isfinite(deg).all() or (w is not None and not np.isfinite(w).all()):
         raise np.linalg.LinAlgError("gradient operator has non-finite entries")
@@ -304,7 +328,8 @@ def _lanczos_lam_max(op, n: int) -> float:
     return max(theta + resid, 0.0)
 
 
-def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0) -> float:
+def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0,
+                     assume_symmetric: bool = False) -> float:
     """Step bound h_safe = 1/(lam_est + eps) for the layer's linearized field.
 
     For positive definite Ktilde the estimate folds in the conditioning
@@ -320,9 +345,9 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     one radius per matrix), one bound per matrix. Squares are taken with
     `np.float_power`, the libm `pow` a float's `** 2` calls; an array's `** 2`
     rounds as x * x, which differs in the last bit on about one value in a
-    thousand.
+    thousand. `assume_symmetric` as in `gradient_operator_sq_norm`.
     """
-    s2 = gradient_operator_sq_norm(a, params.W)
+    s2 = gradient_operator_sq_norm(a, params.W, assume_symmetric)
     if any_of(l1_radius > 0.0):
         w2 = 1.0 if params.W is None else np.linalg.norm(params.W, 2, axis=(-2, -1))
         s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius * w2, 2), s2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import leaky_relu
-from .stacks import any_of, per_matrix
+from .stacks import all_symmetric, any_of, per_matrix, transposed
 
 T_SIZE_GUARD = 64
 
@@ -81,16 +81,24 @@ class AdjacencyStepConfig:
             raise ValueError(f"step {self.h} exceeds the nonexpansive bound {hmax}")
 
 
-def _sums(a: np.ndarray) -> tuple:
+def _sums(a: np.ndarray, assume_symmetric: bool = False) -> tuple:
     """Diagonal, row sums, column sums, total and trace over the last two axes.
 
     Column sums are taken as the row sums of the transposed copy, so an
     exactly symmetric matrix gets bit-identical row and column sums and M
-    maps it to an exactly symmetric image.
+    maps it to an exactly symmetric image. `assume_symmetric` says the caller
+    knows every matrix is exactly symmetric (the network decides it once per
+    trajectory, from A_0: `Graph.symmetric`, `symmetric_trajectory`); a
+    row-major `a` then takes the row sums as the column sums, the bits the
+    copy would give, without making it. A column-major one still makes the
+    copy, as its own rows sum in another order.
     """
     d = np.diagonal(a, axis1=-2, axis2=-1)
     row = a.sum(axis=-1)
-    col = np.ascontiguousarray(np.swapaxes(a, -1, -2)).sum(axis=-1)
+    if assume_symmetric and a.flags.c_contiguous:
+        col = row
+    else:
+        col = np.ascontiguousarray(transposed(a)).sum(axis=-1)
     return d, row, col, a.sum(axis=(-2, -1)), d.sum(axis=-1)
 
 
@@ -108,17 +116,20 @@ def _broadcast_coeffs(coeffs: EquivariantCoeffs) -> tuple:
             k[..., 3], k[..., 4], k[..., 5], k[..., 6], row[..., 7, :])
 
 
-def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
+def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs,
+                       assume_symmetric: bool = False) -> np.ndarray:
     """Evaluate M(A) from its row/column sums, diagonal, total and trace.
 
     `a` may be a stack of shape (..., n, n); M acts on each matrix, with one
     coefficient set for all of them or, for stacked coefficients, one each.
+    `assume_symmetric` promises that every matrix is exactly symmetric (see
+    `_sums`); the result is the same to the bit.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
     n = a.shape[-1]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = _broadcast_coeffs(coeffs)
-    d, row, col, tot, tr = _sums(a)
+    d, row, col, tot, tr = _sums(a, assume_symmetric)
     out = (k3 * row + k9 * d)[..., :, None] / (2 * n) + (k3 * col + k9 * d)[..., None, :] / (2 * n)
     out += ((k5 * tot + k7 * tr) / n**2)[..., None, None]
     out += k1 * a
@@ -139,10 +150,13 @@ def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs) -> 
     return out
 
 
-def coeff_gradients(a: np.ndarray, m_bar: np.ndarray) -> np.ndarray:
-    """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients."""
+def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, assume_symmetric: bool = False) -> np.ndarray:
+    """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients.
+
+    `assume_symmetric` promises that `a` (not `m_bar`) is exactly symmetric.
+    """
     n = a.shape[0]
-    d, row, col, tot, tr = _sums(a)
+    d, row, col, tot, tr = _sums(a, assume_symmetric)
     md, mrow, mcol, mtot, mtr = _sums(m_bar)
     return np.array([
         float((m_bar * a).sum()),
@@ -247,25 +261,39 @@ def slope_uniform_margin(coeffs: EquivariantCoeffs, leaky_slope: float) -> float
 
 
 def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
-                             leaky_slope: float = 0.1) -> np.ndarray:
+                             leaky_slope: float = 0.1, assume_symmetric: bool = False) -> np.ndarray:
     """Euler step without the step-size guard; for diagnostics and fault injection.
 
     `a` may be a stack of shape (..., n, n); each matrix takes its own step,
     with stacked coefficients and an array `h` giving one per matrix.
+    `assume_symmetric` as in `equivariant_linear`; `symmetric_trajectory`
+    tells when it holds for every state of a trajectory.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
     # a + h*sigma(M(A)) formed in the activation's own buffer: the same bits
     # (+ and * commute) without temporaries for h*sigma and for the sum
-    step = leaky_relu(equivariant_linear(a, coeffs), leaky_slope)
+    step = leaky_relu(equivariant_linear(a, coeffs, assume_symmetric), leaky_slope)
     step *= per_matrix(h)
     step += a
     return step
 
 
-def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig) -> np.ndarray:
+def symmetric_trajectory(a0: np.ndarray) -> bool:
+    """Whether every adjacency state stepped from `a0` is exactly symmetric.
+
+    True when each matrix of `a0` equals its transpose and `a0` is stored row
+    by row. The step then keeps exact symmetry: M takes its column sums from
+    a row-major copy, and only row-major rows sum to the same bits.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    return a0.flags.c_contiguous and all_symmetric(a0)
+
+
+def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,
+                   assume_symmetric: bool = False) -> np.ndarray:
     """One explicit Euler step A + h*sigma(M(A))."""
-    return adjacency_step_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope)
+    return adjacency_step_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope, assume_symmetric)
 
 
 def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,

@@ -9,23 +9,28 @@ count, the vectorized l1 norm, and the Frobenius norm.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .stacks import any_of, scalar_or_stack
+from .stacks import all_symmetric, any_of, scalar_or_stack
 
 
-def _as_readonly(a: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _as_readonly(a: np.ndarray, dtype, order="K") -> np.ndarray:
+    out = np.array(a, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable dense graph with features, labels and split masks."""
+    """Immutable dense graph with features, labels and split masks.
+
+    The adjacency is stored row by row, as the adjacency step needs to keep
+    an exactly symmetric matrix exactly symmetric (see `symmetric`).
+    """
 
     adjacency: np.ndarray
     features: np.ndarray
@@ -36,7 +41,7 @@ class Graph:
     binary: bool = False
 
     def __post_init__(self):
-        adj = _as_readonly(self.adjacency, float)
+        adj = _as_readonly(self.adjacency, float, order="C")
         feat = _as_readonly(self.features, float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
@@ -72,6 +77,16 @@ class Graph:
     @property
     def feat_dim(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """Whether the adjacency is exactly symmetric; checked on first use only.
+
+        The network's kernels are told this once per trajectory instead of
+        checking every adjacency state: the adjacency step keeps an exactly
+        symmetric row-major matrix exactly symmetric.
+        """
+        return all_symmetric(self.adjacency)
 
     def num_undirected_edges(self) -> int:
         """Count of off-diagonal undirected edges (nonzero entries above the diagonal)."""
@@ -187,7 +202,7 @@ def save_graph(g: Graph, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if not np.all((g.adjacency == 0.0) | (g.adjacency == 1.0)):
         raise ValueError("edge-list format only stores binary adjacency matrices")
-    if not np.array_equal(g.adjacency, g.adjacency.T):
+    if not g.symmetric:
         raise ValueError("edge-list format only stores symmetric adjacency matrices")
     rows, cols = np.nonzero(np.triu(g.adjacency))
     with open(out / "edges.txt", "w", newline="\n") as fh:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import LayerParams, Parameterization, feature_step, max_feature_step, symmetrized
-from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
+from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency,
+                          symmetric_trajectory)
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
 from .stacks import scalar_or_stack, transposed
 
@@ -102,7 +103,8 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     `mode` is "train" (dropout active; `rng` draws the masks, the input's
     first, then one per layer, then the classifier's) or "eval" (dropout is
     the identity). The last layer's adjacency step is not taken: nothing
-    reads A_L.
+    reads A_L. Whether the kernels may assume an exactly symmetric adjacency
+    is read once, from `g.symmetric`, and holds for every A_l.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -121,18 +123,18 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
 
     f_in, _ = dropout(g.features)
     f = f_in @ params.encoder
-    a = g.adjacency
+    a, sym = g.adjacency, g.symmetric
     _check_finite(f, "encoded features")
     trace = ForwardTrace(adjacency_states=[a], input_dropped=f_in)
 
     for l, layer in enumerate(params.layers):
         f_d, ml = dropout(f)
-        f = feature_step(f_d, a, layer.feature)
+        f = feature_step(f_d, a, layer.feature, assume_symmetric=sym)
         _check_finite(f, f"features after layer {l + 1}")
         trace.layer_masks.append(ml)
         trace.layer_dropped.append(f_d)
         if l + 1 < params.depth:
-            a = adjacency_step(a, layer.adjacency)
+            a = adjacency_step(a, layer.adjacency, assume_symmetric=sym)
             _check_finite(a, f"adjacency after layer {l + 1}")
             trace.adjacency_states.append(a)
 
@@ -147,12 +149,15 @@ def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
     """Apply the L coupled Euler layers to an embedded state, without dropout.
 
     Returns the full state lists ([F0..FL], [A0..AL]). Stacked states and
-    layers evolve one trajectory per state.
+    layers evolve one trajectory per state. Whether every state is exactly
+    symmetric is decided once, by `symmetric_trajectory`; if so, every step
+    is told so, and otherwise each step checks its own states.
     """
     fs, as_ = [np.asarray(f0, dtype=float)], [np.asarray(a0, dtype=float)]
+    sym = symmetric_trajectory(as_[0])
     for layer in layers:
-        fs.append(feature_step(fs[-1], as_[-1], layer.feature))
-        as_.append(adjacency_step(as_[-1], layer.adjacency))
+        fs.append(feature_step(fs[-1], as_[-1], layer.feature, assume_symmetric=sym))
+        as_.append(adjacency_step(as_[-1], layer.adjacency, assume_symmetric=sym))
     return fs, as_
 
 
@@ -242,6 +247,7 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
     assembles the final output-distance bound.
     """
     fs, as_ = evolve(f0, a0, params.layers)
+    sym = symmetric_trajectory(a0)
     rows = []
     lips = []
     hs = []
@@ -253,7 +259,8 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
             "h_feature": layer.feature.h,
             "h_adjacency": layer.adjacency.h,
             "h_adjacency_max": max_step_adjacency(layer.adjacency.coeffs),
-            "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
+            "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj,
+                                               assume_symmetric=sym),
             "lipschitz_upper": lip,
         })
         lips.append(lip)

@@ -30,3 +30,8 @@ def scalar_or_stack(x):
 def transposed(x: np.ndarray) -> np.ndarray:
     """The transpose of every matrix of a stack."""
     return np.swapaxes(x, -1, -2)
+
+
+def all_symmetric(a: np.ndarray) -> bool:
+    """Whether every matrix of a stack (or the one matrix) equals its transpose exactly."""
+    return bool(np.array_equal(a, transposed(a)))

@@ -19,7 +19,7 @@ from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           coeff_gradients, equivariant_linear, equivariant_linear_adjoint,
-                          max_step_adjacency)
+                          max_step_adjacency, symmetric_trajectory)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
 
@@ -69,6 +69,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        if not (np.isfinite(self.alpha) and self.alpha <= 0):
+            raise ValueError(f"alpha must be finite and nonpositive, got {self.alpha}")
+        if not 0.0 < self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in (0, 1], got {self.leaky_slope}")
 
     def group_lr(self, group: str) -> float:
         return {GROUP_EMBED: self.lr_embed, GROUP_NODE: self.lr_node, GROUP_ADJ: self.lr_adj}[group]
@@ -77,8 +81,10 @@ class TrainConfig:
         return {GROUP_EMBED: self.wd_embed, GROUP_NODE: self.wd_node, GROUP_ADJ: self.wd_adj}[group]
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean negative log-softmax of the true class over masked nodes."""
+def _masked_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> tuple:
+    """(mask, the masked rows' logits shifted by their maxima, their labels),
+    after checking that the mask selects a node and every masked label names
+    a class."""
     logits = np.asarray(logits, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -87,20 +93,20 @@ def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarra
     lab = np.asarray(labels)[mask]
     if lab.min() < 0 or lab.max() >= logits.shape[1]:
         raise ValueError("label out of range on a masked node")
-    shifted = sel - sel.max(axis=1, keepdims=True)
+    return mask, sel - sel.max(axis=1, keepdims=True), lab
+
+
+def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+    """Mean negative log-softmax of the true class over masked nodes."""
+    _, shifted, lab = _masked_rows(logits, labels, mask)
     lse = np.log(np.exp(shifted).sum(axis=1))
     return float((lse - shifted[np.arange(len(lab)), lab]).mean())
 
 
 def cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """d(masked CE)/d(logits): (softmax - onehot)/count on masked rows, zero elsewhere."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("mask selects no nodes")
-    out = np.zeros_like(np.asarray(logits, dtype=float))
-    sel = np.asarray(logits, dtype=float)[mask]
-    lab = np.asarray(labels)[mask]
-    shifted = sel - sel.max(axis=1, keepdims=True)
+    mask, shifted, lab = _masked_rows(logits, labels, mask)
+    out = np.zeros(np.shape(logits))
     ex = np.exp(shifted)
     probs = ex / ex.sum(axis=1, keepdims=True)
     probs[np.arange(len(lab)), lab] -= 1.0
@@ -122,11 +128,14 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     "layer{l}.k" (the eight free adjacency coefficients). Nothing reads the
     last layer's adjacency output, so `forward` does not compute it, its
     "layer{L-1}.k" is zero and its adjacency step is not pulled back. Raises
-    ValueError when the input adjacency is not exactly symmetric.
+    ValueError when the input adjacency is not exactly symmetric; when it
+    is, so is every later state, and the kernels are told so.
     """
     L = params.depth
     if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
         raise ValueError("trace does not match the given parameters")
+    if not g.symmetric:
+        raise ValueError("the feature-field reverse pass needs an exactly symmetric adjacency")
 
     grads = {}
     grads["classifier_w"] = trace.final_dropped.T @ logit_grad
@@ -146,15 +155,16 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
             # adjacency step A_next = A + h*sigma(M(A)): pull a_bar through
             # sigma, the coefficients, and the linear map itself
             adj = layer.adjacency
-            adj_pre = equivariant_linear(a_prev, adj.coeffs)
+            adj_pre = equivariant_linear(a_prev, adj.coeffs, assume_symmetric=True)
             m_bar = adj.h * leaky_relu_prime(adj_pre, adj.leaky_slope) * a_bar
-            raw_k = coeff_gradients(a_prev, m_bar)
+            raw_k = coeff_gradients(a_prev, m_bar, assume_symmetric=True)
             grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * _sign0(adj.coeffs.k)
             a_bar = a_bar + equivariant_linear_adjoint(m_bar, adj.coeffs)
 
         # feature step F_next = F_d + h*X(F_d, A)
         f_d_bar, a_field_bar, layer_grads = feature_field_vjp(
-            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
+            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar,
+            assume_symmetric=True)
         a_bar = a_bar + a_field_bar
         for name, grad in layer_grads.items():
             grads[f"layer{l}.{name}"] = grad
@@ -223,10 +233,12 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     the layer's own adjacency state A_l, stepped from `adjacency` with the new
     coefficients. The clamp is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
-    `adjacency` the feature steps stay as stored.
+    `adjacency` the feature steps stay as stored. Whether every A_l is
+    exactly symmetric is decided once, by `symmetric_trajectory`.
     """
     layers = []
     a = adjacency
+    sym = a is not None and symmetric_trajectory(a)
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -242,9 +254,10 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         adj_cfg = AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
                                       leaky_slope=layer.adjacency.leaky_slope)
         if a is not None:
-            feature = dataclasses.replace(feature, h=min(h_feat, max_feature_step(a, feature)))
+            feature = dataclasses.replace(
+                feature, h=min(h_feat, max_feature_step(a, feature, assume_symmetric=sym)))
             if l + 1 < len(params.layers):
-                a = adjacency_step(a, adj_cfg)
+                a = adjacency_step(a, adj_cfg, assume_symmetric=sym)
         layers.append(CoupledLayer(feature=feature, adjacency=adj_cfg))
     return NetworkParams(
         encoder=tensors["encoder"],
@@ -384,7 +397,8 @@ def train(g_attacked: Graph, config: TrainConfig):
     """Train on the (possibly poisoned) graph; returns (best params, history).
 
     The model only ever sees `g_attacked`. The checkpoint is picked by
-    `select_checkpoint`; a non-finite forward stops training there.
+    `select_checkpoint`; a non-finite loss or forward pass, or an Adam step
+    that leaves a non-finite tensor, stops training there.
     """
     if not g_attacked.train_mask.any() or not g_attacked.val_mask.any():
         raise ValueError("training requires nonempty train and validation masks")
@@ -408,6 +422,8 @@ def train(g_attacked: Graph, config: TrainConfig):
                 backward(trace, g_attacked, params, seed_grad), params)
             del trace  # one trace alive at a time
             tensors, _ = adam_step(params_to_tensors(params), grads, state, config)
+            if not all(np.isfinite(t).all() for t in tensors.values()):
+                return None
             params = rebuild_params(params, tensors, config, g_attacked.adjacency)
             eval_logits = forward(g_attacked, params, mode="eval")[0]
         except FloatingPointError:

@@ -30,6 +30,15 @@ def sbm_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def readme_graph(tmp_path_factory):
+    """The README's n=100 SBM."""
+    out = tmp_path_factory.mktemp("readme_sbm")
+    assert run(["gen-sbm", "--out", str(out), "--seed", "0", "--set", "n=100",
+                "--set", "p_in=0.1", "--set", "signal=1.3"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, sbm_dir):
     out = tmp_path_factory.mktemp("run")
     code = run(["train", "--out", str(out), "--seed", "0",
@@ -122,6 +131,34 @@ class TestTrainCommand:
         assert code == 3
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("override", ["alpha=nan", "alpha=-inf", "alpha=0.5",
+                                          "leaky_slope=0", "leaky_slope=1.5", "leaky_slope=nan"])
+    def test_bad_alpha_or_slope_is_rejected_before_training(self, sbm_dir, tmp_path, capsys,
+                                                            override):
+        code = run(["train", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", override])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {override.split('=')[0]} must")
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("override", ["lr_node=1e30", "lr_adj=1e30"])
+    def test_non_finite_adam_step_stops_training(self, readme_graph, tmp_path, capsys, override):
+        # at such a rate an Adam step overflows a tensor after a few epochs
+        # (it used to exit 3 from the step-bound code that read it); training
+        # stops there and keeps the best checkpoint before it
+        code = run(["train", "--out", str(tmp_path), "--seed", "0", "--set", f"graph={readme_graph}",
+                    "--set", override])
+        assert code == 0, capsys.readouterr().err
+        summary = cfgmod.loads((tmp_path / "summary.txt").read_text())
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        assert summary["epochs_run"] == len(rows) < 200
+        params = load_checkpoint(tmp_path / "model.ckpt")
+        tensors = [params.encoder, params.classifier_w, params.classifier_b]
+        for layer in params.layers:
+            tensors += [layer.feature.K, layer.adjacency.coeffs.k]
+        assert all(np.isfinite(t).all() for t in tensors)
 
     def test_deterministic_outputs(self, sbm_dir, tmp_path):
         args = ["train", "--seed", "1", "--set", f"graph={sbm_dir}",

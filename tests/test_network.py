@@ -74,9 +74,9 @@ class TestForward:
         params = random_params(rng, 3, 4, 2, depth=depth)
         calls = []
 
-        def counting_step(a, cfg):
+        def counting_step(a, cfg, **kwargs):
             calls.append(cfg)
-            return adjacency_step(a, cfg)
+            return adjacency_step(a, cfg, **kwargs)
 
         monkeypatch.setattr(network, "adjacency_step", counting_step)
         _, trace = forward(g, params, mode="eval")

@@ -50,6 +50,14 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             masked_cross_entropy(np.zeros((1, 2)), np.array([5]), np.array([True]))
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_grad_rejects_label_out_of_range(self, label):
+        logits = np.zeros((3, 2))
+        labels = np.array([0, label, -1])  # the unmasked -1 is fine
+        with pytest.raises(ValueError, match="label"):
+            cross_entropy_logit_grad(logits, labels, np.array([True, True, False]))
+        assert cross_entropy_logit_grad(logits, labels, np.array([True, False, False]))[0, 0] == -0.5
+
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((5, 3))
@@ -261,6 +269,20 @@ class TestTrainConfigValidation:
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e-3])
+    def test_rejects_non_finite_or_positive_alpha(self, value):
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, np.nan, np.inf])
+    def test_rejects_leaky_slope_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            TrainConfig(leaky_slope=value)
+
+    def test_alpha_and_slope_boundaries_accepted(self):
+        TrainConfig(alpha=0.0, leaky_slope=1.0)
+        TrainConfig(alpha=-1e300, leaky_slope=1e-300)
 
     def test_boundary_values_accepted(self):
         TrainConfig(epochs=0, hidden_dim=1, num_layers=1, patience=1, dropout_p=0.0,
