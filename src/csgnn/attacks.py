@@ -54,8 +54,7 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
 
     Never removes edges, never adds self-loops; labels and masks are untouched.
     """
-    a = g.adjacency
-    if not np.all((a == 0.0) | (a == 1.0)) or not np.array_equal(a, a.T):
+    if not (g.binary and g.symmetric):
         raise ValueError("random edge attack requires a binary symmetric graph")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     m = g.num_undirected_edges()
@@ -63,12 +62,12 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     if n_add == 0:
         return g
     iu, ju = np.triu_indices(g.n, k=1)
-    free = a[iu, ju] == 0.0
+    free = g.adjacency[iu, ju] == 0.0
     candidates = np.flatnonzero(free)
     if n_add > candidates.size:
         raise ValueError(f"not enough non-edges: need {n_add}, have {candidates.size}")
     chosen = rng.choice(candidates, size=n_add, replace=False)
-    out = np.array(a)
+    out = np.array(g.adjacency)
     out[iu[chosen], ju[chosen]] = 1.0
     out[ju[chosen], iu[chosen]] = 1.0
     return g.replace(adjacency=out)

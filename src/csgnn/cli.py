@@ -22,9 +22,14 @@ from .sbm import gen_sbm
 from .training import accuracy, history_to_csv, train
 
 
-def _load_values(args) -> dict:
+def _load_values(args, keys) -> dict:
+    """The run's config values; a key the command does not read (`keys`, and
+    `seed` for every command) is a usage error."""
     values = cfgmod.load_file(args.config) if args.config else {}
     values = cfgmod.apply_overrides(values, args.set or [])
+    stray = sorted(set(values) - set(keys) - {"seed"})
+    if stray:
+        raise SystemExit2(f"{args.command} does not read the config key(s) {', '.join(stray)}")
     if args.seed is not None:
         values["seed"] = args.seed
     return values
@@ -43,7 +48,7 @@ def _float_list(raw, default) -> list:
 
 
 def cmd_gen_sbm(args) -> int:
-    values = _load_values(args)
+    values = _load_values(args, ("n", "classes", "p_in", "p_out", "feat_dim", "signal"))
     g = gen_sbm(
         n=int(values.get("n", 100)),
         classes=int(values.get("classes", 2)),
@@ -60,7 +65,7 @@ def cmd_gen_sbm(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _load_values(args)
+    values = _load_values(args, ("graph", *cfgmod.TRAIN_KEYS))
     if "graph" not in values:
         raise SystemExit2("train needs a 'graph = <dir>' config entry")
     g = load_graph(values["graph"])
@@ -79,7 +84,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack_sweep(args) -> int:
-    values = _load_values(args)
+    values = _load_values(args, ("graph", *cfgmod.TRAIN_KEYS, "edge_ratios", "feat_eps_list",
+                                 "models", "n_seeds"))
     if "graph" not in values:
         raise SystemExit2("attack-sweep needs a 'graph = <dir>' config entry")
     g = load_graph(values["graph"])
@@ -103,7 +109,7 @@ def cmd_attack_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    values = _load_values(args)
+    values = _load_values(args, ("trials_scale", "fault_adjacency_step_scale"))
     results, failures = verifymod.run_all(seed=int(values.get("seed", 0)), overrides=values)
     report = verifymod.render_report(results)
     print(report, end="")
@@ -118,7 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    values = _load_values(args)
+    values = _load_values(args, ("checkpoint", "graph", "eps_feat", "eps_adj"))
     for key in ("checkpoint", "graph"):
         if key not in values:
             raise SystemExit2(f"certify needs a '{key} = <path>' config entry")

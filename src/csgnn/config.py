@@ -7,9 +7,9 @@ kept as strings.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
-from .dynamics import Parameterization
 from .training import TrainConfig
 
 
@@ -63,19 +63,9 @@ def apply_overrides(values: dict, overrides: list) -> dict:
     return out
 
 
-_TRAIN_KEYS = {
-    "epochs": int, "lr_embed": float, "lr_node": float, "lr_adj": float,
-    "wd_embed": float, "wd_node": float, "wd_adj": float, "dropout_p": float,
-    "hidden_dim": int, "num_layers": int, "h": float, "alpha": float,
-    "leaky_slope": float, "share_weights": bool, "patience": int, "seed": int,
-}
+# every TrainConfig field, with the type of its default as the value's caster
+TRAIN_KEYS = {field.name: type(field.default) for field in dataclasses.fields(TrainConfig)}
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    kwargs = {}
-    for key, caster in _TRAIN_KEYS.items():
-        if key in values:
-            kwargs[key] = caster(values[key])
-    if "parameterization" in values:
-        kwargs["parameterization"] = Parameterization(str(values["parameterization"]))
-    return TrainConfig(**kwargs)
+    return TrainConfig(**{key: cast(values[key]) for key, cast in TRAIN_KEYS.items() if key in values})

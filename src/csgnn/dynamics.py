@@ -20,9 +20,8 @@ On an exactly symmetric A the LeakyReLU cancels pairwise, sigma(x) - sigma(-x)
 otherwise; the reverse pass `feature_field_vjp` exists only for the Laplacian
 form, so training needs an undirected graph. Each function that depends on
 symmetry checks it per call unless told `assume_symmetric=True`: the network
-decides it once per trajectory, from A_0 (`Graph.symmetric`,
-`equivariant.symmetric_trajectory`), since the adjacency step keeps an exactly
-symmetric row-major matrix exactly symmetric.
+decides it once per trajectory, from A_0, since the adjacency step keeps an
+exactly symmetric matrix exactly symmetric.
 
 Writing B = I_c (x) G(A)W, the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
 the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) W F)
@@ -145,8 +144,7 @@ def _field_core(g: np.ndarray, a: np.ndarray, slope: float,
 
     Which matrices are symmetric is checked here, one matrix at a time,
     unless `assume_symmetric` says that all of them are; the Laplacian form
-    is exact only then. The network decides that once per trajectory
-    (`Graph.symmetric`, `equivariant.symmetric_trajectory`).
+    is exact only then. The network decides that once per trajectory.
     """
     if not assume_symmetric:
         sym = (a == transposed(a)).all(axis=(-2, -1))
@@ -357,9 +355,10 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0,
         eigs = np.linalg.eigvalsh(symmetrized(params.K, params.K.shape[-1]))
         lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
         # lam_max^2 / lam_min where Ktilde is positive definite, the plain
-        # operator norm elsewhere
-        ratio = np.divide(np.float_power(hi, 2), lo, where=lo > 0,
-                          out=np.asarray(np.abs(eigs).max(axis=-1)))
-        lam_est = ratio * s2
+        # operator norm elsewhere; an estimate that overflows gives h = 0
+        with np.errstate(over="ignore"):
+            ratio = np.divide(np.float_power(hi, 2), lo, where=lo > 0,
+                              out=np.asarray(np.abs(eigs).max(axis=-1)))
+            lam_est = ratio * s2
     h = 1.0 / (lam_est + H_SAFE_EPS)
     return scalar_or_stack(h)

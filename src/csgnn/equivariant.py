@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import leaky_relu
-from .stacks import all_symmetric, any_of, per_matrix, transposed
+from .stacks import any_of, per_matrix, transposed
 
 T_SIZE_GUARD = 64
 
@@ -84,21 +84,16 @@ class AdjacencyStepConfig:
 def _sums(a: np.ndarray, assume_symmetric: bool = False) -> tuple:
     """Diagonal, row sums, column sums, total and trace over the last two axes.
 
-    Column sums are taken as the row sums of the transposed copy, so an
-    exactly symmetric matrix gets bit-identical row and column sums and M
-    maps it to an exactly symmetric image. `assume_symmetric` says the caller
-    knows every matrix is exactly symmetric (the network decides it once per
-    trajectory, from A_0: `Graph.symmetric`, `symmetric_trajectory`); a
-    row-major `a` then takes the row sums as the column sums, the bits the
-    copy would give, without making it. A column-major one still makes the
-    copy, as its own rows sum in another order.
+    Row sums are taken over a row-major copy of `a` (no copy when it is
+    row-major already) and column sums over a row-major copy of its
+    transpose, so an exactly symmetric matrix, in any memory layout, gets
+    bit-identical row and column sums and M maps it to an exactly symmetric
+    image. `assume_symmetric` says the caller knows every matrix is exactly
+    symmetric; the row sums then serve as the column sums, without the copy.
     """
     d = np.diagonal(a, axis1=-2, axis2=-1)
-    row = a.sum(axis=-1)
-    if assume_symmetric and a.flags.c_contiguous:
-        col = row
-    else:
-        col = np.ascontiguousarray(transposed(a)).sum(axis=-1)
+    row = np.ascontiguousarray(a).sum(axis=-1)
+    col = row if assume_symmetric else np.ascontiguousarray(transposed(a)).sum(axis=-1)
     return d, row, col, a.sum(axis=(-2, -1)), d.sum(axis=-1)
 
 
@@ -266,8 +261,9 @@ def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
 
     `a` may be a stack of shape (..., n, n); each matrix takes its own step,
     with stacked coefficients and an array `h` giving one per matrix.
-    `assume_symmetric` as in `equivariant_linear`; `symmetric_trajectory`
-    tells when it holds for every state of a trajectory.
+    `assume_symmetric` as in `equivariant_linear`; an exactly symmetric `a`
+    steps to an exactly symmetric state, so it holds for every state of a
+    trajectory that starts from one.
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
@@ -277,17 +273,6 @@ def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
     step *= per_matrix(h)
     step += a
     return step
-
-
-def symmetric_trajectory(a0: np.ndarray) -> bool:
-    """Whether every adjacency state stepped from `a0` is exactly symmetric.
-
-    True when each matrix of `a0` equals its transpose and `a0` is stored row
-    by row. The step then keeps exact symmetry: M takes its column sums from
-    a row-major copy, and only row-major rows sum to the same bits.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    return a0.flags.c_contiguous and all_symmetric(a0)
 
 
 def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,

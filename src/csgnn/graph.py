@@ -18,19 +18,15 @@ import numpy as np
 from .stacks import all_symmetric, any_of, scalar_or_stack
 
 
-def _as_readonly(a: np.ndarray, dtype, order="K") -> np.ndarray:
-    out = np.array(a, dtype=dtype, order=order)
+def _as_readonly(a: np.ndarray, dtype) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable dense graph with features, labels and split masks.
-
-    The adjacency is stored row by row, as the adjacency step needs to keep
-    an exactly symmetric matrix exactly symmetric (see `symmetric`).
-    """
+    """Immutable dense graph with features, labels and split masks."""
 
     adjacency: np.ndarray
     features: np.ndarray
@@ -38,10 +34,9 @@ class Graph:
     train_mask: np.ndarray = None
     val_mask: np.ndarray = None
     test_mask: np.ndarray = None
-    binary: bool = False
 
     def __post_init__(self):
-        adj = _as_readonly(self.adjacency, float, order="C")
+        adj = _as_readonly(self.adjacency, float)
         feat = _as_readonly(self.features, float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
@@ -61,8 +56,6 @@ class Graph:
             masks.append(m)
         if np.any(masks[0] & masks[1]) or np.any(masks[0] & masks[2]) or np.any(masks[1] & masks[2]):
             raise ValueError("train/val/test masks must be pairwise disjoint")
-        if self.binary and not np.all((adj == 0.0) | (adj == 1.0)):
-            raise ValueError("binary graph flag set but adjacency has entries outside {0,1}")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "features", feat)
         object.__setattr__(self, "labels", labels)
@@ -84,9 +77,14 @@ class Graph:
 
         The network's kernels are told this once per trajectory instead of
         checking every adjacency state: the adjacency step keeps an exactly
-        symmetric row-major matrix exactly symmetric.
+        symmetric matrix exactly symmetric.
         """
         return all_symmetric(self.adjacency)
+
+    @functools.cached_property
+    def binary(self) -> bool:
+        """Whether every adjacency entry is 0 or 1; checked on first use only."""
+        return bool(np.all((self.adjacency == 0.0) | (self.adjacency == 1.0)))
 
     def num_undirected_edges(self) -> int:
         """Count of off-diagonal undirected edges (nonzero entries above the diagonal)."""
@@ -186,7 +184,6 @@ def permute_graph(g: Graph, p: Permutation) -> Graph:
         train_mask=g.train_mask[idx],
         val_mask=g.val_mask[idx],
         test_mask=g.test_mask[idx],
-        binary=g.binary,
     )
 
 
@@ -200,7 +197,7 @@ _FLOAT_FMT = "%.17g"
 def save_graph(g: Graph, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not np.all((g.adjacency == 0.0) | (g.adjacency == 1.0)):
+    if not g.binary:
         raise ValueError("edge-list format only stores binary adjacency matrices")
     if not g.symmetric:
         raise ValueError("edge-list format only stores symmetric adjacency matrices")
@@ -229,13 +226,14 @@ def load_graph(in_dir) -> Graph:
         adjacency[edges[:, 0], edges[:, 1]] = 1.0
         adjacency[edges[:, 1], edges[:, 0]] = 1.0
     labels = np.loadtxt(src / "labels.csv", dtype=int, ndmin=1)
-    masks = np.loadtxt(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2).astype(bool)
+    masks = np.loadtxt(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
+    if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():
+        raise ValueError("masks.csv must hold three columns (train,val,test) of 0/1 values")
     return Graph(
         adjacency=adjacency,
         features=features,
         labels=labels,
-        train_mask=masks[:, 0],
-        val_mask=masks[:, 1],
-        test_mask=masks[:, 2],
-        binary=True,
+        train_mask=masks[:, 0] == 1,
+        val_mask=masks[:, 1] == 1,
+        test_mask=masks[:, 2] == 1,
     )

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import LayerParams, Parameterization, feature_step, max_feature_step, symmetrized
-from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency,
-                          symmetric_trajectory)
+from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
-from .stacks import scalar_or_stack, transposed
+from .stacks import all_symmetric, scalar_or_stack, transposed
 
 
 @dataclass(frozen=True)
@@ -150,11 +149,11 @@ def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
 
     Returns the full state lists ([F0..FL], [A0..AL]). Stacked states and
     layers evolve one trajectory per state. Whether every state is exactly
-    symmetric is decided once, by `symmetric_trajectory`; if so, every step
-    is told so, and otherwise each step checks its own states.
+    symmetric is decided once, from A0; if so, every step is told so, and
+    otherwise each step checks its own states.
     """
     fs, as_ = [np.asarray(f0, dtype=float)], [np.asarray(a0, dtype=float)]
-    sym = symmetric_trajectory(as_[0])
+    sym = all_symmetric(as_[0])
     for layer in layers:
         fs.append(feature_step(fs[-1], as_[-1], layer.feature, assume_symmetric=sym))
         as_.append(adjacency_step(as_[-1], layer.adjacency, assume_symmetric=sym))
@@ -247,7 +246,7 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
     assembles the final output-distance bound.
     """
     fs, as_ = evolve(f0, a0, params.layers)
-    sym = symmetric_trajectory(a0)
+    sym = all_symmetric(a0)
     rows = []
     lips = []
     hs = []

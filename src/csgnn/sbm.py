@@ -47,4 +47,4 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
         test[idx[n_train + n_val:]] = True
 
     return Graph(adjacency=adjacency, features=features, labels=labels,
-                 train_mask=train, val_mask=val, test_mask=test, binary=True)
+                 train_mask=train, val_mask=val, test_mask=test)

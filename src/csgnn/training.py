@@ -19,7 +19,7 @@ from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           coeff_gradients, equivariant_linear, equivariant_linear_adjoint,
-                          max_step_adjacency, symmetric_trajectory)
+                          max_step_adjacency)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
 
@@ -224,21 +224,20 @@ def tensor_group(key: str) -> str:
 
 
 def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = None,
-                   adjacency: np.ndarray = None) -> NetworkParams:
+                   g: Graph = None) -> NetworkParams:
     """New NetworkParams with updated tensors and re-clamped step sizes.
 
     The adjacency step is clamped to its nonexpansive bound for the new
-    coefficients. Given the input `adjacency`, each feature step is clamped to
+    coefficients. Given the graph `g`, each feature step is clamped to
     min(configured h, max_feature_step(A_l, layer)) against the new K or W and
-    the layer's own adjacency state A_l, stepped from `adjacency` with the new
-    coefficients. The clamp is a projection: no gradient flows through it.
+    the layer's own adjacency state A_l, stepped from g's adjacency with the
+    new coefficients. The clamp is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
-    `adjacency` the feature steps stay as stored. Whether every A_l is
-    exactly symmetric is decided once, by `symmetric_trajectory`.
+    `g` the feature steps stay as stored. Whether every A_l is exactly
+    symmetric is read from `g.symmetric`.
     """
     layers = []
-    a = adjacency
-    sym = a is not None and symmetric_trajectory(a)
+    a, sym = (None, False) if g is None else (g.adjacency, g.symmetric)
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -406,7 +405,7 @@ def train(g_attacked: Graph, config: TrainConfig):
     c_out = int(g_attacked.labels.max()) + 1
     params = init_params(g_attacked.feat_dim, c_out, g_attacked.n, config, rng)
 
-    params = rebuild_params(params, params_to_tensors(params), config, g_attacked.adjacency)
+    params = rebuild_params(params, params_to_tensors(params), config, g_attacked)
 
     state = AdamState.init(params_to_tensors(params))
     history = []
@@ -421,10 +420,12 @@ def train(g_attacked: Graph, config: TrainConfig):
             grads = collapse_shared_grads(
                 backward(trace, g_attacked, params, seed_grad), params)
             del trace  # one trace alive at a time
-            tensors, _ = adam_step(params_to_tensors(params), grads, state, config)
+            # a step that overflows to inf or nan stops training just below
+            with np.errstate(over="ignore", invalid="ignore"):
+                tensors, _ = adam_step(params_to_tensors(params), grads, state, config)
             if not all(np.isfinite(t).all() for t in tensors.values()):
                 return None
-            params = rebuild_params(params, tensors, config, g_attacked.adjacency)
+            params = rebuild_params(params, tensors, config, g_attacked)
             eval_logits = forward(g_attacked, params, mode="eval")[0]
         except FloatingPointError:
             return None

@@ -16,7 +16,7 @@ def small_graph(rng, n=12, p=0.35):
     masks = rng.integers(0, 3, n)
     return Graph(adjacency=adjacency, features=rng.standard_normal((n, 3)),
                  labels=rng.integers(0, 2, n), train_mask=masks == 0,
-                 val_mask=masks == 1, test_mask=masks == 2, binary=True)
+                 val_mask=masks == 1, test_mask=masks == 2)
 
 
 class TestRandomEdgeAttack:
@@ -30,7 +30,7 @@ class TestRandomEdgeAttack:
         adjacency = np.zeros((6, 6))
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]:
             adjacency[i, j] = adjacency[j, i] = 1.0
-        g = Graph(adjacency=adjacency, features=np.zeros((6, 1)), binary=True)
+        g = Graph(adjacency=adjacency, features=np.zeros((6, 1)))
         out = random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES,
                                                edge_ratio=1.0, seed=3))
         assert l0_distance(out.adjacency, g.adjacency) == 10
@@ -57,15 +57,15 @@ class TestRandomEdgeAttack:
         assert np.array_equal(out.test_mask, g.test_mask)
 
     def test_runs_out_of_non_edges(self):
-        g = Graph(adjacency=(np.ones((4, 4)) - np.eye(4)), features=np.zeros((4, 1)),
-                  binary=True)
+        g = Graph(adjacency=(np.ones((4, 4)) - np.eye(4)), features=np.zeros((4, 1)))
         with pytest.raises(ValueError, match="non-edges"):
             random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5))
 
     def test_requires_binary_symmetric(self):
-        g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="binary symmetric"):
-            random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=1.0))
+        for adjacency in ([[0.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+            g = Graph(adjacency=adjacency, features=np.zeros((2, 1)))
+            with pytest.raises(ValueError, match="binary symmetric"):
+                random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=1.0))
 
     def test_seeded_determinism(self):
         g = small_graph(np.random.default_rng(3))
@@ -107,7 +107,7 @@ class TestFeatureNoiseAttack:
 
 class TestGCNBaseline:
     def test_single_node_identity_weights(self):
-        g = Graph(adjacency=np.zeros((1, 1)), features=[[2.0, 3.0]], binary=True)
+        g = Graph(adjacency=np.zeros((1, 1)), features=[[2.0, 3.0]])
         w = GCNWeights(w1=np.eye(2), w2=np.eye(2))
         assert np.allclose(gcn_baseline_forward(g, w), [[2.0, 3.0]])
 
@@ -119,7 +119,7 @@ class TestGCNBaseline:
         pm = np.zeros((g.n, g.n))
         pm[np.arange(g.n), perm] = 1.0
         gp = Graph(adjacency=pm @ g.adjacency @ pm.T, features=pm @ g.features,
-                   labels=g.labels[perm], binary=True)
+                   labels=g.labels[perm])
         assert np.allclose(gcn_baseline_forward(gp, w), pm @ gcn_baseline_forward(g, w))
 
     def test_matches_dense_oracle(self):
@@ -143,7 +143,7 @@ class TestGCNBaseline:
     def test_isolated_node_handled_by_self_loop(self):
         adjacency = np.zeros((3, 3))
         adjacency[0, 1] = adjacency[1, 0] = 1.0
-        g = Graph(adjacency=adjacency, features=np.ones((3, 2)), binary=True)
+        g = Graph(adjacency=adjacency, features=np.ones((3, 2)))
         w = GCNWeights(w1=np.eye(2), w2=np.eye(2))
         out = gcn_baseline_forward(g, w)
         assert np.all(np.isfinite(out))

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,13 @@ from csgnn.graph import PerturbationBudget
 
 def run(argv):
     return main(argv)
+
+
+def _copy_graph(src, dst):
+    dst.mkdir()
+    for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +122,33 @@ class TestTrainCommand:
                     "--set", f"graph={tmp_path}/nope"]) == 3
 
     def test_negative_edge_index_is_runtime_error(self, sbm_dir, tmp_path):
-        graph = tmp_path / "graph"
-        graph.mkdir()
-        for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
-            (graph / name).write_bytes((sbm_dir / name).read_bytes())
+        graph = _copy_graph(sbm_dir, tmp_path / "graph")
         with open(graph / "edges.txt", "a") as fh:
             fh.write("-1 5\n")
         assert run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
                     "--set", "epochs=1"]) == 3
+
+    @pytest.mark.parametrize("fault", ["two_columns", "value_2"])
+    def test_bad_masks_file_is_runtime_error(self, sbm_dir, tmp_path, capsys, fault):
+        graph = _copy_graph(sbm_dir, tmp_path / "graph")
+        lines = (graph / "masks.csv").read_text().splitlines()
+        if fault == "two_columns":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        else:
+            lines[1] = "2" + lines[1][1:]
+        (graph / "masks.csv").write_text("\n".join(lines) + "\n")
+        code = run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
+                    "--set", "epochs=1"])
+        assert code == 3
+        assert "masks.csv" in capsys.readouterr().err
+
+    def test_misspelled_key_is_usage_error(self, sbm_dir, tmp_path, capsys):
+        # it used to train with the default patience of 50
+        code = run(["train", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", "pateince=1"])
+        assert code == 2
+        assert "pateince" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
     @pytest.mark.parametrize("override", ["hidden_dim=0", "h=nan", "epochs=-3", "lr_node=nan",
                                           "dropout_p=1"])
@@ -148,9 +175,13 @@ class TestTrainCommand:
         # at such a rate an Adam step overflows a tensor after a few epochs
         # (it used to exit 3 from the step-bound code that read it); training
         # stops there and keeps the best checkpoint before it
-        code = run(["train", "--out", str(tmp_path), "--seed", "0", "--set", f"graph={readme_graph}",
-                    "--set", override])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--out", str(tmp_path), "--seed", "0",
+                        "--set", f"graph={readme_graph}", "--set", override])
         assert code == 0, capsys.readouterr().err
+        # the overflows are the handled outcome, not a numpy warning
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         summary = cfgmod.loads((tmp_path / "summary.txt").read_text())
         rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
         assert summary["epochs_run"] == len(rows) < 200
@@ -308,6 +339,28 @@ class TestCertifyCommand:
 
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2
+
+    def test_misspelled_budget_key_is_usage_error(self, sbm_dir, trained_dir, capsys):
+        # it used to certify a bound of 0 for the unread eps_fet
+        code = run(["certify", "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={sbm_dir}", "--set", "eps_fet=0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "eps_fet" in captured.err
+        assert "certified" not in captured.out
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gen-sbm", "epochs"), ("train", "eps_feat"), ("attack-sweep", "trials_scale"),
+    ("verify", "graph"), ("certify", "n_seeds"),
+])
+def test_each_command_rejects_a_key_it_does_not_read(tmp_path, capsys, command, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 3\n{key} = 1\n")
+    assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy():

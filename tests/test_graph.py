@@ -143,9 +143,11 @@ class TestGraphValidation:
             Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
                   train_mask=m, val_mask=m)
 
-    def test_binary_flag_enforced(self):
-        with pytest.raises(ValueError, match="binary"):
-            Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)), binary=True)
+    def test_binary_decided_on_first_use_and_kept(self):
+        g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
+        assert "binary" not in vars(g)
+        assert g.binary is False and vars(g)["binary"] is False
+        assert Graph(adjacency=[[0.0, 1.0], [1.0, 1.0]], features=np.zeros((2, 1))).binary is True
 
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):
@@ -170,7 +172,7 @@ class TestGraphIO:
         masks = rng.integers(0, 3, 7)
         g = Graph(adjacency=adjacency, features=rng.standard_normal((7, 3)),
                   labels=rng.integers(0, 2, 7), train_mask=masks == 0,
-                  val_mask=masks == 1, test_mask=masks == 2, binary=True)
+                  val_mask=masks == 1, test_mask=masks == 2)
         save_graph(g, tmp_path)
         back = load_graph(tmp_path)
         assert np.array_equal(back.adjacency, g.adjacency)
@@ -183,7 +185,7 @@ class TestGraphIO:
     def test_writer_is_byte_deterministic(self, tmp_path):
         g = Graph(adjacency=[[0.0, 1.0], [1.0, 0.0]],
                   features=[[0.1, 0.2], [0.3, 0.4]], labels=[0, 1],
-                  train_mask=[True, False], val_mask=[False, True], binary=True)
+                  train_mask=[True, False], val_mask=[False, True])
         save_graph(g, tmp_path / "a")
         save_graph(g, tmp_path / "b")
         for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
@@ -196,7 +198,7 @@ class TestGraphIO:
 
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):
-        g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)), binary=True)
+        g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)))
         save_graph(g, tmp_path)
         (tmp_path / "edges.txt").write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match="edge index"):

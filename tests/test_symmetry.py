@@ -1,25 +1,27 @@
 """Symmetry decided once per trajectory.
 
 Every kernel told that its adjacency is exactly symmetric gives the bits its
-own check gives, on one matrix and on stacks; `Graph.symmetric` is worked out
-on first use only; and an asymmetric graph still takes the edge form.
+own check gives, on one matrix and on stacks; the adjacency step keeps an
+exactly symmetric matrix exactly symmetric in any memory layout;
+`Graph.symmetric` is worked out on first use only, once per training run; and
+an asymmetric graph still takes the edge form.
 """
 
 import numpy as np
 import pytest
 
-from csgnn import dynamics, equivariant
+from csgnn import dynamics, equivariant, graph, network, stacks, training
 from csgnn.activations import leaky_relu
 from csgnn.dynamics import (LayerParams, Parameterization, feature_field, feature_field_vjp,
                             feature_step, gradient_operator_sq_norm, graph_gradient,
                             graph_gradient_adjoint, max_feature_step, symmetrized)
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                               coeff_gradients, equivariant_linear, max_step_adjacency,
-                               symmetric_trajectory)
+                               coeff_gradients, equivariant_linear, max_step_adjacency)
 from csgnn.graph import Graph, PerturbationBudget
 from csgnn.network import CoupledLayer, NetworkParams, certificate, evolve, forward
+from csgnn.sbm import gen_sbm
 from csgnn.stacks import all_symmetric, transposed
-from csgnn.training import TrainConfig, backward, init_params
+from csgnn.training import TrainConfig, backward, init_params, train
 
 # one matrix, a stack and a two-axis stack; n=40 sums rows pairwise, so a
 # strided and a contiguous row sum can round apart
@@ -63,14 +65,13 @@ def test_adjacency_kernels_told_symmetric_match_the_check(shape, layout):
     coeffs = _coeffs(rng)
     cfg = AdjacencyStepConfig(coeffs=coeffs, h=0.5 * max_step_adjacency(coeffs))
     assert _same(equivariant._sums(a, assume_symmetric=True), equivariant._sums(a))
-    assert _same(equivariant_linear(a, coeffs, assume_symmetric=True), equivariant_linear(a, coeffs))
-    stepped = adjacency_step(a, cfg, assume_symmetric=True)
-    assert _same(stepped, adjacency_step(a, cfg))
-    # a column-major matrix sums its rows in another order than its columns,
-    # so only a row-major one is sure to step to an exactly symmetric state
-    assert symmetric_trajectory(a) == (layout is np.ascontiguousarray)
-    if symmetric_trajectory(a):
-        assert all_symmetric(stepped)
+    image = equivariant_linear(a, coeffs)
+    assert _same(equivariant_linear(a, coeffs, assume_symmetric=True), image)
+    stepped = adjacency_step(a, cfg)
+    assert _same(adjacency_step(a, cfg, assume_symmetric=True), stepped)
+    # M sums the rows of a row-major copy, so a column-major matrix's rows
+    # and columns sum to the same bits and its image stays exactly symmetric
+    assert all_symmetric(image) and all_symmetric(stepped)
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
@@ -133,12 +134,6 @@ class TestGraphSymmetric:
         assert "symmetric" not in vars(g)
         assert g.symmetric is True
         assert vars(g)["symmetric"] is True
-
-    def test_column_major_adjacency_is_stored_row_major(self):
-        a = _column_major(_symmetric(np.random.default_rng(9), (30, 30)))
-        g = self._graph(a)
-        assert g.adjacency.flags.c_contiguous and np.array_equal(g.adjacency, a)
-        assert g.symmetric and symmetric_trajectory(g.adjacency)
 
     def test_asymmetric_and_replaced_graphs(self):
         a = _symmetric(np.random.default_rng(7), (5, 5))
@@ -209,13 +204,30 @@ def test_asymmetric_graph_takes_the_edge_form():
 
 
 def test_weighted_column_major_graph_trains():
-    """Stored as given, a column-major graph's second adjacency state lost
-    exact symmetry, so the reverse pass rejected it."""
+    """Every adjacency state of a column-major graph stays exactly symmetric,
+    so the reverse pass takes it."""
     rng = np.random.default_rng(10)
     n = 40
     g = Graph(adjacency=_column_major(_symmetric(rng, (n, n))),
               features=rng.standard_normal((n, 3)))
+    assert not g.adjacency.flags.c_contiguous  # stored as given
     params = init_params(3, 2, n, TrainConfig(hidden_dim=4), rng)
     logits, trace = forward(g, params, mode="eval")
     assert all(all_symmetric(a) for a in trace.adjacency_states)
     backward(trace, g, params, np.ones_like(logits))
+
+
+def test_train_compares_symmetry_once_per_graph(monkeypatch):
+    compare = stacks.all_symmetric
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return compare(a)
+
+    for module in (stacks, graph, dynamics, equivariant, network, training):
+        monkeypatch.setattr(module, "all_symmetric", counting, raising=False)
+    g = gen_sbm(n=30, classes=2, p_in=0.4, p_out=0.05, feat_dim=4, signal=1.5, seed=0)
+    _, history = train(g, TrainConfig(epochs=6, patience=6, hidden_dim=4))
+    assert len(history) == 6
+    assert calls == [(30, 30)]
