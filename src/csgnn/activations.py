@@ -19,7 +19,3 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
 def leaky_relu_prime(x: np.ndarray, slope: float) -> np.ndarray:
     # Subgradient at the kink is resolved to the negative-side slope.
     return np.where(x > 0, 1.0, slope)
-
-def leaky_relu_antiderivative(x: np.ndarray, slope: float) -> np.ndarray:
-    """gamma with gamma' = leaky_relu and gamma(0) = 0: a half-quadratic."""
-    return np.where(x > 0, 0.5 * x * x, 0.5 * slope * x * x)

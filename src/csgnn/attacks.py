@@ -54,8 +54,8 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
 
     Never removes edges, never adds self-loops; labels and masks are untouched.
     """
-    if not (g.binary and g.symmetric):
-        raise ValueError("random edge attack requires a binary symmetric graph")
+    if not g.binary:
+        raise ValueError("random edge attack requires a binary graph")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     m = g.num_undirected_edges()
     n_add = int(np.floor(spec.edge_ratio * m))
@@ -135,7 +135,8 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     """Train the baseline on the (possibly attacked) graph as the coupled model
     is trained: the same initialization, Adam step and checkpoint selection,
     with `config`'s seed, epochs, patience, `hidden_dim` and node-group
-    learning rate and weight decay."""
+    learning rate and weight decay. An Adam step that leaves a non-finite
+    weight or logit stops training at the best checkpoint so far."""
     rng = np.random.default_rng(config.seed)
     w = {"w1": _uniform_init(rng, g.feat_dim, config.hidden_dim),
          "w2": _uniform_init(rng, config.hidden_dim, int(g.labels.max()) + 1)}
@@ -144,12 +145,16 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     a_hat_f = a_hat @ g.features
 
     def epoch_step(epoch, w):
-        logits, pre, prop = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])
-        gl = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
-        grads = {"w1": a_hat_f.T @ ((pre > 0) * ((a_hat @ gl) @ w["w2"].T)),
-                 "w2": prop.T @ gl}
-        w, _ = adam_step(w, grads, state, config)
-        logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
+        # a step that overflows to inf or nan stops training just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, pre, prop = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])
+            gl = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
+            grads = {"w1": a_hat_f.T @ ((pre > 0) * ((a_hat @ gl) @ w["w2"].T)),
+                     "w2": prop.T @ gl}
+            w, _ = adam_step(w, grads, state, config)
+            logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
+        if not all(np.isfinite(t).all() for t in (*w.values(), logits)):
+            return None
         return w, accuracy(logits, g.labels, g.val_mask)
 
     return GCNWeights(**select_checkpoint(w, config.epochs, config.patience, epoch_step))

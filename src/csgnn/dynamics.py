@@ -1,4 +1,4 @@
-"""Node-feature dynamics driven by the graph gradient operator.
+"""Node-feature dynamics on an undirected graph, driven by the graph gradient.
 
 The edge-indexed gradient of node features is (G(A)F)_ijk = A_ij (F_ik - F_jk);
 its adjoint aggregates edge quantities back onto nodes. One Euler layer moves
@@ -11,31 +11,32 @@ are supported: training the node-side mixing W (with K a positive multiple of
 the identity, the configuration with a Frobenius contraction guarantee) or
 training the channel-mixing K with W fixed to the identity.
 
-On an exactly symmetric A the LeakyReLU cancels pairwise, sigma(x) - sigma(-x)
-= (1 + slope) x, so the field is exactly the weighted-Laplacian map
+The adjacency is exactly symmetric by contract: `Graph` rejects any other,
+`network.evolve` checks the A_0 it is handed, and the adjacency step keeps an
+exactly symmetric matrix exactly symmetric. On such an A the LeakyReLU cancels
+pairwise, sigma(x) - sigma(-x) = (1 + slope) x, so the field is exactly the
+weighted-Laplacian map
 
-    X(F, A) = -(1 + slope) W^T L(A o A) W F Ktilde,   L(B) = diag(B 1) - B.
+    X(F, A) = -(1 + slope) W^T L(A o A) W F Ktilde,   L(B) = diag(B 1) - B,
 
-`feature_field` uses that form on symmetric A and the (n, n, c) edge tensors
-otherwise; the reverse pass `feature_field_vjp` exists only for the Laplacian
-form, so training needs an undirected graph. Each function that depends on
-symmetry checks it per call unless told `assume_symmetric=True`: the network
-decides it once per trajectory, from A_0, since the adjacency step keeps an
-exactly symmetric matrix exactly symmetric.
+and that is the form every function here computes, without (n, n, c) edge
+tensors. `graph_gradient` and its adjoint remain as the operators the
+property suite checks for adjointness.
 
 Writing B = I_c (x) G(A)W, the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
 the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) W F)
-with gamma' = sigma. That structure yields the step-size bound used here: the
-field's linearization has l2 norm at most ||Ktilde||_2 * ||G(A)W||_2^2, and for
-positive definite Ktilde descent of E (and, for K = lambda*I, nonexpansiveness
-in Frobenius norm) holds for h below
+with gamma' = sigma, which the same cancellation turns into
+(1 + slope)/2 * sum g o L(A o A) g with g = W F. That structure yields the
+step-size bound used here: the field's linearization has l2 norm at most
+||Ktilde||_2 * ||G(A)W||_2^2, and for positive definite Ktilde descent of E
+(and, for K = lambda*I, nonexpansiveness in Frobenius norm) holds for h below
 
     h_safe = 1 / (lam_max(Ktilde)^2 / lam_min(Ktilde) * ||G(A)W||_2^2 + eps).
 
-||G(A)W||_2^2 is lam_max(W^T L(A o A + (A o A)^T) W). Below 256 nodes it comes
-from a dense `eigvalsh` of that matrix; from 256 nodes on, from matrix-free
-Lanczos whose top Ritz value is padded by its residual, so the estimate errs
-towards a smaller step.
+||G(A)W||_2^2 is lam_max(W^T L(2 A o A) W). Below 256 nodes it comes from a
+dense `eigvalsh` of that matrix; from 256 nodes on, from matrix-free Lanczos
+whose top Ritz value is padded by its residual, so the estimate errs towards a
+smaller step.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .activations import leaky_relu, leaky_relu_antiderivative
-from .stacks import all_symmetric, any_of, per_matrix, scalar_or_stack, transposed
+from .stacks import any_of, per_matrix, scalar_or_stack, transposed
 
 H_SAFE_EPS = 1e-12
 
@@ -98,14 +98,6 @@ class LayerParams:
 # (..., n, n) and (..., n, c), with one layer, or a stacked LayerParams, for
 # all of them; each matrix of a stack gets the bits a call on it alone gives.
 
-def _gradient_raw(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
-
-
-def _adjoint_raw(a: np.ndarray, o: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
-
-
 def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(G(A)F)_ijk = A_ij (F_ik - F_jk): an (n, n, c) edge tensor, zero wherever A_ij = 0."""
     a = np.asarray(a, dtype=float)
@@ -114,7 +106,7 @@ def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     if f.ndim != a.ndim or f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features must have {a.shape[-1]} rows, got {f.shape}")
-    return _gradient_raw(a, f)
+    return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
 
 
 def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -123,7 +115,7 @@ def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
     o = np.asarray(o, dtype=float)
     if o.ndim < 3 or o.shape[-3] != a.shape[-1] or o.shape[-2] != a.shape[-1]:
         raise ValueError(f"edge tensor shape {o.shape} does not match adjacency {a.shape}")
-    return _adjoint_raw(a, o)
+    return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
 
 
 def symmetrized(k: np.ndarray, c: int) -> np.ndarray:
@@ -138,37 +130,11 @@ def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b.sum(axis=-1)[..., :, None] * x - b @ x
 
 
-def _field_core(g: np.ndarray, a: np.ndarray, slope: float,
-                assume_symmetric: bool = False) -> np.ndarray:
-    """G(A)^T sigma(G(A) g), in the Laplacian form on each exactly symmetric matrix.
-
-    Which matrices are symmetric is checked here, one matrix at a time,
-    unless `assume_symmetric` says that all of them are; the Laplacian form
-    is exact only then. The network decides that once per trajectory.
-    """
-    if not assume_symmetric:
-        sym = (a == transposed(a)).all(axis=(-2, -1))
-        if not any_of(sym):
-            return _adjoint_raw(a, leaky_relu(_gradient_raw(a, g), slope))
-        if any_of(~sym):
-            v = np.empty(g.shape)
-            v[sym] = _field_core(g[sym], a[sym], slope, assume_symmetric=True)
-            v[~sym] = _field_core(g[~sym], a[~sym], slope)
-            return v
-    return (1.0 + slope) * _laplacian_apply(a * a, g)
-
-
-def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams,
-                  assume_symmetric: bool = False) -> np.ndarray:
-    """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde.
-
-    Evaluated as -(1 + slope) W^T L(A o A) W F Ktilde when A is exactly
-    symmetric, through the edge tensors otherwise. `assume_symmetric`
-    promises the former and skips the check.
-    """
+def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
+    """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde = -(1 + slope) W^T L(A o A) W F Ktilde."""
     w = params.W
     g = f if w is None else w @ f
-    v = _field_core(g, a, params.leaky_slope, assume_symmetric)
+    v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, g)
     if w is not None:
         v = transposed(w) @ v
     if params.K is not None:
@@ -177,18 +143,14 @@ def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams,
 
 
 def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
-                      x_bar: np.ndarray, assume_symmetric: bool = False) -> tuple:
-    """Reverse of `feature_field` on an exactly symmetric A.
+                      x_bar: np.ndarray) -> tuple:
+    """Reverse of `feature_field`.
 
     Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, grads), with
     grads holding the trained tensor's gradient under "W" (learn_w) or "K"
     (learn_k). a_bar matches the edge form along symmetric directions, the
     only ones an adjacency trajectory started from a symmetric A takes.
-    Raises ValueError on an asymmetric A, unless `assume_symmetric` says the
-    caller has ruled that out.
     """
-    if not assume_symmetric and not all_symmetric(a):
-        raise ValueError("the feature-field reverse pass needs an exactly symmetric adjacency")
     w = params.W
     scale = 1.0 + params.leaky_slope
     b = a * a
@@ -209,58 +171,47 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     return f_bar, 2.0 * a * b_bar, grads
 
 
-def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams,
-                 assume_symmetric: bool = False) -> np.ndarray:
-    """One explicit Euler step F + h X(F, A); `assume_symmetric` as in `feature_field`."""
+def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
+    """One explicit Euler step F + h X(F, A)."""
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
     if f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features ({f.shape}) and adjacency ({a.shape}) disagree on n")
-    return f + per_matrix(params.h) * feature_field(f, a, params, assume_symmetric)
+    return f + per_matrix(params.h) * feature_field(f, a, params)
 
 
 def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: float = 0.1) -> float:
-    """Convex layer energy: entrywise antiderivative of sigma over G(A) W F, summed.
+    """Convex layer energy sum gamma(G(A) W F), gamma' = sigma and gamma(0) = 0.
 
-    A float for one state, one energy per state for stacks.
+    With g = W F it is (1 + slope)/2 * sum g o L(A o A) g: the pairwise
+    cancellation that gives the field's Laplacian form. A float for one
+    state, one energy per state for stacks.
     """
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
     g = f if w is None else np.asarray(w, dtype=float) @ f
     if g.shape[-2] != a.shape[-1]:
         raise ValueError("shape mismatch between adjacency and (projected) features")
-    e = leaky_relu_antiderivative(_gradient_raw(a, g), leaky_slope).sum(axis=(-3, -2, -1))
-    return scalar_or_stack(e)
+    e = (g * _laplacian_apply(a * a, g)).sum(axis=(-2, -1))
+    return scalar_or_stack(0.5 * (1.0 + leaky_slope) * e)
 
 
-_ROW_BLOCK = 128  # rows of B formed at a time by `gradient_operator_sq_norm`
-
-
-def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None,
-                              assume_symmetric: bool = False) -> float:
-    """||G(A) W||_2^2 = lam_max(W^T L(B) W) with B = A o A + (A o A)^T.
+def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
+    """||G(A) W||_2^2 = lam_max(W^T L(2 A o A) W).
 
     For a single channel, (G(A)v)_ij = A_ij (v_i - v_j), so (G(A))^T G(A) is the
-    graph Laplacian L(B) = diag(B 1) - B. Below `_LANCZOS_MIN_N` nodes the
-    Laplacian is formed and `eigvalsh` gives lam_max exactly; from there on
-    `_lanczos_lam_max` computes it from products x -> W^T (d o (W x) - B (W x)),
-    d = B 1, without forming L or W^T L W. Non-finite A or W raises
+    graph Laplacian L(B) with B = A o A + (A o A)^T, which is 2 (A o A) on a
+    symmetric A. Below `_LANCZOS_MIN_N` nodes the Laplacian is formed and
+    `eigvalsh` gives lam_max exactly; from there on `_lanczos_lam_max`
+    computes it from products x -> W^T (d o (W x) - B (W x)), d = B 1,
+    without forming L or W^T L W. Non-finite A or W raises
     np.linalg.LinAlgError on both paths. A stack of adjacency matrices (with
     W None, one W, or one W each) takes the dense path and gives one value
-    per matrix. `assume_symmetric` promises that every matrix of `a` is
-    exactly symmetric, so B is 2 (A o A): x*x + x*x and 2*(x*x) are the same
-    float.
+    per matrix.
     """
     a = np.asarray(a, dtype=float)
-    if assume_symmetric:
-        wts = np.multiply(a, a, order="C")
-        wts *= 2.0
-    else:
-        wts = np.empty(a.shape)
-        # B built a block of rows at a time, so no second n x n array is alive
-        for r in range(0, a.shape[-1], _ROW_BLOCK):
-            rows, cols = a[..., r:r + _ROW_BLOCK, :], transposed(a[..., :, r:r + _ROW_BLOCK])
-            wts[..., r:r + _ROW_BLOCK, :] = rows * rows + cols * cols
+    wts = np.multiply(a, a, order="C")
+    wts *= 2.0
     deg = wts.sum(axis=-1)
     if not np.isfinite(deg).all() or (w is not None and not np.isfinite(w).all()):
         raise np.linalg.LinAlgError("gradient operator has non-finite entries")
@@ -326,8 +277,7 @@ def _lanczos_lam_max(op, n: int) -> float:
     return max(theta + resid, 0.0)
 
 
-def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0,
-                     assume_symmetric: bool = False) -> float:
+def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0) -> float:
     """Step bound h_safe = 1/(lam_est + eps) for the layer's linearized field.
 
     For positive definite Ktilde the estimate folds in the conditioning
@@ -343,9 +293,9 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0,
     one radius per matrix), one bound per matrix. Squares are taken with
     `np.float_power`, the libm `pow` a float's `** 2` calls; an array's `** 2`
     rounds as x * x, which differs in the last bit on about one value in a
-    thousand. `assume_symmetric` as in `gradient_operator_sq_norm`.
+    thousand.
     """
-    s2 = gradient_operator_sq_norm(a, params.W, assume_symmetric)
+    s2 = gradient_operator_sq_norm(a, params.W)
     if any_of(l1_radius > 0.0):
         w2 = 1.0 if params.W is None else np.linalg.norm(params.W, 2, axis=(-2, -1))
         s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius * w2, 2), s2)

@@ -1,9 +1,10 @@
 """Graph containers, node permutations, and perturbation metrics.
 
-A graph is held densely: an n x n real adjacency matrix plus an n x c_in
-feature matrix, integer class labels (-1 marks unlabeled nodes) and three
-disjoint boolean split masks. Attack budgets are measured with the l0 edit
-count, the vectorized l1 norm, and the Frobenius norm.
+A graph is undirected and held densely: an exactly symmetric n x n real
+adjacency matrix plus an n x c_in feature matrix, integer class labels (-1
+marks unlabeled nodes) and three disjoint boolean split masks. Attack budgets
+are measured with the l0 edit count, the vectorized l1 norm, and the Frobenius
+norm.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ def _as_readonly(a: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable dense graph with features, labels and split masks."""
+    """Immutable dense undirected graph with features, labels and split masks.
+
+    Construction (and so `replace`) raises ValueError on an adjacency that
+    is not exactly symmetric: everything downstream relies on that.
+    """
 
     adjacency: np.ndarray
     features: np.ndarray
@@ -40,6 +45,9 @@ class Graph:
         feat = _as_readonly(self.features, float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        if not all_symmetric(adj):
+            # NaN equals nothing, so this also rejects any NaN entry
+            raise ValueError("adjacency must be exactly symmetric (an undirected graph), without NaN")
         n = adj.shape[0]
         if feat.ndim != 2 or feat.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {feat.shape}")
@@ -70,16 +78,6 @@ class Graph:
     @property
     def feat_dim(self) -> int:
         return self.features.shape[1]
-
-    @functools.cached_property
-    def symmetric(self) -> bool:
-        """Whether the adjacency is exactly symmetric; checked on first use only.
-
-        The network's kernels are told this once per trajectory instead of
-        checking every adjacency state: the adjacency step keeps an exactly
-        symmetric matrix exactly symmetric.
-        """
-        return all_symmetric(self.adjacency)
 
     @functools.cached_property
     def binary(self) -> bool:
@@ -199,8 +197,6 @@ def save_graph(g: Graph, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if not g.binary:
         raise ValueError("edge-list format only stores binary adjacency matrices")
-    if not g.symmetric:
-        raise ValueError("edge-list format only stores symmetric adjacency matrices")
     rows, cols = np.nonzero(np.triu(g.adjacency))
     with open(out / "edges.txt", "w", newline="\n") as fh:
         for i, j in zip(rows, cols):

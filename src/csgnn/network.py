@@ -102,8 +102,7 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     `mode` is "train" (dropout active; `rng` draws the masks, the input's
     first, then one per layer, then the classifier's) or "eval" (dropout is
     the identity). The last layer's adjacency step is not taken: nothing
-    reads A_L. Whether the kernels may assume an exactly symmetric adjacency
-    is read once, from `g.symmetric`, and holds for every A_l.
+    reads A_L.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -122,18 +121,18 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
 
     f_in, _ = dropout(g.features)
     f = f_in @ params.encoder
-    a, sym = g.adjacency, g.symmetric
+    a = g.adjacency
     _check_finite(f, "encoded features")
     trace = ForwardTrace(adjacency_states=[a], input_dropped=f_in)
 
     for l, layer in enumerate(params.layers):
         f_d, ml = dropout(f)
-        f = feature_step(f_d, a, layer.feature, assume_symmetric=sym)
+        f = feature_step(f_d, a, layer.feature)
         _check_finite(f, f"features after layer {l + 1}")
         trace.layer_masks.append(ml)
         trace.layer_dropped.append(f_d)
         if l + 1 < params.depth:
-            a = adjacency_step(a, layer.adjacency, assume_symmetric=sym)
+            a = adjacency_step(a, layer.adjacency, assume_symmetric=True)
             _check_finite(a, f"adjacency after layer {l + 1}")
             trace.adjacency_states.append(a)
 
@@ -148,15 +147,15 @@ def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
     """Apply the L coupled Euler layers to an embedded state, without dropout.
 
     Returns the full state lists ([F0..FL], [A0..AL]). Stacked states and
-    layers evolve one trajectory per state. Whether every state is exactly
-    symmetric is decided once, from A0; if so, every step is told so, and
-    otherwise each step checks its own states.
+    layers evolve one trajectory per state. Raises ValueError unless every
+    A0 is exactly symmetric; the adjacency step keeps it so.
     """
     fs, as_ = [np.asarray(f0, dtype=float)], [np.asarray(a0, dtype=float)]
-    sym = all_symmetric(as_[0])
+    if not all_symmetric(as_[0]):
+        raise ValueError("the adjacency A0 must be exactly symmetric (an undirected graph)")
     for layer in layers:
-        fs.append(feature_step(fs[-1], as_[-1], layer.feature, assume_symmetric=sym))
-        as_.append(adjacency_step(as_[-1], layer.adjacency, assume_symmetric=sym))
+        fs.append(feature_step(fs[-1], as_[-1], layer.feature))
+        as_.append(adjacency_step(as_[-1], layer.adjacency, assume_symmetric=True))
     return fs, as_
 
 
@@ -243,10 +242,11 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
     Runs the clean trajectory, bounds each layer's mixed Lipschitz constant over
     the l1 ball of radius eps_adj around the clean adjacency state (where every
     admissible perturbed state stays, by adjacency nonexpansiveness), and
-    assembles the final output-distance bound.
+    assembles the final output-distance bound. The admissible adjacency
+    perturbations are the symmetric ones: A0 must be exactly symmetric, as
+    `evolve` checks, and so must A0 + dA.
     """
     fs, as_ = evolve(f0, a0, params.layers)
-    sym = all_symmetric(a0)
     rows = []
     lips = []
     hs = []
@@ -258,8 +258,7 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
             "h_feature": layer.feature.h,
             "h_adjacency": layer.adjacency.h,
             "h_adjacency_max": max_step_adjacency(layer.adjacency.coeffs),
-            "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj,
-                                               assume_symmetric=sym),
+            "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
             "lipschitz_upper": lip,
         })
         lips.append(lip)

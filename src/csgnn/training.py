@@ -127,15 +127,13 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     "classifier_b", and per layer "layer{l}.W" or "layer{l}.K" plus
     "layer{l}.k" (the eight free adjacency coefficients). Nothing reads the
     last layer's adjacency output, so `forward` does not compute it, its
-    "layer{L-1}.k" is zero and its adjacency step is not pulled back. Raises
-    ValueError when the input adjacency is not exactly symmetric; when it
-    is, so is every later state, and the kernels are told so.
+    "layer{L-1}.k" is zero and its adjacency step is not pulled back.
+    `g`, the graph `forward` ran on, is not read: the trace holds every
+    adjacency state the pass needs.
     """
     L = params.depth
     if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
         raise ValueError("trace does not match the given parameters")
-    if not g.symmetric:
-        raise ValueError("the feature-field reverse pass needs an exactly symmetric adjacency")
 
     grads = {}
     grads["classifier_w"] = trace.final_dropped.T @ logit_grad
@@ -163,8 +161,7 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
 
         # feature step F_next = F_d + h*X(F_d, A)
         f_d_bar, a_field_bar, layer_grads = feature_field_vjp(
-            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar,
-            assume_symmetric=True)
+            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
         a_bar = a_bar + a_field_bar
         for name, grad in layer_grads.items():
             grads[f"layer{l}.{name}"] = grad
@@ -233,11 +230,10 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     the layer's own adjacency state A_l, stepped from g's adjacency with the
     new coefficients. The clamp is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
-    `g` the feature steps stay as stored. Whether every A_l is exactly
-    symmetric is read from `g.symmetric`.
+    `g` the feature steps stay as stored.
     """
     layers = []
-    a, sym = (None, False) if g is None else (g.adjacency, g.symmetric)
+    a = None if g is None else g.adjacency
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -254,9 +250,9 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
                                       leaky_slope=layer.adjacency.leaky_slope)
         if a is not None:
             feature = dataclasses.replace(
-                feature, h=min(h_feat, max_feature_step(a, feature, assume_symmetric=sym)))
+                feature, h=min(h_feat, max_feature_step(a, feature)))
             if l + 1 < len(params.layers):
-                a = adjacency_step(a, adj_cfg, assume_symmetric=sym)
+                a = adjacency_step(a, adj_cfg, assume_symmetric=True)
         layers.append(CoupledLayer(feature=feature, adjacency=adj_cfg))
     return NetworkParams(
         encoder=tensors["encoder"],

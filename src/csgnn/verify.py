@@ -175,7 +175,8 @@ def check_permutation_composition(rng, trials: int) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 9))
-        g = Graph(adjacency=rng.standard_normal((n, n)), features=rng.standard_normal((n, 2)),
+        a = rng.standard_normal((n, n))
+        g = Graph(adjacency=a + a.T, features=rng.standard_normal((n, 2)),
                   labels=rng.integers(0, 3, n))
         p = graph.Permutation(rng.permutation(n))
         q = graph.Permutation(rng.permutation(n))
@@ -323,6 +324,7 @@ def check_feature_adjointness(rng, trials: int) -> CheckResult:
                 rng.standard_normal((n, n, c)))
 
     def evaluate(a, f, o):
+        a = a + transposed(a)
         lhs = (dynamics.graph_gradient(a, f) * o).sum(axis=(-3, -2, -1))
         rhs = (f * dynamics.graph_gradient_adjoint(a, o)).sum(axis=(-2, -1))
         return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
@@ -339,6 +341,7 @@ def check_feature_contraction(rng, trials: int) -> CheckResult:
                 rng.standard_normal((n, c)))
 
     def evaluate(lam, w, a, f, df):
+        a = a + transposed(a)
         k = lam[:, None, None] * np.eye(f.shape[-1])
         base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w, K=k)
         params = LayerParams(h=dynamics.max_feature_step(a, base),
@@ -357,6 +360,7 @@ def check_energy_monotonicity(rng, trials: int) -> CheckResult:
                 rng.standard_normal((n, c)))
 
     def evaluate(b, a, f):
+        a = a + transposed(a)
         k = b @ transposed(b) + 0.05 * np.eye(b.shape[-1])  # positive definite
         params = LayerParams(h=dynamics.max_feature_step(a, LayerParams(h=1.0, K=k)), K=k)
         e0 = dynamics.energy(a, f, None, params.leaky_slope)
@@ -388,6 +392,7 @@ def check_feature_step_equivariance(rng, trials: int) -> CheckResult:
                 rng.standard_normal((n, c)), rng.permutation(n))
 
     def evaluate(k, a, f, perm):
+        a = a + transposed(a)
         params = LayerParams(h=0.3, K=k)
         lhs = dynamics.feature_step(_rows_relabelled(f, perm), _relabelled(a, perm), params)
         return _relative_gap(lhs, _rows_relabelled(dynamics.feature_step(f, a, params), perm))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,9 @@ class TestRandomEdgeAttack:
             random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5))
 
     def test_requires_binary_symmetric(self):
-        for adjacency in ([[0.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
+        for adjacency in ([[0.0, 0.5], [0.5, 0.0]], [[0.0, 2.0], [2.0, 0.0]]):
             g = Graph(adjacency=adjacency, features=np.zeros((2, 1)))
-            with pytest.raises(ValueError, match="binary symmetric"):
+            with pytest.raises(ValueError, match="binary"):
                 random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=1.0))
 
     def test_seeded_determinism(self):
@@ -139,6 +141,18 @@ class TestGCNBaseline:
         w1, w2 = _uniform_init(rng, 3, 4), _uniform_init(rng, 4, 2)
         w = train_gcn(g, TrainConfig(seed=3, hidden_dim=4, epochs=0))
         assert np.array_equal(w.w1, w1) and np.array_equal(w.w2, w2)
+
+    def test_non_finite_adam_step_stops_training(self):
+        # at this rate an Adam step soon overflows the weights; training stops
+        # there, so no NaN weights (whose NaN logits `accuracy` would score
+        # as votes for class 0) can be selected, and numpy warns of nothing
+        g = gen_sbm(n=100, classes=2, p_in=0.1, p_out=0.02, feat_dim=8, signal=1.3, seed=0)
+        for seed in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w = train_gcn(g, TrainConfig(seed=seed, epochs=30, lr_node=1e30))
+            assert np.isfinite(w.w1).all() and np.isfinite(w.w2).all()
+            assert np.isfinite(gcn_baseline_forward(g, w)).all()
 
     def test_isolated_node_handled_by_self_loop(self):
         adjacency = np.zeros((3, 3))

@@ -90,19 +90,20 @@ class TestFeatureStep:
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((5, 3))
-        a = rng.standard_normal((5, 5))
+        a = symmetric_normal(rng, 5)
         assert np.array_equal(feature_step(f, a, linear_params(h=0.0)), f)
 
     def test_equal_inputs_equal_outputs(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((4, 2))
-        a = rng.standard_normal((4, 4))
+        a = symmetric_normal(rng, 4)
         p = LayerParams(h=0.1, K=rng.standard_normal((2, 2)))
         assert np.array_equal(feature_step(f, a, p), feature_step(f.copy(), a, p))
 
     def test_constant_rows_are_fixed_points(self):
         rng = np.random.default_rng(6)
         a = (rng.random((6, 6)) < 0.5).astype(float)
+        a = np.maximum(a, a.T)
         f = np.tile(rng.standard_normal((1, 3)), (6, 1))
         p = LayerParams(h=0.9, K=rng.standard_normal((3, 3)))
         assert np.abs(feature_step(f, a, p) - f).max() <= 1e-12
@@ -112,7 +113,7 @@ class TestFeatureStep:
         for _ in range(500):
             n, c = int(rng.integers(2, 8)), int(rng.integers(1, 4))
             p = LayerParams(h=0.3, K=rng.standard_normal((c, c)))
-            a = rng.standard_normal((n, n))
+            a = symmetric_normal(rng, n)
             f = rng.standard_normal((n, c))
             perm = rng.permutation(n)
             pm = np.zeros((n, n))
@@ -136,12 +137,25 @@ class TestFeatureStep:
                         W=np.eye(2), K=np.array([[1.0, 0.2], [0.2, 1.0]]))
 
 
+def symmetric_normal(rng, n):
+    """An exactly symmetric draw: a standard normal matrix plus its transpose."""
+    a = rng.standard_normal((n, n))
+    return a + a.T
+
+
 def edge_form_field(f, a, params):
     """X = -W^T G(A)^T sigma(G(A) W F) Ktilde through the (n, n, c) edge tensors."""
     w = np.eye(f.shape[0]) if params.W is None else params.W
     k = np.eye(f.shape[1]) if params.K is None else 0.5 * (params.K + params.K.T)
     edge = leaky_relu(graph_gradient(a, w @ f), params.leaky_slope)
     return -w.T @ graph_gradient_adjoint(a, edge) @ k
+
+
+def edge_form_energy(a, f, w=None, slope=0.1):
+    """sum gamma(G(A) W F) through the (n, n, c) edge tensor, with gamma the
+    half-quadratic antiderivative of the LeakyReLU (gamma(0) = 0)."""
+    x = graph_gradient(a, f if w is None else w @ f)
+    return float(np.where(x > 0, 0.5 * x * x, 0.5 * slope * x * x).sum())
 
 
 def weighted_symmetric(rng, n):
@@ -187,10 +201,19 @@ class TestLaplacianForm:
             analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (grads[name] * dp).sum())
             assert analytic == pytest.approx(numeric, rel=1e-7)
 
+    def test_energy_matches_edge_form_on_weighted_symmetric_graph(self):
+        rng = np.random.default_rng(16)
+        n, c = 50, 4
+        a = weighted_symmetric(rng, n)
+        f = rng.standard_normal((n, c))
+        for params in both_parameterizations(rng, n, c):
+            ref = edge_form_energy(a, f, params.W, params.leaky_slope)
+            assert energy(a, f, params.W, params.leaky_slope) == pytest.approx(ref, rel=1e-12)
+
 
 class TestEnergy:
     def test_constant_rows_zero(self):
-        a = np.random.default_rng(8).random((4, 4))
+        a = weighted_symmetric(np.random.default_rng(8), 4)
         f = np.ones((4, 2))
         assert energy(a, f, leaky_slope=1.0) == 0.0
 
@@ -210,7 +233,7 @@ class TestEnergy:
             n, c = int(rng.integers(2, 8)), int(rng.integers(1, 5))
             b = rng.standard_normal((c, c))
             k = b @ b.T + 0.05 * np.eye(c)
-            a = rng.standard_normal((n, n))
+            a = symmetric_normal(rng, n)
             p = LayerParams(h=max_feature_step(a, LayerParams(h=1.0, K=k)), K=k)
             f = rng.standard_normal((n, c))
             e0 = energy(a, f, leaky_slope=p.leaky_slope)
@@ -229,7 +252,7 @@ class TestContraction:
         p = LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
                         W=rng.standard_normal((3, 3)), K=np.eye(2))
         f = rng.standard_normal((3, 2))
-        assert moved_distance(f, np.zeros((3, 2)), rng.standard_normal((3, 3)), p) == 0.0
+        assert moved_distance(f, np.zeros((3, 2)), symmetric_normal(rng, 3), p) == 0.0
 
     def test_holds_under_safe_step(self):
         rng = np.random.default_rng(11)
@@ -237,7 +260,7 @@ class TestContraction:
             n, c = int(rng.integers(2, 8)), int(rng.integers(1, 5))
             lam = 0.2 + 2.0 * rng.random()
             w = rng.standard_normal((n, n))
-            a = rng.standard_normal((n, n))
+            a = symmetric_normal(rng, n)
             base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
                                W=w, K=lam * np.eye(c))
             p = LayerParams(h=max_feature_step(a, base),
@@ -252,7 +275,7 @@ class TestContraction:
         for _ in range(200):
             n, c = 5, 3
             w = rng.standard_normal((n, n))
-            a = rng.standard_normal((n, n))
+            a = symmetric_normal(rng, n)
             base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
                                W=w, K=np.eye(c))
             p = LayerParams(h=1e3 * max_feature_step(a, base),
@@ -267,7 +290,7 @@ class TestContraction:
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 7))
-            a = rng.standard_normal((n, n))
+            a = symmetric_normal(rng, n)
             w = rng.standard_normal((n, n))
             dense = np.zeros((n * n, n))
             for col in range(n):
@@ -373,12 +396,14 @@ class TestLanczosStepBound:
             max_feature_step(a, LayerParams(h=1.0))
 
 
-@pytest.mark.parametrize("n", [dynamics._ROW_BLOCK - 1, dynamics._LANCZOS_MIN_N + 44])
-def test_blockwise_edge_weights_match_the_whole_matrix_form(n):
-    # B = A o A + (A o A)^T is built a block of rows at a time; the norm must
-    # be the one the whole-matrix B gives, to the bit
+@pytest.mark.parametrize("n", [127, dynamics._LANCZOS_MIN_N + 44])
+def test_edge_weights_match_the_general_form_to_the_bit(n):
+    # on a symmetric A the edge weights B = A o A + (A o A)^T are formed as
+    # 2 (A o A); x*x + x*x and 2*(x*x) are the same float, so the norm is
+    # the general form's on both the dense and the Lanczos path
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    a = a + a.T
     wts = a * a
     wts = wts + wts.T
     deg = wts.sum(axis=1)

@@ -71,8 +71,9 @@ class TestMetrics:
 def _random_graph(rng, n):
     labels = rng.integers(0, 3, n)
     masks = rng.integers(0, 3, n)
+    a = rng.standard_normal((n, n))
     return Graph(
-        adjacency=rng.standard_normal((n, n)),
+        adjacency=a + a.T,
         features=rng.standard_normal((n, 2)),
         labels=labels,
         train_mask=masks == 0,
@@ -95,9 +96,9 @@ class TestPermutation:
         assert np.array_equal(out.adjacency, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_swap_hand_case(self):
-        g = Graph(adjacency=[[1.0, 2.0], [3.0, 4.0]], features=np.zeros((2, 1)))
+        g = Graph(adjacency=[[1.0, 2.0], [2.0, 4.0]], features=np.zeros((2, 1)))
         out = permute_graph(g, Permutation([1, 0]))
-        assert np.array_equal(out.adjacency, [[4.0, 3.0], [2.0, 1.0]])
+        assert np.array_equal(out.adjacency, [[4.0, 2.0], [2.0, 1.0]])
 
     def test_matches_matrix_conjugation(self):
         rng = np.random.default_rng(1)
@@ -136,6 +137,10 @@ class TestGraphValidation:
     def test_rejects_non_square_adjacency(self):
         with pytest.raises(ValueError, match="square"):
             Graph(adjacency=np.zeros((2, 3)), features=np.zeros((2, 1)))
+
+    def test_rejects_nan_adjacency(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Graph(adjacency=[[np.nan, 1.0], [1.0, 0.0]], features=np.zeros((2, 1)))
 
     def test_rejects_overlapping_masks(self):
         m = np.array([True, False])

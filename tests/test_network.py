@@ -204,8 +204,9 @@ def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, 
                              probe_step: float = 1e-4):
     """Sampled lower bound and analytic upper bound for Lip(A -> X(F, A)).
 
-    Samples adjacency matrices with entries uniform in [0, 1) and l1-unit
-    perturbation directions; the upper bound covers the whole sampled region,
+    Samples symmetric adjacency matrices with entries uniform in [0, 1) and
+    symmetric l1-unit perturbation directions, the undirected perturbations
+    the certificate bounds; the upper bound covers the whole sampled region,
     so lower <= upper on every call.
     """
     if n_samples < 1:
@@ -216,7 +217,9 @@ def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, 
     max_abs = 0.0
     for _ in range(n_samples):
         a = rng.random((n, n))
+        a = 0.5 * (a + a.T)
         direction = rng.standard_normal((n, n))
+        direction = direction + direction.T
         direction /= np.abs(direction).sum()
         moved = feature_field(f, a + probe_step * direction, layer)
         base = feature_field(f, a, layer)
@@ -259,7 +262,9 @@ class TestMixedLipschitz:
             layer = LayerParams(h=0.1, K=rng.standard_normal((c, c)))
             f = rng.standard_normal((n, c))
             a = rng.random((n, n))
+            a = 0.5 * (a + a.T)
             d = rng.standard_normal((n, n))
+            d = d + d.T
             diff = np.linalg.norm(feature_field(f, a + d, layer) - feature_field(f, a, layer))
             bound = lipschitz_upper(f, layer, max(np.abs(a).max(), np.abs(a + d).max()))
             assert diff <= bound * l1_vec_distance(a + d, a) + 1e-9
@@ -320,7 +325,7 @@ class TestCertificate:
         budget = PerturbationBudget(eps_feat=0.3, eps_adj=0.7)
         f0 = rng.standard_normal((6, 4))
         a0 = np.abs(rng.standard_normal((6, 6)))
-        cert = certificate(f0, a0, params, budget)
+        cert = certificate(f0, a0 + a0.T, params, budget)
         recomputed = expansivity_bound([r["h_feature"] for r in cert["layers"]],
                                        [r["lipschitz_upper"] for r in cert["layers"]],
                                        budget)

@@ -145,17 +145,6 @@ def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
                  [network.lipschitz_upper(f[i], singles[i], entry[i]) for i in range(M)])
 
 
-def test_mixed_symmetry_stack_takes_each_matrix_form():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((M, 5, 5))
-    a[::2] = a[::2] + np.swapaxes(a[::2], -1, -2)
-    assert [np.array_equal(x, x.T) for x in a] == [True, False] * (M // 2)
-    f = rng.standard_normal((M, 5, 3))
-    params = LayerParams(h=0.1, leaky_slope=0.3)
-    assert _same(dynamics.feature_field(f, a, params),
-                 [dynamics.feature_field(f[i], a[i], params) for i in range(M)])
-
-
 def test_float_power_rounds_as_a_float_square():
     # the stacked step bound squares with np.float_power so that it rounds as
     # the `** 2` of a single float does; an array's `** 2` does not always

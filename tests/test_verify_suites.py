@@ -1,7 +1,8 @@
 """The stacked property suites against the per-trial loops they replaced.
 
 Each oracle below is the loop a suite ran before it evaluated same-shaped
-trials as stacks, changed only to return its per-trial values. Both draw from
+trials as stacks, changed only to return its per-trial values and, in the
+feature suites, to symmetrize the drawn adjacency as `a + a.T`. Both draw from
 generators with the same seed; the values must agree to the bit and both
 generators must end in the same state, so every later suite sees the same
 stream.
@@ -82,6 +83,7 @@ def loop_feature_adjointness(rng, trials):
         n = int(rng.integers(2, 9))
         c = int(rng.integers(1, 6))
         a = rng.standard_normal((n, n))
+        a = a + a.T
         f = rng.standard_normal((n, c))
         o = rng.standard_normal((n, n, c))
         lhs = float((dynamics.graph_gradient(a, f) * o).sum())
@@ -97,6 +99,7 @@ def loop_feature_contraction(rng, trials):
         params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
                              W=rng.standard_normal((n, n)), K=lam * np.eye(c))
         a = rng.standard_normal((n, n))
+        a = a + a.T
         h = dynamics.max_feature_step(a, params)
         params = LayerParams(h=h, parameterization=Parameterization.LEARN_W,
                              W=params.W, K=params.K)
@@ -115,6 +118,7 @@ def loop_energy_monotonicity(rng, trials):
         k = b @ b.T + 0.05 * np.eye(c)
         params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_K, K=k)
         a = rng.standard_normal((n, n))
+        a = a + a.T
         h = dynamics.max_feature_step(a, params)
         params = LayerParams(h=h, parameterization=Parameterization.LEARN_K, K=k)
         f = rng.standard_normal((n, c))
@@ -141,6 +145,7 @@ def loop_feature_step_equivariance(rng, trials):
         params = LayerParams(h=0.3, parameterization=Parameterization.LEARN_K,
                              K=rng.standard_normal((c, c)))
         a = rng.standard_normal((n, n))
+        a = a + a.T
         f = rng.standard_normal((n, c))
         pm = _perm_matrix(rng.permutation(n))
         lhs = dynamics.feature_step(pm @ f, pm @ a @ pm.T, params)
