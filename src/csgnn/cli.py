@@ -41,6 +41,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _get(values: dict, key: str, default):
+    """The value of `key`, or `default`, read as the type of `default`."""
+    return cfgmod.cast(key, values.get(key, default), type(default))
+
+
 def _float_list(raw, default) -> list:
     if raw is None:
         return list(default)
@@ -50,13 +55,13 @@ def _float_list(raw, default) -> list:
 def cmd_gen_sbm(args) -> int:
     values = _load_values(args, ("n", "classes", "p_in", "p_out", "feat_dim", "signal"))
     g = gen_sbm(
-        n=int(values.get("n", 100)),
-        classes=int(values.get("classes", 2)),
-        p_in=float(values.get("p_in", 0.3)),
-        p_out=float(values.get("p_out", 0.02)),
-        feat_dim=int(values.get("feat_dim", 8)),
-        signal=float(values.get("signal", 1.5)),
-        seed=int(values.get("seed", 0)),
+        n=_get(values, "n", 100),
+        classes=_get(values, "classes", 2),
+        p_in=_get(values, "p_in", 0.3),
+        p_out=_get(values, "p_out", 0.02),
+        feat_dim=_get(values, "feat_dim", 8),
+        signal=_get(values, "signal", 1.5),
+        seed=_get(values, "seed", 0),
     )
     out = _out_dir(args)
     save_graph(g, out)
@@ -92,14 +97,14 @@ def cmd_attack_sweep(args) -> int:
     tc = cfgmod.train_config_from(values)
     ratios = _float_list(values.get("edge_ratios"), (0.0, 0.5, 1.0))
     feat_epss = _float_list(values.get("feat_eps_list"), ())
-    seed0 = int(values.get("seed", 0))
+    seed0 = _get(values, "seed", 0)
     specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
     specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
     models = [name.strip() for name in str(values.get("models", "csgnn,gcn")).split(",")]
     for name in models:
         if name not in MODELS:
             raise SystemExit2(f"unknown model {name!r}")
-    n_seeds = int(values.get("n_seeds", 10))
+    n_seeds = _get(values, "n_seeds", 10)
     rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(n_seeds)))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)
@@ -110,7 +115,9 @@ def cmd_attack_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     values = _load_values(args, ("trials_scale", "fault_adjacency_step_scale"))
-    results, failures = verifymod.run_all(seed=int(values.get("seed", 0)), overrides=values)
+    results, failures = verifymod.run_all(
+        seed=_get(values, "seed", 0), trials_scale=_get(values, "trials_scale", 1.0),
+        fault_adjacency_step_scale=_get(values, "fault_adjacency_step_scale", 1.0))
     report = verifymod.render_report(results)
     print(report, end="")
     if args.out:
@@ -130,8 +137,8 @@ def cmd_certify(args) -> int:
             raise SystemExit2(f"certify needs a '{key} = <path>' config entry")
     params = load_checkpoint(values["checkpoint"])
     g = load_graph(values["graph"])
-    budget = PerturbationBudget(eps_feat=float(values.get("eps_feat", 0.0)),
-                                eps_adj=float(values.get("eps_adj", 0.0)))
+    budget = PerturbationBudget(eps_feat=_get(values, "eps_feat", 0.0),
+                                eps_adj=_get(values, "eps_adj", 0.0))
     f0 = g.features @ params.encoder
     cert = certificate(f0, g.adjacency, params, budget)
     text = render_certificate(cert, params)

@@ -63,9 +63,22 @@ def apply_overrides(values: dict, overrides: list) -> dict:
     return out
 
 
-# every TrainConfig field, with the type of its default as the value's caster
+def cast(key: str, value, kind):
+    """`value` read as `kind`. For a bool, int or float kind it raises
+    ValueError, naming `key`, on a string, on a bool read as a number or a
+    number as a bool, and on an int that would drop a fraction (1e2 reads as
+    100)."""
+    if kind in (bool, int, float) and (
+            isinstance(value, str) or isinstance(value, bool) != (kind is bool)
+            or (kind is int and value % 1 != 0)):
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+# every TrainConfig field, with the type of its default as the value's kind
 TRAIN_KEYS = {field.name: type(field.default) for field in dataclasses.fields(TrainConfig)}
 
 
 def train_config_from(values: dict) -> TrainConfig:
-    return TrainConfig(**{key: cast(values[key]) for key, cast in TRAIN_KEYS.items() if key in values})
+    return TrainConfig(**{key: cast(key, values[key], kind)
+                          for key, kind in TRAIN_KEYS.items() if key in values})

@@ -118,10 +118,8 @@ def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
 
 
-def symmetrized(k: np.ndarray, c: int) -> np.ndarray:
-    """Ktilde = (K + K^T)/2, with K=None meaning the c x c identity."""
-    if k is None:
-        return np.eye(c)
+def symmetrized(k: np.ndarray) -> np.ndarray:
+    """Ktilde = (K + K^T)/2."""
     return 0.5 * (k + transposed(k))
 
 
@@ -138,7 +136,7 @@ def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarr
     if w is not None:
         v = transposed(w) @ v
     if params.K is not None:
-        v = v @ symmetrized(params.K, f.shape[-1])
+        v = v @ symmetrized(params.K)
     return -v
 
 
@@ -156,7 +154,7 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     b = a * a
     g = f if w is None else w @ f
     v = scale * _laplacian_apply(b, g)
-    p_bar = -x_bar if params.K is None else -(x_bar @ symmetrized(params.K, f.shape[1]))
+    p_bar = -x_bar if params.K is None else -(x_bar @ symmetrized(params.K))
     v_bar = p_bar if w is None else w @ p_bar
     u_bar = scale * v_bar
     g_bar = _laplacian_apply(b, u_bar)
@@ -302,7 +300,7 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     if params.K is None:
         lam_est = s2
     else:
-        eigs = np.linalg.eigvalsh(symmetrized(params.K, params.K.shape[-1]))
+        eigs = np.linalg.eigvalsh(symmetrized(params.K))
         lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
         # lam_max^2 / lam_min where Ktilde is positive definite, the plain
         # operator norm elsewhere; an estimate that overflows gives h = 0

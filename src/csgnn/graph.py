@@ -30,7 +30,8 @@ class Graph:
     """Immutable dense undirected graph with features, labels and split masks.
 
     Construction (and so `replace`) raises ValueError on an adjacency that
-    is not exactly symmetric: everything downstream relies on that.
+    is not exactly symmetric, or on a non-finite adjacency or feature entry:
+    everything downstream relies on that.
     """
 
     adjacency: np.ndarray
@@ -48,6 +49,8 @@ class Graph:
         if not all_symmetric(adj):
             # NaN equals nothing, so this also rejects any NaN entry
             raise ValueError("adjacency must be exactly symmetric (an undirected graph), without NaN")
+        if np.isinf(adj).any() or not np.isfinite(feat).all():
+            raise ValueError("adjacency and feature entries must be finite")
         n = adj.shape[0]
         if feat.ndim != 2 or feat.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {feat.shape}")

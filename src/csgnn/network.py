@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,12 +79,12 @@ class ForwardTrace:
     dropout masks, None in evaluation mode.
     """
 
-    adjacency_states: list = field(default_factory=list)
-    input_dropped: np.ndarray = None
-    layer_dropped: list = field(default_factory=list)
-    final_dropped: np.ndarray = None
-    layer_masks: list = field(default_factory=list)
-    final_mask: np.ndarray = None
+    adjacency_states: list
+    input_dropped: np.ndarray
+    layer_dropped: list
+    final_dropped: np.ndarray
+    layer_masks: list
+    final_mask: np.ndarray
 
 
 def _dropout_mask(shape, p: float, rng) -> np.ndarray:
@@ -96,13 +96,32 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite values in {what}")
 
 
+def adjacency_states(a0: np.ndarray, layers) -> list:
+    """[A_0..A_{L-1}], the adjacency each layer reads, from an exactly symmetric
+    A_0 (or a stack of them). Nothing reads A_L, so it is not computed."""
+    states = [a0]
+    for l, layer in enumerate(layers[:-1]):
+        states.append(adjacency_step(states[-1], layer.adjacency, assume_symmetric=True))
+        _check_finite(states[-1], f"adjacency after layer {l + 1}")
+    return states
+
+
+def _feature_states(f: np.ndarray, states: list, layers, masks) -> list:
+    """The features entering each layer's step, after its dropout mask, then F_L."""
+    fs = []
+    for l, (a, layer, mask) in enumerate(zip(states, layers, masks)):
+        fs.append(f if mask is None else f * mask)
+        f = feature_step(fs[-1], a, layer.feature)
+        _check_finite(f, f"features after layer {l + 1}")
+    return fs + [f]
+
+
 def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     """Run the network; returns (logits, trace).
 
     `mode` is "train" (dropout active; `rng` draws the masks, the input's
     first, then one per layer, then the classifier's) or "eval" (dropout is
-    the identity). The last layer's adjacency step is not taken: nothing
-    reads A_L.
+    the identity).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -112,51 +131,34 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     use_dropout = mode == "train" and params.dropout_p > 0.0
     if use_dropout and rng is None:
         raise ValueError("train mode with dropout needs an rng")
+    shapes = [g.features.shape] + [(g.n, params.hidden_dim)] * (params.depth + 1)
+    input_mask, *layer_masks, final_mask = [
+        _dropout_mask(shape, params.dropout_p, rng) if use_dropout else None for shape in shapes]
 
-    def dropout(x):
-        if not use_dropout:
-            return x, None
-        mask = _dropout_mask(x.shape, params.dropout_p, rng)
-        return x * mask, mask
-
-    f_in, _ = dropout(g.features)
+    f_in = g.features if input_mask is None else g.features * input_mask
     f = f_in @ params.encoder
-    a = g.adjacency
     _check_finite(f, "encoded features")
-    trace = ForwardTrace(adjacency_states=[a], input_dropped=f_in)
-
-    for l, layer in enumerate(params.layers):
-        f_d, ml = dropout(f)
-        f = feature_step(f_d, a, layer.feature)
-        _check_finite(f, f"features after layer {l + 1}")
-        trace.layer_masks.append(ml)
-        trace.layer_dropped.append(f_d)
-        if l + 1 < params.depth:
-            a = adjacency_step(a, layer.adjacency, assume_symmetric=True)
-            _check_finite(a, f"adjacency after layer {l + 1}")
-            trace.adjacency_states.append(a)
-
-    f_out, trace.final_mask = dropout(f)
+    states = adjacency_states(g.adjacency, params.layers)
+    *layer_dropped, f = _feature_states(f, states, params.layers, layer_masks)
+    f_out = f if final_mask is None else f * final_mask
     logits = f_out @ params.classifier_w + params.classifier_b
     _check_finite(logits, "logits")
-    trace.final_dropped = f_out
-    return logits, trace
+    return logits, ForwardTrace(states, f_in, layer_dropped, f_out, layer_masks, final_mask)
 
 
 def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
     """Apply the L coupled Euler layers to an embedded state, without dropout.
 
-    Returns the full state lists ([F0..FL], [A0..AL]). Stacked states and
-    layers evolve one trajectory per state. Raises ValueError unless every
-    A0 is exactly symmetric; the adjacency step keeps it so.
+    Returns ([F_0..F_L], [A_0..A_{L-1}]); stacked states and layers evolve one
+    trajectory per state. Raises ValueError unless every A_0 is exactly
+    symmetric (the adjacency step keeps it so), FloatingPointError on a
+    non-finite state.
     """
-    fs, as_ = [np.asarray(f0, dtype=float)], [np.asarray(a0, dtype=float)]
-    if not all_symmetric(as_[0]):
+    f0, a0 = np.asarray(f0, dtype=float), np.asarray(a0, dtype=float)
+    if not all_symmetric(a0):
         raise ValueError("the adjacency A0 must be exactly symmetric (an undirected graph)")
-    for layer in layers:
-        fs.append(feature_step(fs[-1], as_[-1], layer.feature))
-        as_.append(adjacency_step(as_[-1], layer.adjacency, assume_symmetric=True))
-    return fs, as_
+    states = adjacency_states(a0, layers)
+    return _feature_states(f0, states, layers, [None] * len(states)), states
 
 
 def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
@@ -230,7 +232,7 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     g = f if layer.W is None else layer.W @ f
     w2 = 1.0 if layer.W is None else np.linalg.norm(layer.W, 2, axis=(-2, -1))
     k2 = (1.0 if layer.K is None
-          else np.linalg.norm(symmetrized(layer.K, layer.K.shape[-1]), 2, axis=(-2, -1)))
+          else np.linalg.norm(symmetrized(layer.K), 2, axis=(-2, -1)))
     lip = 4.0 * np.asarray(max_abs_entry, dtype=float) * _max_row_gap(g) * w2 * k2
     return scalar_or_stack(lip)
 

@@ -17,11 +17,10 @@ import numpy as np
 
 from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
-from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                          coeff_gradients, equivariant_linear, equivariant_linear_adjoint,
-                          max_step_adjacency)
+from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, coeff_gradients,
+                          equivariant_linear, equivariant_linear_adjoint, max_step_adjacency)
 from .graph import Graph
-from .network import CoupledLayer, ForwardTrace, NetworkParams, forward
+from .network import CoupledLayer, ForwardTrace, NetworkParams, adjacency_states, forward
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -114,11 +113,6 @@ def cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray, mask: np.nd
     return out
 
 
-def _sign0(x: np.ndarray) -> np.ndarray:
-    # subgradient of |x| with the tie at 0 broken to 0
-    return np.sign(x)
-
-
 def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
              logit_grad: np.ndarray) -> dict:
     """Reverse pass over a recorded trace; returns per-tensor gradients.
@@ -156,7 +150,8 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
             adj_pre = equivariant_linear(a_prev, adj.coeffs, assume_symmetric=True)
             m_bar = adj.h * leaky_relu_prime(adj_pre, adj.leaky_slope) * a_bar
             raw_k = coeff_gradients(a_prev, m_bar, assume_symmetric=True)
-            grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * _sign0(adj.coeffs.k)
+            # np.sign is the subgradient of |k_i| with the tie at 0 broken to 0
+            grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * np.sign(adj.coeffs.k)
             a_bar = a_bar + equivariant_linear_adjoint(m_bar, adj.coeffs)
 
         # feature step F_next = F_d + h*X(F_d, A)
@@ -233,7 +228,6 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     `g` the feature steps stay as stored.
     """
     layers = []
-    a = None if g is None else g.adjacency
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
@@ -244,16 +238,13 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         coeffs = EquivariantCoeffs(k=np.asarray(tensors[f"layer{slot}.k"], dtype=float),
                                    alpha=layer.adjacency.coeffs.alpha)
         h_adj = min(layer.adjacency.h if config is None else config.h, max_step_adjacency(coeffs))
-        h_feat = fp.h if config is None else config.h
-        feature = dataclasses.replace(fp, W=new_W, K=new_K, h=h_feat)
-        adj_cfg = AdjacencyStepConfig(coeffs=coeffs, h=h_adj,
-                                      leaky_slope=layer.adjacency.leaky_slope)
-        if a is not None:
-            feature = dataclasses.replace(
-                feature, h=min(h_feat, max_feature_step(a, feature)))
-            if l + 1 < len(params.layers):
-                a = adjacency_step(a, adj_cfg, assume_symmetric=True)
-        layers.append(CoupledLayer(feature=feature, adjacency=adj_cfg))
+        layers.append(CoupledLayer(
+            feature=dataclasses.replace(fp, W=new_W, K=new_K, h=fp.h if config is None else config.h),
+            adjacency=dataclasses.replace(layer.adjacency, coeffs=coeffs, h=h_adj)))
+    if g is not None:
+        layers = [dataclasses.replace(layer, feature=dataclasses.replace(
+                      layer.feature, h=min(layer.feature.h, max_feature_step(a, layer.feature))))
+                  for layer, a in zip(layers, adjacency_states(g.adjacency, layers))]
     return NetworkParams(
         encoder=tensors["encoder"],
         layers=tuple(layers),

@@ -432,7 +432,7 @@ def _contractive_layers(f0, a0, eps_adj, lams, ws, ks, alphas, slope: float = 0.
     provable regimes along its own clean trajectory (the feature step bounded
     over the eps_adj ball around the clean adjacency state)."""
     layers = []
-    f_clean, a_clean = f0, a0
+    a_clean = a0
     eye = np.eye(f0.shape[-1])
     for l in range(lams.shape[-1]):
         coeffs = EquivariantCoeffs(k=ks[:, l], alpha=alphas[:, l])
@@ -444,7 +444,6 @@ def _contractive_layers(f0, a0, eps_adj, lams, ws, ks, alphas, slope: float = 0.
         feature = dataclasses.replace(base, h=h)
         adjacency = AdjacencyStepConfig(coeffs=coeffs, h=np.minimum(h, h_adj), leaky_slope=slope)
         layers.append(CoupledLayer(feature=feature, adjacency=adjacency))
-        f_clean = dynamics.feature_step(f_clean, a_clean, feature)
         a_clean = equivariant.adjacency_step(a_clean, adjacency)
     return layers
 
@@ -454,7 +453,10 @@ def check_expansivity_bound(rng, trials: int) -> CheckResult:
         layers = _contractive_layers(f0, a0, eps_adj, *layer_draws)
         fs, as_ = network.evolve(f0, a0, layers)
         fs_p, as_p = network.evolve(f0 + df, a0 + da, layers)
-        measured = network.weighted_distance(1.0, 1.0, (fs[-1], as_[-1]), (fs_p[-1], as_p[-1]))
+        # the coupled map's output is (F_L, A_L); evolve stops at A_{L-1}
+        a_out = equivariant.adjacency_step(as_[-1], layers[-1].adjacency)
+        a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
+        measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
         lips = [network.lipschitz_upper(fs[l], layer.feature,
                                         np.abs(as_[l]).max(axis=(-2, -1)) + budget_adj)
                 for l, layer in enumerate(layers)]
@@ -519,17 +521,15 @@ def check_gradient_finite_difference(rng, trials: int) -> CheckResult:
 
 # --- the runner ------------------------------------------------------------------
 
-def run_all(seed: int = 0, overrides: dict = None, trials_scale: float = 1.0):
+def run_all(seed: int = 0, trials_scale: float = 1.0, fault_adjacency_step_scale: float = 1.0):
     """Run every suite; returns (results, failure dumps)."""
-    overrides = overrides or {}
-    step_scale = float(overrides.get("fault_adjacency_step_scale", 1.0))
-    trials_scale = float(overrides.get("trials_scale", trials_scale))
     rng = np.random.default_rng(seed)
     results = []
     results.append(check_metric_l0_l1_binary(rng, _scaled(1000, trials_scale)))
     results.append(check_metric_l1_lower_bound(rng, _scaled(500, trials_scale)))
     results.append(check_permutation_composition(rng, _scaled(200, trials_scale)))
-    results.append(check_adjacency_l1_contraction(rng, _scaled(1000, trials_scale), step_scale))
+    results.append(check_adjacency_l1_contraction(rng, _scaled(1000, trials_scale),
+                                                  fault_adjacency_step_scale))
     results.append(check_adjacency_equivariance(rng, _scaled(1000, trials_scale)))
     results.append(check_adjacency_symmetry(rng, _scaled(1000, trials_scale)))
     results.append(check_equivariant_linearity(rng, _scaled(300, trials_scale)))

@@ -73,6 +73,43 @@ class TestConfigFormat:
         out = cfgmod.apply_overrides({"a": 1}, ["a=2", "b=x"])
         assert out == {"a": 2, "b": "x"}
 
+    def test_cast_keeps_exact_values(self):
+        assert type(cfgmod.cast("epochs", 1e2, int)) is int
+        assert cfgmod.cast("epochs", 1e2, int) == 100
+        assert cfgmod.cast("h", 1, float) == 1.0
+        assert cfgmod.cast("share_weights", False, bool) is False
+
+
+# each of these used to be cast silently: epochs=2.7 trained 2 epochs, h=yes
+# trained with h = 1.0, n=100.7 wrote 100 nodes
+@pytest.mark.parametrize("command, override", [
+    ("train", "epochs=2.7"), ("train", "h=yes"), ("train", "share_weights=1"),
+    ("train", "seed=0.5"), ("gen-sbm", "n=100.7"), ("gen-sbm", "classes=2.9"),
+    ("gen-sbm", "signal=true"), ("attack-sweep", "n_seeds=1.5"), ("certify", "eps_adj=no"),
+    ("verify", "fault_adjacency_step_scale=true"),
+])
+def test_a_value_that_would_be_cast_inexactly_is_runtime_error(sbm_dir, trained_dir, tmp_path,
+                                                                capsys, command, override):
+    needs = {"train": [f"graph={sbm_dir}", "epochs=1"],
+             "attack-sweep": [f"graph={sbm_dir}", "epochs=1", "edge_ratios=0"],
+             "certify": [f"graph={sbm_dir}", f"checkpoint={trained_dir}/model.ckpt"],
+             "verify": ["trials_scale=0.02"]}.get(command, [])
+    argv = [command, "--out", str(tmp_path / "out")]
+    for item in needs + [override]:
+        argv += ["--set", item]
+    assert run(argv) == 3
+    key = override.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}' must")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_reads_as_an_integer(tmp_path):
+    args = ["gen-sbm", "--seed", "2", "--set", "feat_dim=3"]
+    assert run(args + ["--out", str(tmp_path / "a"), "--set", "n=24"]) == 0
+    assert run(args + ["--out", str(tmp_path / "b"), "--set", "n=2.4e1"]) == 0
+    for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestGenSbm:
     def test_outputs_are_byte_deterministic(self, tmp_path):
@@ -141,6 +178,25 @@ class TestTrainCommand:
                     "--set", "epochs=1"])
         assert code == 3
         assert "masks.csv" in capsys.readouterr().err
+
+    def test_non_finite_feature_is_rejected_before_any_output(self, sbm_dir, trained_dir,
+                                                              tmp_path, capsys):
+        # train used to write a header-only metrics.csv and an untrained
+        # model.ckpt, and certify to certify a bound of nan
+        graph = _copy_graph(sbm_dir, tmp_path / "graph")
+        lines = (graph / "features.csv").read_text().splitlines()
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+        (graph / "features.csv").write_text("\n".join(lines) + "\n")
+        code = run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
+                    "--set", "epochs=1"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        code = run(["certify", "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={graph}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "finite" in captured.err and "certified" not in captured.out
 
     def test_misspelled_key_is_usage_error(self, sbm_dir, tmp_path, capsys):
         # it used to train with the default patience of 50

@@ -142,6 +142,16 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="NaN"):
             Graph(adjacency=[[np.nan, 1.0], [1.0, 0.0]], features=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("adjacency, features", [
+        ([[np.inf, 1.0], [1.0, 0.0]], [[0.0], [0.0]]),
+        ([[0.0, -np.inf], [-np.inf, 0.0]], [[0.0], [0.0]]),
+        ([[0.0, 1.0], [1.0, 0.0]], [[np.nan], [0.0]]),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0.0], [-np.inf]]),
+    ])
+    def test_rejects_non_finite_entries(self, adjacency, features):
+        with pytest.raises(ValueError, match="finite"):
+            Graph(adjacency=adjacency, features=features)
+
     def test_rejects_overlapping_masks(self):
         m = np.array([True, False])
         with pytest.raises(ValueError, match="disjoint"):

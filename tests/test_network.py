@@ -42,6 +42,18 @@ def random_params(rng, c_in, c, c_out, depth=2, dropout_p=0.0):
     )
 
 
+def _counted_adjacency_steps(monkeypatch) -> list:
+    """The configs of every adjacency step `network` takes from here on."""
+    calls = []
+
+    def counting_step(a, cfg, **kwargs):
+        calls.append(cfg)
+        return adjacency_step(a, cfg, **kwargs)
+
+    monkeypatch.setattr(network, "adjacency_step", counting_step)
+    return calls
+
+
 def random_graph(rng, n, c_in):
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
     return Graph(adjacency=(upper | upper.T).astype(float),
@@ -72,18 +84,15 @@ class TestForward:
         rng = np.random.default_rng(9)
         g = random_graph(rng, 5, 3)
         params = random_params(rng, 3, 4, 2, depth=depth)
-        calls = []
-
-        def counting_step(a, cfg, **kwargs):
-            calls.append(cfg)
-            return adjacency_step(a, cfg, **kwargs)
-
-        monkeypatch.setattr(network, "adjacency_step", counting_step)
+        calls = _counted_adjacency_steps(monkeypatch)
         _, trace = forward(g, params, mode="eval")
         assert len(calls) == depth - 1
         assert len(trace.adjacency_states) == depth
+        calls.clear()
         _, as_ = evolve(g.features @ params.encoder, g.adjacency, params.layers)
-        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_[:depth]))
+        assert len(calls) == depth - 1
+        assert len(as_) == depth
+        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_))
 
     def test_eval_mode_is_bit_deterministic(self):
         rng = np.random.default_rng(1)
@@ -124,7 +133,16 @@ class TestForward:
         fs, as_ = evolve(g.features @ params.encoder, g.adjacency, params.layers)
         assert np.array_equal(trace.final_dropped, fs[-1])
         assert all(np.array_equal(a, b) for a, b in zip(trace.layer_dropped, fs[:-1]))
-        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_[:-1]))
+        assert all(np.array_equal(a, b) for a, b in zip(trace.adjacency_states, as_))
+
+    def test_evolve_rejects_a_non_finite_state(self):
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, 6, 3)
+        params = random_params(rng, 3, 4, 2)
+        f0 = g.features @ params.encoder
+        f0[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="features after layer 1"):
+            evolve(f0, g.adjacency, params.layers)
 
     def test_nan_aborts_with_diagnostic(self):
         rng = np.random.default_rng(5)
@@ -330,6 +348,15 @@ class TestCertificate:
                                        [r["lipschitz_upper"] for r in cert["layers"]],
                                        budget)
         assert cert["bound"] == pytest.approx(recomputed, rel=1e-12)
+
+    def test_takes_only_the_adjacency_steps_its_layers_read(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        params = random_params(rng, 3, 4, 2, depth=2)
+        a0 = np.abs(rng.standard_normal((6, 6)))
+        calls = _counted_adjacency_steps(monkeypatch)
+        certificate(rng.standard_normal((6, 4)), a0 + a0.T, params,
+                    PerturbationBudget(eps_feat=0.3, eps_adj=0.7))
+        assert len(calls) == 1
 
 
 class TestCheckpoint:

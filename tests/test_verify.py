@@ -13,8 +13,7 @@ def test_quick_run_all_passes_asserted_suites():
 
 
 def test_fault_injection_fails_contraction_suite():
-    results, _ = run_all(seed=0, overrides={"fault_adjacency_step_scale": 25.0,
-                                            "trials_scale": 0.02})
+    results, _ = run_all(seed=0, trials_scale=0.02, fault_adjacency_step_scale=25.0)
     by_id = {r.check_id: r for r in results}
     assert by_id["adjacency_l1_contraction"].status == FAIL
     assert not all_passed(results)
