@@ -16,6 +16,7 @@ import numpy as np
 from . import config as cfgmod
 from . import verify as verifymod
 from .attacks import MODELS, AttackKind, AttackSpec, evaluate_robustness, results_to_csv
+from .equivariant import slope_uniform_margin
 from .graph import PerturbationBudget, load_graph, save_graph
 from .network import certificate, forward, load_checkpoint, save_checkpoint
 from .sbm import gen_sbm
@@ -149,7 +150,6 @@ def cmd_certify(args) -> int:
 
 
 def render_certificate(cert: dict, params) -> str:
-    from .equivariant import slope_uniform_margin
     lines = [
         "expansivity certificate (embedded-state budgets)",
         f"eps_feat = {cert['eps_feat']:.10g}",
@@ -157,14 +157,15 @@ def render_certificate(cert: dict, params) -> str:
         f"encoder spectral gain = {np.linalg.norm(params.encoder, 2):.10g}",
         "layer  h_feat      h_feat_safe  h_adj       h_adj_max   slope_margin  lip_upper",
     ]
+    bad = []
     for row, layer in zip(cert["layers"], params.layers):
         margin = slope_uniform_margin(layer.adjacency.coeffs, layer.adjacency.leaky_slope)
+        if margin < 0:
+            bad.append(str(row["layer"]))
         lines.append(
             f"{row['layer']:<6} {row['h_feature']:<11.4g} {row['h_feature_safe']:<12.4g} "
             f"{row['h_adjacency']:<11.4g} {row['h_adjacency_max']:<11.4g} "
             f"{margin:<13.4g} {row['lipschitz_upper']:.6g}")
-    bad = [str(row["layer"]) for row, layer in zip(cert["layers"], params.layers)
-           if slope_uniform_margin(layer.adjacency.coeffs, layer.adjacency.leaky_slope) < 0]
     if bad:
         lines.append("warning: layers " + ",".join(bad)
                      + " have negative slope-uniform margin; the l1 nonexpansiveness"
@@ -212,7 +213,8 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError, OverflowError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

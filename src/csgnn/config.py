@@ -40,15 +40,6 @@ def loads(text: str) -> dict:
     return out
 
 
-def dumps(values: dict) -> str:
-    lines = []
-    for key, val in values.items():
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
-
-
 def load_file(path) -> dict:
     return loads(Path(path).read_text())
 
@@ -66,13 +57,16 @@ def apply_overrides(values: dict, overrides: list) -> dict:
 def cast(key: str, value, kind):
     """`value` read as `kind`. For a bool, int or float kind it raises
     ValueError, naming `key`, on a string, on a bool read as a number or a
-    number as a bool, and on an int that would drop a fraction (1e2 reads as
-    100)."""
+    number as a bool, on an int that would drop a fraction (1e2 reads as
+    100), and on an int too large for a float."""
     if kind in (bool, int, float) and (
             isinstance(value, str) or isinstance(value, bool) != (kind is bool)
             or (kind is int and value % 1 != 0)):
         raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is too large for a {kind.__name__}") from None
 
 
 # every TrainConfig field, with the type of its default as the value's kind

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import leaky_relu
 from .stacks import any_of, per_matrix, transposed
 
 T_SIZE_GUARD = 64
@@ -27,6 +26,21 @@ T_SIZE_GUARD = 64
 # Probe points closer than this to an activation kink are rejected.
 KINK_TOL = 1e-6
 FD_STEP = 1e-5
+
+
+def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU with slope in (0, 1], so its derivative stays in [0, 1];
+    slope 1 is the identity, which the hand-computable test oracles rely on."""
+    # For slope in (0, 1], max(x, slope*x) picks x on the positive side and
+    # slope*x on the negative side: the same bits as np.where(x > 0, x, slope*x).
+    # The result overwrites slope*x, so no third array of x's size is live.
+    y = slope * x
+    return np.maximum(x, y, out=y)
+
+
+def leaky_relu_prime(x: np.ndarray, slope: float) -> np.ndarray:
+    # Subgradient at the kink is resolved to the negative-side slope.
+    return np.where(x > 0, 1.0, slope)
 
 
 @dataclass(frozen=True)
@@ -279,6 +293,23 @@ def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,
                    assume_symmetric: bool = False) -> np.ndarray:
     """One explicit Euler step A + h*sigma(M(A))."""
     return adjacency_step_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope, assume_symmetric)
+
+
+def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarray) -> tuple:
+    """Pull a cotangent `a_bar` on A + h*sigma(M(A)) back through the step.
+
+    Returns (the cotangent on A, the gradient of the free coefficients
+    k2..k9). `a` must be exactly symmetric, as every state of a trajectory
+    from a symmetric A_0 is. The derived k1 = alpha - sum |k_i| feeds each
+    k_i's gradient through -sign(k_i); the subgradient of |k_i| at zero is
+    taken as 0 (np.sign breaks the tie to 0).
+    """
+    pre = equivariant_linear(a, cfg.coeffs, assume_symmetric=True)
+    m_bar = cfg.h * leaky_relu_prime(pre, cfg.leaky_slope) * a_bar
+    del pre
+    raw_k = coeff_gradients(a, m_bar, assume_symmetric=True)
+    a_bar = a_bar + equivariant_linear_adjoint(m_bar, cfg.coeffs)
+    return a_bar, raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)
 
 
 def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,

@@ -18,9 +18,8 @@ from .dynamics import Parameterization
 from .equivariant import equivariant_linear, max_step_adjacency
 from .graph import Graph
 from .network import NetworkParams, forward
-from .training import (TrainConfig, backward, collapse_shared_grads,
-                       cross_entropy_logit_grad, init_params, masked_cross_entropy,
-                       params_to_tensors, rebuild_params)
+from .training import (TrainConfig, backward, cross_entropy_logit_grad, init_params,
+                       masked_cross_entropy, params_to_tensors, rebuild_params)
 
 FD_STEP = 1e-6
 KINK_GUARD = 2e-4
@@ -94,7 +93,7 @@ def loss_at(g: Graph, params: NetworkParams, seed: int) -> float:
 def analytic_gradients(g: Graph, params: NetworkParams, seed: int) -> dict:
     logits, trace = _seeded_forward(g, params, seed)
     logit_grad = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
-    return collapse_shared_grads(backward(trace, g, params, logit_grad), params)
+    return backward(trace, g, params, logit_grad)
 
 
 def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_STEP) -> dict:

@@ -1,11 +1,9 @@
 """Gradient-based training: masked cross-entropy, hand-written reverse mode,
 Adam with decoupled weight decay, and the end-to-end training loop.
 
-Gradients are propagated manually through the recorded forward trace. The only
-non-smooth parameter path is the derived leading adjacency coefficient
-k1 = alpha - sum |k_i|; the subgradient of |k_i| at zero is taken as 0. After
-every optimizer step the per-layer step sizes are re-clamped to their
-contractive bounds.
+Gradients are propagated manually through the recorded forward trace, one
+layer at a time through each step's own pullback. After every optimizer step
+the per-layer step sizes are re-clamped to their contractive bounds.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import leaky_relu_prime
 from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
-from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, coeff_gradients,
-                          equivariant_linear, equivariant_linear_adjoint, max_step_adjacency)
+from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step_vjp,
+                          max_step_adjacency)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, adjacency_states, forward
 
@@ -115,15 +112,14 @@ def cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray, mask: np.nd
 
 def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
              logit_grad: np.ndarray) -> dict:
-    """Reverse pass over a recorded trace; returns per-tensor gradients.
+    """Reverse pass over a recorded trace; returns the gradients `adam_step`
+    takes, keyed exactly like `params_to_tensors(params)`.
 
-    Keys mirror the trainable tensors: "encoder", "classifier_w",
-    "classifier_b", and per layer "layer{l}.W" or "layer{l}.K" plus
-    "layer{l}.k" (the eight free adjacency coefficients). Nothing reads the
-    last layer's adjacency output, so `forward` does not compute it, its
-    "layer{L-1}.k" is zero and its adjacency step is not pulled back.
-    `g`, the graph `forward` ran on, is not read: the trace holds every
-    adjacency state the pass needs.
+    A shared slot's gradient sums its layers' gradients in ascending layer
+    order. Nothing reads the last layer's adjacency output, so `forward` does
+    not compute it, its adjacency step is not pulled back and its share of
+    the "k" gradient is zero. `g`, the graph `forward` ran on, is not read:
+    the trace holds every adjacency state the pass needs.
     """
     L = params.depth
     if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
@@ -136,36 +132,32 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     if trace.final_mask is not None:
         f_bar = f_bar * trace.final_mask
     a_bar = np.zeros_like(trace.adjacency_states[-1])
+    per_layer = [None] * L
 
     for l in range(L - 1, -1, -1):
         layer = params.layers[l]
         a_prev = trace.adjacency_states[l]
-
+        # adjacency step A_next = A + h*sigma(M(A))
         if l == L - 1:
-            grads[f"layer{l}.k"] = np.zeros(8)
+            k_grad = np.zeros(8)
         else:
-            # adjacency step A_next = A + h*sigma(M(A)): pull a_bar through
-            # sigma, the coefficients, and the linear map itself
-            adj = layer.adjacency
-            adj_pre = equivariant_linear(a_prev, adj.coeffs, assume_symmetric=True)
-            m_bar = adj.h * leaky_relu_prime(adj_pre, adj.leaky_slope) * a_bar
-            raw_k = coeff_gradients(a_prev, m_bar, assume_symmetric=True)
-            # np.sign is the subgradient of |k_i| with the tie at 0 broken to 0
-            grads[f"layer{l}.k"] = raw_k[1:] - raw_k[0] * np.sign(adj.coeffs.k)
-            a_bar = a_bar + equivariant_linear_adjoint(m_bar, adj.coeffs)
+            a_bar, k_grad = adjacency_step_vjp(a_prev, layer.adjacency, a_bar)
 
         # feature step F_next = F_d + h*X(F_d, A)
-        f_d_bar, a_field_bar, layer_grads = feature_field_vjp(
+        f_d_bar, a_field_bar, per_layer[l] = feature_field_vjp(
             trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
         a_bar = a_bar + a_field_bar
-        for name, grad in layer_grads.items():
-            grads[f"layer{l}.{name}"] = grad
+        per_layer[l]["k"] = k_grad
         f_d_bar = f_d_bar + f_bar
 
         mask = trace.layer_masks[l]
         f_bar = f_d_bar if mask is None else f_d_bar * mask
 
     grads["encoder"] = trace.input_dropped.T @ f_bar
+    for l, layer_grads in enumerate(per_layer):
+        for name, grad in layer_grads.items():
+            key = f"layer{_layer_slot(params, l)}.{name}"
+            grads[key] = grads.get(key, 0.0) + grad
     return grads
 
 
@@ -188,20 +180,6 @@ def params_to_tensors(params: NetworkParams) -> dict:
         else:
             out[f"layer{slot}.K"] = layer.feature.K
         out[f"layer{slot}.k"] = layer.adjacency.coeffs.k
-    return out
-
-
-def collapse_shared_grads(grads: dict, params: NetworkParams) -> dict:
-    """Aggregate per-layer gradients onto the trainable slots of `params`."""
-    out = {k: np.asarray(v, dtype=float) for k, v in grads.items() if "." not in k}
-    for l in range(params.depth):
-        slot = _layer_slot(params, l)
-        for name in ("W", "K", "k"):
-            key = f"layer{l}.{name}"
-            if key not in grads:
-                continue
-            tgt = f"layer{slot}.{name}"
-            out[tgt] = out.get(tgt, 0.0) + np.asarray(grads[key], dtype=float)
     return out
 
 
@@ -404,8 +382,7 @@ def train(g_attacked: Graph, config: TrainConfig):
             if not np.isfinite(loss):
                 return None
             seed_grad = cross_entropy_logit_grad(logits, g_attacked.labels, g_attacked.train_mask)
-            grads = collapse_shared_grads(
-                backward(trace, g_attacked, params, seed_grad), params)
+            grads = backward(trace, g_attacked, params, seed_grad)
             del trace  # one trace alive at a time
             # a step that overflows to inf or nan stops training just below
             with np.errstate(over="ignore", invalid="ignore"):

@@ -58,8 +58,11 @@ def trained_dir(tmp_path_factory, sbm_dir):
 
 class TestConfigFormat:
     def test_round_trip(self):
-        values = {"epochs": 12, "h": 0.25, "share_weights": True, "graph": "data/sbm"}
-        assert cfgmod.loads(cfgmod.dumps(values)) == values
+        # the values as a config file writes them, parsed back to the same types
+        text = "epochs = 12\nh = 0.25\nshare_weights = true\ngraph = data/sbm\n"
+        values = cfgmod.loads(text)
+        assert values == {"epochs": 12, "h": 0.25, "share_weights": True, "graph": "data/sbm"}
+        assert [type(v) for v in values.values()] == [int, float, bool, str]
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nepochs = 3  # trailing\n"
@@ -109,6 +112,30 @@ def test_an_integral_float_reads_as_an_integer(tmp_path):
     assert run(args + ["--out", str(tmp_path / "b"), "--set", "n=2.4e1"]) == 0
     for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("gen-sbm", "p_in=" + "1" * 400, "error: config key 'p_in' is too large"),
+    ("attack-sweep", "n_seeds=" + "9" * 30, "error: "),
+], ids=["int-too-large-for-float", "too-many-seeds"])
+def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command, override,
+                                              message):
+    argv = [command, "--out", str(tmp_path / "out"), "--set", override]
+    if command == "attack-sweep":
+        argv += ["--set", f"graph={sbm_dir}", "--set", "epochs=1", "--set", "edge_ratios=0"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def oversized(**kwargs):
+        raise MemoryError("Unable to allocate 8.88 PiB")
+
+    monkeypatch.setattr("csgnn.cli.gen_sbm", oversized)
+    assert run(["gen-sbm", "--out", str(tmp_path / "out"), "--set", "n=100000000"]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 8.88 PiB\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenSbm:

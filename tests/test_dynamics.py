@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from csgnn import dynamics
-from csgnn.activations import leaky_relu
 from csgnn.dynamics import (H_SAFE_EPS, LayerParams, Parameterization, energy, feature_field,
                             feature_field_vjp, feature_step, graph_gradient,
                             graph_gradient_adjoint, gradient_operator_sq_norm,
                             max_feature_step)
-from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step
+from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, leaky_relu
 from csgnn.sbm import gen_sbm
 
 PATH_GRAPH = np.array([[0.0, 1.0], [1.0, 0.0]])

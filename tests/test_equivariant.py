@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, EquivariantCoeffs,
-                               adjacency_step, adjacency_step_unchecked, build_T, build_T_raw,
-                               coeff_gradients, equivariant_linear,
+                               adjacency_step, adjacency_step_unchecked, adjacency_step_vjp,
+                               build_T, build_T_raw, coeff_gradients, equivariant_linear,
                                equivariant_linear_adjoint, jacobian_l1_probe_unchecked,
-                               max_step_adjacency,
+                               leaky_relu, max_step_adjacency,
                                operator_l1_norm, slope_uniform_margin, unvec, vec)
 from csgnn.graph import l1_vec_distance
+
+TINY = np.finfo(float).tiny           # smallest normal
+SUB = np.nextafter(0.0, 1.0)          # smallest subnormal
 
 
 def coeffs_with(alpha=0.0, **k_entries):
@@ -259,6 +262,66 @@ class TestAdjacencyStep:
             assert d_out <= d_in + 1e-9
 
 
+class TestAdjacencyStepVjp:
+    """The pullback against central differences of <a_bar, adjacency_step(A)>."""
+
+    T = 1e-6
+
+    @staticmethod
+    def smooth_instance(rng, k):
+        # a symmetric A whose pre-activations stay well off the kink; h at half
+        # the step bound, so a perturbed k_i still admits the same h
+        coeffs = EquivariantCoeffs(k=k, alpha=-0.5)
+        while True:
+            a = rng.standard_normal((5, 5))
+            a = a + a.T
+            if np.abs(equivariant_linear(a, coeffs)).min() > 1e-3:
+                break
+        cfg = AdjacencyStepConfig(coeffs=coeffs, h=0.5 * max_step_adjacency(coeffs))
+        return a, cfg, rng.standard_normal((5, 5))
+
+    @staticmethod
+    def objective(a, cfg, a_bar, k=None):
+        if k is not None:
+            coeffs = EquivariantCoeffs(k=k, alpha=cfg.coeffs.alpha)
+            cfg = AdjacencyStepConfig(coeffs=coeffs, h=cfg.h, leaky_slope=cfg.leaky_slope)
+        return float((a_bar * adjacency_step(a, cfg)).sum())
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            a, cfg, a_bar = self.smooth_instance(rng, rng.standard_normal(8))
+            got_a, got_k = adjacency_step_vjp(a, cfg, a_bar)
+            for _ in range(4):
+                da = rng.standard_normal(a.shape)
+                fd = (self.objective(a + self.T * da, cfg, a_bar)
+                      - self.objective(a - self.T * da, cfg, a_bar)) / (2 * self.T)
+                assert float((got_a * da).sum()) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+            k = cfg.coeffs.k
+            for i in np.flatnonzero(k):
+                step = np.zeros(8)
+                step[i] = self.T
+                fd = (self.objective(a, cfg, a_bar, k + step)
+                      - self.objective(a, cfg, a_bar, k - step)) / (2 * self.T)
+                assert got_k[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_zero_coefficient_takes_the_mean_of_the_one_sided_differences(self):
+        rng = np.random.default_rng(22)
+        for i in range(8):
+            k = rng.standard_normal(8)
+            k[i] = 0.0
+            a, cfg, a_bar = self.smooth_instance(rng, k)
+            step = np.zeros(8)
+            step[i] = self.T
+            at_zero = self.objective(a, cfg, a_bar, k)
+            right = (self.objective(a, cfg, a_bar, k + step) - at_zero) / self.T
+            left = (at_zero - self.objective(a, cfg, a_bar, k - step)) / self.T
+            # k1 = alpha - sum |k_i| puts a kink at k_i = 0
+            assert abs(right - left) > 1e-3
+            _, got_k = adjacency_step_vjp(a, cfg, a_bar)
+            assert got_k[i] == pytest.approx(0.5 * (right + left), rel=1e-6, abs=1e-8)
+
+
 class TestJacobianProbe:
     def test_zero_coefficients_give_exact_identity(self):
         a = np.random.default_rng(0).standard_normal((3, 3))
@@ -334,3 +397,17 @@ class TestJacobianProbe:
         d_out = l1_vec_distance(adjacency_step_unchecked(a, c, h, 0.1),
                                 adjacency_step_unchecked(b, c, h, 0.1))
         assert d_out > l1_vec_distance(a, b) * 1.4
+
+
+@pytest.mark.parametrize("slope", [1.0, 0.5, 0.1, 1e-3, TINY, SUB])
+def test_leaky_relu_bits_equal_where_form(slope):
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, SUB, -SUB, 3 * SUB, -3 * SUB,
+               TINY, -TINY, 1e-310, -1e-310, 1.0, -1.0, np.finfo(float).max, -np.finfo(float).max]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([special, rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200)])
+    where = np.where(x > 0, x, slope * x)
+    got = leaky_relu(x, slope)
+    assert np.array_equal(got.view(np.uint64), where.view(np.uint64))
+    matrix = x[:196].reshape(14, 14)
+    assert np.array_equal(leaky_relu(matrix, slope).view(np.uint64),
+                          np.where(matrix > 0, matrix, slope * matrix).view(np.uint64))

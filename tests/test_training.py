@@ -13,9 +13,9 @@ from csgnn.graph import Graph
 from csgnn.network import NetworkParams, evolve, forward
 from csgnn.sbm import gen_sbm
 from csgnn.training import (AdamState, TrainConfig, accuracy, adam_step, backward,
-                            collapse_shared_grads, cross_entropy_logit_grad,
-                            history_to_csv, init_params, masked_cross_entropy,
-                            params_to_tensors, rebuild_params, select_checkpoint, train)
+                            cross_entropy_logit_grad, history_to_csv, init_params,
+                            masked_cross_entropy, params_to_tensors, rebuild_params,
+                            select_checkpoint, train)
 
 
 class TestMaskedCrossEntropy:
@@ -97,9 +97,8 @@ class TestBackward:
         replayed = (f * trace.final_mask) @ params.classifier_w + params.classifier_b
         assert np.array_equal(replayed, logits)
         assert loss_at(g, params, seed) == masked_cross_entropy(logits, g.labels, g.train_mask)
-        expected = collapse_shared_grads(
-            backward(trace, g, params, cross_entropy_logit_grad(logits, g.labels, g.train_mask)),
-            params)
+        expected = backward(trace, g, params,
+                            cross_entropy_logit_grad(logits, g.labels, g.train_mask))
         got = analytic_gradients(g, params, seed)
         assert all(np.array_equal(got[key], expected[key]) for key in expected)
 
@@ -158,21 +157,40 @@ class TestBackward:
         with pytest.raises(ValueError, match="symmetric"):
             dataclasses.replace(g, adjacency=a)
 
-    def test_shared_weights_gradients_aggregate(self):
+    @staticmethod
+    def small_instance(share_weights):
         rng = np.random.default_rng(5)
-        cfg = TrainConfig(hidden_dim=3, num_layers=3, share_weights=True, h=0.2,
-                          alpha=-1.0, dropout_p=0.0)
+        cfg = TrainConfig(hidden_dim=3, num_layers=3, share_weights=share_weights, h=0.2,
+                          alpha=-1.0, dropout_p=0.2)
         params = init_params(2, 2, 5, cfg, rng)
         g = Graph(adjacency=(np.fromfunction(lambda i, j: (i + j) % 2, (5, 5))),
                   features=rng.standard_normal((5, 2)),
                   labels=rng.integers(0, 2, 5), train_mask=np.ones(5, dtype=bool))
-        logits, trace = forward(g, params, mode="eval")
-        seed = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
-        per_layer = backward(trace, g, params, seed)
-        collapsed = collapse_shared_grads(per_layer, params)
-        manual = sum(per_layer[f"layer{l}.k"] for l in range(3))
-        assert np.allclose(collapsed["layer0.k"], manual)
-        assert "layer1.k" not in collapsed
+        return g, params
+
+    @staticmethod
+    def gradients(g, params):
+        logits, trace = forward(g, params, mode="train", rng=np.random.default_rng(0))
+        return backward(trace, g, params,
+                        cross_entropy_logit_grad(logits, g.labels, g.train_mask))
+
+    @pytest.mark.parametrize("share_weights", [False, True])
+    def test_keys_are_the_trainable_tensors(self, share_weights):
+        g, params = self.small_instance(share_weights)
+        assert set(self.gradients(g, params)) == set(params_to_tensors(params))
+
+    def test_shared_weights_gradients_aggregate(self):
+        # the shared slot sums the gradients of the same layers run unshared,
+        # in ascending layer order, to the bit
+        g, shared = self.small_instance(True)
+        per_layer = self.gradients(g, dataclasses.replace(shared, share_weights=False))
+        collapsed = self.gradients(g, shared)
+        for name in ("K", "k"):
+            expected = (0.0 + per_layer[f"layer0.{name}"] + per_layer[f"layer1.{name}"]
+                        + per_layer[f"layer2.{name}"])
+            assert np.array_equal(collapsed[f"layer0.{name}"], expected)
+        for key in ("encoder", "classifier_w", "classifier_b"):
+            assert np.array_equal(collapsed[key], per_layer[key])
 
 
 class TestAdam:
