@@ -10,7 +10,7 @@ from .graph import (Graph, Permutation, PerturbationBudget, frobenius_distance,
                     l0_distance, l1_vec_distance, load_graph, permute_graph, save_graph)
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           build_T, equivariant_linear, max_step_adjacency, operator_l1_norm)
-from .dynamics import LayerParams, Parameterization, energy, feature_step, max_feature_step
+from .dynamics import LayerParams, energy, feature_step, max_feature_step
 from .network import (CoupledLayer, ForwardTrace, NetworkParams, certificate, evolve,
                       expansivity_bound, forward, load_checkpoint, save_checkpoint,
                       weighted_distance)

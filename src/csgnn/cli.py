@@ -33,6 +33,7 @@ def _load_values(args, keys) -> dict:
         raise SystemExit2(f"{args.command} does not read the config key(s) {', '.join(stray)}")
     if args.seed is not None:
         values["seed"] = args.seed
+    _checked(values, "seed", 0, lambda seed: seed >= 0, "a non-negative integer")
     return values
 
 
@@ -47,10 +48,23 @@ def _get(values: dict, key: str, default):
     return cfgmod.cast(key, values.get(key, default), type(default))
 
 
-def _float_list(raw, default) -> list:
+def _checked(values: dict, key: str, default, ok, what: str):
+    """`_get`, raising ValueError naming `key` unless `ok(value)` holds."""
+    value = _get(values, key, default)
+    if not ok(value):
+        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _float_list(values: dict, key: str, default) -> list:
+    raw = values.get(key)
     if raw is None:
         return list(default)
-    return [float(tok) for tok in str(raw).split(",") if tok != ""]
+    try:
+        return [float(tok) for tok in str(raw).split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be a comma-separated list of numbers, "
+                         f"got {raw!r}") from None
 
 
 def cmd_gen_sbm(args) -> int:
@@ -96,8 +110,8 @@ def cmd_attack_sweep(args) -> int:
         raise SystemExit2("attack-sweep needs a 'graph = <dir>' config entry")
     g = load_graph(values["graph"])
     tc = cfgmod.train_config_from(values)
-    ratios = _float_list(values.get("edge_ratios"), (0.0, 0.5, 1.0))
-    feat_epss = _float_list(values.get("feat_eps_list"), ())
+    ratios = _float_list(values, "edge_ratios", (0.0, 0.5, 1.0))
+    feat_epss = _float_list(values, "feat_eps_list", ())
     seed0 = _get(values, "seed", 0)
     specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
     specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
@@ -105,7 +119,9 @@ def cmd_attack_sweep(args) -> int:
     for name in models:
         if name not in MODELS:
             raise SystemExit2(f"unknown model {name!r}")
-    n_seeds = _get(values, "n_seeds", 10)
+    # a tuple of seeds holds at most sys.maxsize of them
+    n_seeds = _checked(values, "n_seeds", 10, lambda k: 1 <= k <= sys.maxsize,
+                       f"an integer from 1 to {sys.maxsize}")
     rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(n_seeds)))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)
@@ -116,8 +132,10 @@ def cmd_attack_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     values = _load_values(args, ("trials_scale", "fault_adjacency_step_scale"))
+    trials_scale = _checked(values, "trials_scale", 1.0, lambda x: np.isfinite(x) and x > 0,
+                            "finite and greater than 0")
     results, failures = verifymod.run_all(
-        seed=_get(values, "seed", 0), trials_scale=_get(values, "trials_scale", 1.0),
+        seed=_get(values, "seed", 0), trials_scale=trials_scale,
         fault_adjacency_step_scale=_get(values, "fault_adjacency_step_scale", 1.0))
     report = verifymod.render_report(results)
     print(report, end="")

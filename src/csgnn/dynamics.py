@@ -4,12 +4,11 @@ The edge-indexed gradient of node features is (G(A)F)_ijk = A_ij (F_ik - F_jk);
 its adjoint aggregates edge quantities back onto nodes. One Euler layer moves
 the features along
 
-    F <- F + h * X(F, A),   X(F, A) = -W^T G(A)^T sigma(G(A) (W F)) Ktilde,
+    F <- F + h * X(F, A),   X(F, A) = -G(A)^T sigma(G(A) F) Ktilde,
 
-with Ktilde = (K + K^T)/2 symmetrized at every evaluation. Two parameterizations
-are supported: training the node-side mixing W (with K a positive multiple of
-the identity, the configuration with a Frobenius contraction guarantee) or
-training the channel-mixing K with W fixed to the identity.
+with the trained channel mixer K symmetrized, Ktilde = (K + K^T)/2, at every
+evaluation. The field acts on every node alike, so the layer is
+permutation-equivariant and independent of the node count n.
 
 The adjacency is exactly symmetric by contract: `Graph` rejects any other,
 `network.evolve` checks the A_0 it is handed, and the adjacency step keeps an
@@ -17,32 +16,36 @@ exactly symmetric matrix exactly symmetric. On such an A the LeakyReLU cancels
 pairwise, sigma(x) - sigma(-x) = (1 + slope) x, so the field is exactly the
 weighted-Laplacian map
 
-    X(F, A) = -(1 + slope) W^T L(A o A) W F Ktilde,   L(B) = diag(B 1) - B,
+    X(F, A) = -(1 + slope) L(A o A) F Ktilde,   L(B) = diag(B 1) - B,
 
 and that is the form every function here computes, without (n, n, c) edge
 tensors. `graph_gradient` and its adjoint remain as the operators the
 property suite checks for adjointness.
 
-Writing B = I_c (x) G(A)W, the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
-the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) W F)
+Writing B = I_c (x) G(A), the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
+the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) F)
 with gamma' = sigma, which the same cancellation turns into
-(1 + slope)/2 * sum g o L(A o A) g with g = W F. That structure yields the
-step-size bound used here: the field's linearization has l2 norm at most
-||Ktilde||_2 * ||G(A)W||_2^2, and for positive definite Ktilde descent of E
-(and, for K = lambda*I, nonexpansiveness in Frobenius norm) holds for h below
+(1 + slope)/2 * sum F o L(A o A) F. That structure yields the step-size bound
+used here: the field's linearization has l2 norm at most
+||Ktilde||_2 * ||G(A)||_2^2, and for positive definite Ktilde both descent of E
+and nonexpansiveness in Frobenius norm hold for h below
 
-    h_safe = 1 / (lam_max(Ktilde)^2 / lam_min(Ktilde) * ||G(A)W||_2^2 + eps).
+    h_safe = 1 / (lam_max(Ktilde)^2 / lam_min(Ktilde) * ||G(A)||_2^2 + eps).
 
-||G(A)W||_2^2 is lam_max(W^T L(2 A o A) W). Below 256 nodes it comes from a
-dense `eigvalsh` of that matrix; from 256 nodes on, from matrix-free Lanczos
-whose top Ritz value is padded by its residual, so the estimate errs towards a
+The step is the symmetric linear map F -> F - h (1 + slope) L(A o A) F Ktilde,
+whose eigenvalues 1 - h (1 + slope) lam_i mu_j (lam_i of L(A o A), mu_j of
+Ktilde) lie in [1 - (1 + slope)/2, 1] below h_safe. Nothing keeps a trained
+Ktilde positive definite: an indefinite one gets a stability clamp only.
+
+||G(A)||_2^2 is lam_max(L(2 A o A)). Below 256 nodes it comes from a dense
+`eigvalsh` of that matrix; from 256 nodes on, from matrix-free Lanczos whose
+top Ritz value is padded by its residual, so the estimate errs towards a
 smaller step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,47 +54,34 @@ from .stacks import any_of, per_matrix, scalar_or_stack, transposed
 H_SAFE_EPS = 1e-12
 
 
-class Parameterization(str, Enum):
-    LEARN_W = "learn_w"  # node-side W in R^{n x n} trained, K = lambda * I fixed
-    LEARN_K = "learn_k"  # W = I, channel-mixing K in R^{c x c} trained
-
-
 @dataclass(frozen=True)
 class LayerParams:
-    """Per-layer feature-dynamics parameters. W=None / K=None mean identity.
+    """Per-layer feature-dynamics parameters: the step size h, the channel
+    mixer K (None means the identity) and the activation slope.
 
-    A stack of layers has W of shape (..., n, n), K of shape (..., c, c) and
-    h of shape (...); the feature functions then act on stacks of states with
-    one layer per state.
+    A stack of layers has K of shape (..., c, c) and h of shape (...); the
+    feature functions then act on stacks of states with one layer per state.
     """
 
     h: float
-    parameterization: Parameterization = Parameterization.LEARN_K
-    W: np.ndarray = None
     K: np.ndarray = None
     leaky_slope: float = 0.1
+
+    # Not a field: the node mixer is always the identity. Kept as an attribute
+    # only because perfbench's `layer_dicts` reads `feature.W`.
+    W = None
 
     def __post_init__(self):
         if any_of(self.h < 0):
             raise ValueError("step size must be nonnegative")
         if not 0 < self.leaky_slope <= 1:
             raise ValueError("activation slope must lie in (0, 1]")
-        if self.parameterization == Parameterization.LEARN_K and self.W is not None:
-            raise ValueError("learn_k parameterization keeps W at the identity")
-        if self.parameterization == Parameterization.LEARN_W and self.K is not None:
-            k = np.asarray(self.K, dtype=float)
-            if (k.ndim < 2 or k.shape[-1] != k.shape[-2]
-                    or not np.array_equal(k, k[..., :1, :1] * np.eye(k.shape[-1]))
-                    or any_of(k[..., 0, 0] <= 0)):
-                raise ValueError("learn_w parameterization requires K = lambda * I with lambda > 0")
-        for name in ("W", "K"):
-            v = getattr(self, name)
-            if v is not None:
-                arr = np.array(v, dtype=float)
-                if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-                    raise ValueError(f"{name} must be square")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        if self.K is not None:
+            k = np.array(self.K, dtype=float)
+            if k.ndim < 2 or k.shape[-1] != k.shape[-2]:
+                raise ValueError("K must be square")
+            k.setflags(write=False)
+            object.__setattr__(self, "K", k)
 
 
 # Every function below that takes adjacency and features also takes stacks
@@ -129,12 +119,8 @@ def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
-    """X(F, A) = -W^T G(A)^T sigma(G(A) W F) Ktilde = -(1 + slope) W^T L(A o A) W F Ktilde."""
-    w = params.W
-    g = f if w is None else w @ f
-    v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, g)
-    if w is not None:
-        v = transposed(w) @ v
+    """X(F, A) = -G(A)^T sigma(G(A) F) Ktilde = -(1 + slope) L(A o A) F Ktilde."""
+    v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, f)
     if params.K is not None:
         v = v @ symmetrized(params.K)
     return -v
@@ -145,28 +131,19 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     """Reverse of `feature_field`.
 
     Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, grads), with
-    grads holding the trained tensor's gradient under "W" (learn_w) or "K"
-    (learn_k). a_bar matches the edge form along symmetric directions, the
-    only ones an adjacency trajectory started from a symmetric A takes.
+    grads holding the gradient of K under "K". a_bar matches the edge form
+    along symmetric directions, the only ones an adjacency trajectory started
+    from a symmetric A takes.
     """
-    w = params.W
     scale = 1.0 + params.leaky_slope
     b = a * a
-    g = f if w is None else w @ f
-    v = scale * _laplacian_apply(b, g)
+    v = scale * _laplacian_apply(b, f)
     p_bar = -x_bar if params.K is None else -(x_bar @ symmetrized(params.K))
-    v_bar = p_bar if w is None else w @ p_bar
-    u_bar = scale * v_bar
-    g_bar = _laplacian_apply(b, u_bar)
-    b_bar = (u_bar * g).sum(axis=1)[:, None] - u_bar @ g.T
-    if params.parameterization == Parameterization.LEARN_W:
-        grads = {"W": v @ p_bar.T + g_bar @ f.T}
-    else:
-        p = v if w is None else w.T @ v
-        k_tilde_bar = -p.T @ x_bar
-        grads = {"K": 0.5 * (k_tilde_bar + k_tilde_bar.T)}
-    f_bar = g_bar if w is None else w.T @ g_bar
-    return f_bar, 2.0 * a * b_bar, grads
+    u_bar = scale * p_bar
+    f_bar = _laplacian_apply(b, u_bar)
+    b_bar = (u_bar * f).sum(axis=1)[:, None] - u_bar @ f.T
+    k_tilde_bar = -v.T @ x_bar
+    return f_bar, 2.0 * a * b_bar, {"K": 0.5 * (k_tilde_bar + k_tilde_bar.T)}
 
 
 def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
@@ -178,51 +155,43 @@ def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarra
     return f + per_matrix(params.h) * feature_field(f, a, params)
 
 
-def energy(a: np.ndarray, f: np.ndarray, w: np.ndarray = None, leaky_slope: float = 0.1) -> float:
-    """Convex layer energy sum gamma(G(A) W F), gamma' = sigma and gamma(0) = 0.
+def energy(a: np.ndarray, f: np.ndarray, leaky_slope: float = 0.1) -> float:
+    """Convex layer energy sum gamma(G(A) F), gamma' = sigma and gamma(0) = 0.
 
-    With g = W F it is (1 + slope)/2 * sum g o L(A o A) g: the pairwise
-    cancellation that gives the field's Laplacian form. A float for one
-    state, one energy per state for stacks.
+    It is (1 + slope)/2 * sum F o L(A o A) F: the pairwise cancellation that
+    gives the field's Laplacian form. A float for one state, one energy per
+    state for stacks.
     """
     a = np.asarray(a, dtype=float)
     f = np.asarray(f, dtype=float)
-    g = f if w is None else np.asarray(w, dtype=float) @ f
-    if g.shape[-2] != a.shape[-1]:
-        raise ValueError("shape mismatch between adjacency and (projected) features")
-    e = (g * _laplacian_apply(a * a, g)).sum(axis=(-2, -1))
+    if f.shape[-2] != a.shape[-1]:
+        raise ValueError("shape mismatch between adjacency and features")
+    e = (f * _laplacian_apply(a * a, f)).sum(axis=(-2, -1))
     return scalar_or_stack(0.5 * (1.0 + leaky_slope) * e)
 
 
-def gradient_operator_sq_norm(a: np.ndarray, w: np.ndarray = None) -> float:
-    """||G(A) W||_2^2 = lam_max(W^T L(2 A o A) W).
+def gradient_operator_sq_norm(a: np.ndarray) -> float:
+    """||G(A)||_2^2 = lam_max(L(2 A o A)).
 
     For a single channel, (G(A)v)_ij = A_ij (v_i - v_j), so (G(A))^T G(A) is the
     graph Laplacian L(B) with B = A o A + (A o A)^T, which is 2 (A o A) on a
     symmetric A. Below `_LANCZOS_MIN_N` nodes the Laplacian is formed and
     `eigvalsh` gives lam_max exactly; from there on `_lanczos_lam_max`
-    computes it from products x -> W^T (d o (W x) - B (W x)), d = B 1,
-    without forming L or W^T L W. Non-finite A or W raises
-    np.linalg.LinAlgError on both paths. A stack of adjacency matrices (with
-    W None, one W, or one W each) takes the dense path and gives one value
-    per matrix.
+    computes it from products x -> d o x - B x, d = B 1, without forming L.
+    A non-finite A raises np.linalg.LinAlgError on both paths. A stack of
+    adjacency matrices takes the dense path and gives one value per matrix.
     """
     a = np.asarray(a, dtype=float)
     wts = np.multiply(a, a, order="C")
     wts *= 2.0
     deg = wts.sum(axis=-1)
-    if not np.isfinite(deg).all() or (w is not None and not np.isfinite(w).all()):
+    if not np.isfinite(deg).all():
         raise np.linalg.LinAlgError("gradient operator has non-finite entries")
     n = a.shape[-1]
     if a.ndim == 2 and n >= _LANCZOS_MIN_N:
-        def lap_apply(x):
-            return deg * x - wts @ x
-        op = lap_apply if w is None else (lambda x: w.T @ lap_apply(w @ x))
-        return _lanczos_lam_max(op, n)
+        return _lanczos_lam_max(lambda x: deg * x - wts @ x, n)
     lap = 0.0 - wts  # np.diag(deg) - wts to the bit, with +0 off the diagonal
     lap.reshape(lap.shape[:-2] + (n * n,))[..., ::n + 1] += deg
-    if w is not None:
-        lap = transposed(w) @ lap @ w
     lam = np.linalg.eigvalsh(lap).max(axis=-1)
     return float(max(lam, 0.0)) if lam.ndim == 0 else np.maximum(lam, 0.0)
 
@@ -279,9 +248,9 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     """Step bound h_safe = 1/(lam_est + eps) for the layer's linearized field.
 
     For positive definite Ktilde the estimate folds in the conditioning
-    lam_max^2/lam_min so that h <= h_safe guarantees energy descent (and, when
-    K = lambda*I, Frobenius nonexpansiveness). Indefinite Ktilde falls back to
-    the plain operator-norm estimate, a stability clamp only.
+    lam_max^2/lam_min so that h <= h_safe guarantees energy descent and
+    Frobenius nonexpansiveness. Indefinite Ktilde falls back to the plain
+    operator-norm estimate, a stability clamp only.
 
     A positive `l1_radius` makes the bound hold uniformly over every adjacency
     matrix within that vectorized-l1 distance of `a` (the gradient operator is
@@ -293,10 +262,9 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     rounds as x * x, which differs in the last bit on about one value in a
     thousand.
     """
-    s2 = gradient_operator_sq_norm(a, params.W)
+    s2 = gradient_operator_sq_norm(a)
     if any_of(l1_radius > 0.0):
-        w2 = 1.0 if params.W is None else np.linalg.norm(params.W, 2, axis=(-2, -1))
-        s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius * w2, 2), s2)
+        s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius, 2), s2)
     if params.K is None:
         lam_est = s2
     else:

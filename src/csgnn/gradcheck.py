@@ -14,7 +14,6 @@ import dataclasses
 
 import numpy as np
 
-from .dynamics import Parameterization
 from .equivariant import equivariant_linear, max_step_adjacency
 from .graph import Graph
 from .network import NetworkParams, forward
@@ -51,7 +50,6 @@ def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: 
             alpha=-0.3 - abs(rng.standard_normal()),
             dropout_p=float(rng.choice(dropout_choices)),
             share_weights=bool(rng.integers(0, 2)),
-            parameterization=rng.choice([Parameterization.LEARN_K, Parameterization.LEARN_W]),
             seed=int(rng.integers(0, 2**31)),
         )
         params = init_params(c_in, c_out, n, cfg, rng)

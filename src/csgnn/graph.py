@@ -218,6 +218,8 @@ def load_graph(in_dir) -> Graph:
     adjacency = np.zeros((n, n))
     edges = np.loadtxt(src / "edges.txt", dtype=int, ndmin=2)
     if edges.size:
+        if edges.shape[1] != 2:
+            raise ValueError(f"edges.txt must hold two columns (i j) per row, got {edges.shape[1]}")
         if edges.min() < 0:
             raise ValueError("negative edge index in edges.txt")
         if edges.max() >= n:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LayerParams, Parameterization, feature_step, max_feature_step, symmetrized
+from .dynamics import LayerParams, feature_step, max_feature_step, symmetrized
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
 from .stacks import all_symmetric, scalar_or_stack, transposed
@@ -224,16 +224,14 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     `max_abs_entry` in absolute value. Assembled by sub-multiplicativity:
     both the outer aggregation and the inner edge differences are linear in A
     with entrywise factors at most `max_abs_entry`, the activation is
-    1-Lipschitz with sigma(0)=0, and each edge row of G(A)WF has euclidean
-    norm at most the largest pairwise row gap of WF. Stacked features and
+    1-Lipschitz with sigma(0)=0, and each edge row of G(A)F has euclidean
+    norm at most the largest pairwise row gap of F. Stacked features and
     layers (and one `max_abs_entry` each) give one bound per state.
     """
     f = np.asarray(f, dtype=float)
-    g = f if layer.W is None else layer.W @ f
-    w2 = 1.0 if layer.W is None else np.linalg.norm(layer.W, 2, axis=(-2, -1))
     k2 = (1.0 if layer.K is None
           else np.linalg.norm(symmetrized(layer.K), 2, axis=(-2, -1)))
-    lip = 4.0 * np.asarray(max_abs_entry, dtype=float) * _max_row_gap(g) * w2 * k2
+    lip = 4.0 * np.asarray(max_abs_entry, dtype=float) * _max_row_gap(f) * k2
     return scalar_or_stack(lip)
 
 
@@ -273,8 +271,10 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
 # Checkpoint format (version 1): the magic bytes b"CSGNNCKPT", a little-endian
 # uint32 version, a uint64 length-prefixed JSON header, then the raw
 # little-endian float64 buffers of every array in the header's "arrays" order:
-# encoder, classifier_w, classifier_b, then per layer W (if any), K (if any)
-# and the eight free adjacency coefficients.
+# encoder, classifier_w, classifier_b, then per layer K (if any) and the eight
+# free adjacency coefficients. Each layer's header still names its
+# parameterization "learn_k" and has_W false, so checkpoints keep their bytes;
+# one that names another parameterization or a W array is refused.
 
 _MAGIC = b"CSGNNCKPT"
 _VERSION = 1
@@ -285,8 +285,6 @@ def _params_arrays(params: NetworkParams) -> list:
               ("classifier_w", params.classifier_w),
               ("classifier_b", params.classifier_b)]
     for l, layer in enumerate(params.layers):
-        if layer.feature.W is not None:
-            arrays.append((f"layer{l}.W", layer.feature.W))
         if layer.feature.K is not None:
             arrays.append((f"layer{l}.K", layer.feature.K))
         arrays.append((f"layer{l}.k", layer.adjacency.coeffs.k))
@@ -300,13 +298,13 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         "share_weights": params.share_weights,
         "layers": [
             {
-                "parameterization": layer.feature.parameterization.value,
+                "parameterization": "learn_k",
                 "h_feature": layer.feature.h,
                 "feature_slope": layer.feature.leaky_slope,
                 "h_adjacency": layer.adjacency.h,
                 "adjacency_slope": layer.adjacency.leaky_slope,
                 "alpha": layer.adjacency.coeffs.alpha,
-                "has_W": layer.feature.W is not None,
+                "has_W": False,
                 "has_K": layer.feature.K is not None,
             }
             for layer in params.layers
@@ -366,10 +364,13 @@ def _checked_header(header) -> dict:
         _require_keys(meta, _LAYER_KEYS, f"layer {l}")
         for key in _LAYER_NUMBERS:
             _require(_is_finite_number(meta[key]), f"layer {l} {key} must be a finite number")
-        for key, suffix in (("has_W", "W"), ("has_K", "K")):
-            _require(isinstance(meta[key], bool), f"layer {l} {key} must be a boolean")
-            if meta[key]:
-                expected.add(f"layer{l}.{suffix}")
+        _require(meta["parameterization"] == "learn_k" and meta["has_W"] is False,
+                 f"layer {l} must be learn_k without a W array, got parameterization "
+                 f"{meta['parameterization']!r} and has_W {meta['has_W']!r}: the learn_w "
+                 "parameterization was removed")
+        _require(isinstance(meta["has_K"], bool), f"layer {l} has_K must be a boolean")
+        if meta["has_K"]:
+            expected.add(f"layer{l}.K")
         expected.add(f"layer{l}.k")
     shapes = {}
     for spec in header["arrays"]:
@@ -420,8 +421,6 @@ def load_checkpoint(path) -> NetworkParams:
         layers.append(CoupledLayer(
             feature=LayerParams(
                 h=meta["h_feature"],
-                parameterization=Parameterization(meta["parameterization"]),
-                W=data[f"layer{l}.W"] if meta["has_W"] else None,
                 K=data[f"layer{l}.K"] if meta["has_K"] else None,
                 leaky_slope=meta["feature_slope"],
             ),

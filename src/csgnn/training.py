@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LayerParams, Parameterization, feature_field_vjp, max_feature_step
+from .dynamics import LayerParams, feature_field_vjp, max_feature_step
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step_vjp,
                           max_step_adjacency)
 from .graph import Graph
@@ -47,7 +47,9 @@ class TrainConfig:
     alpha: float = -1.0
     leaky_slope: float = 0.1
     share_weights: bool = False
-    parameterization: Parameterization = Parameterization.LEARN_K
+    # "learn_k" is the only value: the feature layer learns K alone. The key
+    # stays readable for configs that name it (perfbench's train-n1000 does).
+    parameterization: str = "learn_k"
     patience: int = 50
     seed: int = 0
 
@@ -69,6 +71,9 @@ class TrainConfig:
             raise ValueError(f"alpha must be finite and nonpositive, got {self.alpha}")
         if not 0.0 < self.leaky_slope <= 1.0:
             raise ValueError(f"leaky_slope must lie in (0, 1], got {self.leaky_slope}")
+        if self.parameterization != "learn_k":
+            raise ValueError(f"parameterization must be 'learn_k', got {self.parameterization!r}:"
+                             " the learn_w parameterization was removed")
 
     def group_lr(self, group: str) -> float:
         return {GROUP_EMBED: self.lr_embed, GROUP_NODE: self.lr_node, GROUP_ADJ: self.lr_adj}[group]
@@ -175,10 +180,7 @@ def params_to_tensors(params: NetworkParams) -> dict:
         slot = _layer_slot(params, l)
         if slot != l:
             continue
-        if layer.feature.parameterization == Parameterization.LEARN_W:
-            out[f"layer{slot}.W"] = layer.feature.W
-        else:
-            out[f"layer{slot}.K"] = layer.feature.K
+        out[f"layer{slot}.K"] = layer.feature.K
         out[f"layer{slot}.k"] = layer.adjacency.coeffs.k
     return out
 
@@ -199,7 +201,7 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
 
     The adjacency step is clamped to its nonexpansive bound for the new
     coefficients. Given the graph `g`, each feature step is clamped to
-    min(configured h, max_feature_step(A_l, layer)) against the new K or W and
+    min(configured h, max_feature_step(A_l, layer)) against the new K and
     the layer's own adjacency state A_l, stepped from g's adjacency with the
     new coefficients. The clamp is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
@@ -209,15 +211,12 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     for l, layer in enumerate(params.layers):
         slot = _layer_slot(params, l)
         fp = layer.feature
-        if fp.parameterization == Parameterization.LEARN_W:
-            new_W, new_K = tensors[f"layer{slot}.W"], fp.K
-        else:
-            new_W, new_K = None, tensors[f"layer{slot}.K"]
         coeffs = EquivariantCoeffs(k=np.asarray(tensors[f"layer{slot}.k"], dtype=float),
                                    alpha=layer.adjacency.coeffs.alpha)
         h_adj = min(layer.adjacency.h if config is None else config.h, max_step_adjacency(coeffs))
         layers.append(CoupledLayer(
-            feature=dataclasses.replace(fp, W=new_W, K=new_K, h=fp.h if config is None else config.h),
+            feature=dataclasses.replace(fp, K=tensors[f"layer{slot}.K"],
+                                        h=fp.h if config is None else config.h),
             adjacency=dataclasses.replace(layer.adjacency, coeffs=coeffs, h=h_adj)))
     if g is not None:
         layers = [dataclasses.replace(layer, feature=dataclasses.replace(
@@ -307,31 +306,24 @@ def _uniform_init(rng, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(c_in: int, c_out: int, n: int, config: TrainConfig, rng) -> NetworkParams:
     """Seeded parameter initialization.
 
-    Encoder and classifier draw uniform +-sqrt(6/(fan_in+fan_out)). Both
-    dynamics parameterizations start near-diffusive: W at identity plus small
-    noise, K at half the identity plus small uniform noise, so the early
-    feature flow smooths along edges instead of fighting itself.
+    Encoder and classifier draw uniform +-sqrt(6/(fan_in+fan_out)). K starts
+    near-diffusive, at half the identity plus small uniform noise, so the
+    early feature flow smooths along edges instead of fighting itself. The
+    node count `n` is not read; it stays in the signature for callers that
+    pass the arguments positionally.
     """
     c = config.hidden_dim
     encoder = _uniform_init(rng, c_in, c)
     classifier_w = _uniform_init(rng, c, c_out)
     classifier_b = np.zeros(c_out)
+    slots = [(0.5 * np.eye(c) + 0.1 * _uniform_init(rng, c, c), 1e-2 * rng.standard_normal(8))
+             for _ in range(1 if config.share_weights else config.num_layers)]
     layers = []
-    n_slots = 1 if config.share_weights else config.num_layers
-    slots = []
-    for _ in range(n_slots):
-        if config.parameterization == Parameterization.LEARN_W:
-            W, K = np.eye(n) + 1e-2 * rng.standard_normal((n, n)), None
-        else:
-            W, K = None, 0.5 * np.eye(c) + 0.1 * _uniform_init(rng, c, c)
-        k = 1e-2 * rng.standard_normal(8)
-        slots.append((W, K, k))
     for l in range(config.num_layers):
-        W, K, k = slots[0 if config.share_weights else l]
+        K, k = slots[0 if config.share_weights else l]
         coeffs = EquivariantCoeffs(k=k, alpha=config.alpha)
         layers.append(CoupledLayer(
-            feature=LayerParams(h=config.h, parameterization=config.parameterization,
-                                W=W, K=K, leaky_slope=config.leaky_slope),
+            feature=LayerParams(h=config.h, K=K, leaky_slope=config.leaky_slope),
             adjacency=AdjacencyStepConfig(coeffs=coeffs,
                                           h=min(config.h, max_step_adjacency(coeffs)),
                                           leaky_slope=config.leaky_slope),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, equivariant, graph, network, training
-from .dynamics import LayerParams, Parameterization
+from .dynamics import LayerParams
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs
 from .graph import Graph, PerturbationBudget
 from .network import CoupledLayer, NetworkParams
@@ -332,20 +332,28 @@ def check_feature_adjointness(rng, trials: int) -> CheckResult:
     return _stacked_check("feature_gradient_adjointness", trials, draw, evaluate, 0.0, 1e-10)
 
 
+def _positive_definite(b: np.ndarray) -> np.ndarray:
+    """B B^T + 0.05 I for each drawn B."""
+    return b @ transposed(b) + 0.05 * np.eye(b.shape[-1])
+
+
+def _at_max_feature_step(a: np.ndarray, k: np.ndarray) -> LayerParams:
+    return LayerParams(h=dynamics.max_feature_step(a, LayerParams(h=1.0, K=k)), K=k)
+
+
 def check_feature_contraction(rng, trials: int) -> CheckResult:
+    # On a symmetric A the step is the symmetric linear map
+    # F -> F - h (1 + slope) L(A o A) F Ktilde, Frobenius-nonexpansive below
+    # the step bound for every positive definite Ktilde.
     def draw():
         n = int(rng.integers(2, 8))
         c = int(rng.integers(1, 5))
-        return ((n, c), 0.2 + 2.0 * rng.random(), rng.standard_normal((n, n)),
-                rng.standard_normal((n, n)), rng.standard_normal((n, c)),
-                rng.standard_normal((n, c)))
+        return ((n, c), rng.standard_normal((c, c)), rng.standard_normal((n, n)),
+                rng.standard_normal((n, c)), rng.standard_normal((n, c)))
 
-    def evaluate(lam, w, a, f, df):
+    def evaluate(b, a, f, df):
         a = a + transposed(a)
-        k = lam[:, None, None] * np.eye(f.shape[-1])
-        base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w, K=k)
-        params = LayerParams(h=dynamics.max_feature_step(a, base),
-                             parameterization=Parameterization.LEARN_W, W=w, K=k)
+        params = _at_max_feature_step(a, _positive_definite(b))
         moved = dynamics.feature_step(f + df, a, params)
         return _frobenius_norm(moved - dynamics.feature_step(f, a, params)) - _frobenius_norm(df)
 
@@ -361,10 +369,9 @@ def check_energy_monotonicity(rng, trials: int) -> CheckResult:
 
     def evaluate(b, a, f):
         a = a + transposed(a)
-        k = b @ transposed(b) + 0.05 * np.eye(b.shape[-1])  # positive definite
-        params = LayerParams(h=dynamics.max_feature_step(a, LayerParams(h=1.0, K=k)), K=k)
-        e0 = dynamics.energy(a, f, None, params.leaky_slope)
-        return dynamics.energy(a, dynamics.feature_step(f, a, params), None, params.leaky_slope) - e0
+        params = _at_max_feature_step(a, _positive_definite(b))
+        e0 = dynamics.energy(a, f, params.leaky_slope)
+        return dynamics.energy(a, dynamics.feature_step(f, a, params), params.leaky_slope) - e0
 
     return _stacked_check("feature_energy_monotonicity", trials, draw, evaluate, -np.inf, 1e-9)
 
@@ -403,7 +410,7 @@ def check_feature_step_equivariance(rng, trials: int) -> CheckResult:
 def _contractive_draw(rng, slope: float = 0.1) -> tuple:
     """The draws of one random coupled configuration: its shape key, clean
     embedded state, budgeted perturbation with its budget, and per layer the
-    feature scale lam, the node mixer W and margin-regime coefficients."""
+    feature scale lam (K = lam I) and margin-regime coefficients."""
     n = int(rng.integers(4, 8))
     c = int(rng.integers(2, 5))
     depth = int(rng.integers(1, 4))
@@ -418,16 +425,15 @@ def _contractive_draw(rng, slope: float = 0.1) -> tuple:
     da = da + da.T
     da *= eps_adj / np.abs(da).sum()
 
-    lams, ws, coeffs = [], [], []
+    lams, coeffs = [], []
     for _ in range(depth):
         lams.append(0.3 + 1.7 * rng.random())
-        ws.append(rng.standard_normal((n, n)) / np.sqrt(n))
         coeffs.append(_margin_coeffs(rng, slope))
     return ((n, c, depth), f0, a0, df, da, eps_adj, float(np.linalg.norm(df)),
-            float(np.abs(da).sum()), lams, ws, [cf.k for cf in coeffs], [cf.alpha for cf in coeffs])
+            float(np.abs(da).sum()), lams, [cf.k for cf in coeffs], [cf.alpha for cf in coeffs])
 
 
-def _contractive_layers(f0, a0, eps_adj, lams, ws, ks, alphas, slope: float = 0.1) -> list:
+def _contractive_layers(f0, a0, eps_adj, lams, ks, alphas, slope: float = 0.1) -> list:
     """Stacked coupled layers of same-shaped contractive draws, each inside both
     provable regimes along its own clean trajectory (the feature step bounded
     over the eps_adj ball around the clean adjacency state)."""
@@ -437,8 +443,7 @@ def _contractive_layers(f0, a0, eps_adj, lams, ws, ks, alphas, slope: float = 0.
     for l in range(lams.shape[-1]):
         coeffs = EquivariantCoeffs(k=ks[:, l], alpha=alphas[:, l])
         k = lams[:, l, None, None] * eye
-        base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
-                           W=ws[:, l], K=k, leaky_slope=slope)
+        base = LayerParams(h=1.0, K=k, leaky_slope=slope)
         h_adj = equivariant.max_step_adjacency(coeffs)
         h = 0.9 * np.minimum(h_adj, dynamics.max_feature_step(a_clean, base, l1_radius=eps_adj))
         feature = dataclasses.replace(base, h=h)

@@ -116,7 +116,7 @@ def test_an_integral_float_reads_as_an_integer(tmp_path):
 
 @pytest.mark.parametrize("command, override, message", [
     ("gen-sbm", "p_in=" + "1" * 400, "error: config key 'p_in' is too large"),
-    ("attack-sweep", "n_seeds=" + "9" * 30, "error: "),
+    ("attack-sweep", "n_seeds=" + "9" * 30, "error: config key 'n_seeds' must"),
 ], ids=["int-too-large-for-float", "too-many-seeds"])
 def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command, override,
                                               message):
@@ -125,6 +125,35 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
         argv += ["--set", f"graph={sbm_dir}", "--set", "epochs=1", "--set", "edge_ratios=0"]
     assert run(argv) == 3
     assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+# each of these used to run (a 10-trial verify for a non-positive
+# trials_scale) or fail with a message that did not name the key
+@pytest.mark.parametrize("command, args, key", [
+    ("verify", ["--set", "trials_scale=-5"], "trials_scale"),
+    ("verify", ["--set", "trials_scale=0"], "trials_scale"),
+    ("verify", ["--set", "trials_scale=nan"], "trials_scale"),
+    ("verify", ["--seed", "-1"], "seed"),
+    ("train", ["--seed", "-1"], "seed"),
+    ("attack-sweep", ["--set", "edge_ratios=0,abc"], "edge_ratios"),
+], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale", "verify-negative-seed",
+        "train-negative-seed", "non-numeric-edge-ratio"])
+def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, tmp_path, capsys, command,
+                                                           args, key):
+    argv = [command, "--out", str(tmp_path / "out"), *args]
+    if command != "verify":
+        argv += ["--set", f"graph={sbm_dir}", "--set", "epochs=1"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}' must")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "attack-sweep"])
+def test_learn_w_is_runtime_error(sbm_dir, tmp_path, capsys, command):
+    assert run([command, "--out", str(tmp_path / "out"), "--set", f"graph={sbm_dir}",
+                "--set", "epochs=1", "--set", "parameterization=learn_w"]) == 3
+    assert "learn_w parameterization was removed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -205,6 +234,20 @@ class TestTrainCommand:
                     "--set", "epochs=1"])
         assert code == 3
         assert "masks.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["one_column", "three_columns"])
+    def test_bad_edges_file_is_runtime_error(self, sbm_dir, tmp_path, capsys, fault):
+        # one column used to raise IndexError out of `main`; three trained
+        # silently on the first two
+        graph = _copy_graph(sbm_dir, tmp_path / "graph")
+        rows = [line.split() for line in (graph / "edges.txt").read_text().splitlines()]
+        rows = [row[:1] if fault == "one_column" else row + ["0"] for row in rows]
+        (graph / "edges.txt").write_text("".join(" ".join(row) + "\n" for row in rows))
+        code = run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
+                    "--set", "epochs=1"])
+        assert code == 3
+        assert "edges.txt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_feature_is_rejected_before_any_output(self, sbm_dir, trained_dir,
                                                               tmp_path, capsys):
@@ -315,7 +358,7 @@ class TestAttackSweep:
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", "n_seeds=0", "--set", "epochs=2"])
         assert code == 3
-        assert "seed" in capsys.readouterr().err
+        assert "config key 'n_seeds' must" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
 
@@ -410,6 +453,20 @@ class TestCertifyCommand:
         code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"parameterization":"learn_k"', b'"parameterization":"learn_w"'),
+        (b'"has_W":false', b'"has_W":true '),
+    ], ids=["learn_w", "has_W"])
+    def test_learn_w_checkpoint_is_runtime_error(self, sbm_dir, trained_dir, tmp_path, capsys,
+                                                 old, new):
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        assert old in raw
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(old, new))  # same length: the header length still holds
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        assert code == 3
+        assert "learn_w parameterization was removed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["eps_feat=nan", "eps_adj=nan", "eps_feat=inf"])
     def test_non_finite_budget_is_runtime_error(self, sbm_dir, trained_dir, capsys, override):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csgnn import dynamics
-from csgnn.dynamics import (H_SAFE_EPS, LayerParams, Parameterization, energy, feature_field,
+from csgnn.dynamics import (H_SAFE_EPS, LayerParams, energy, feature_field,
                             feature_field_vjp, feature_step, graph_gradient,
                             graph_gradient_adjoint, gradient_operator_sq_norm,
                             max_feature_step)
@@ -122,18 +122,15 @@ class TestFeatureStep:
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_learn_k_rejects_w(self):
-        with pytest.raises(ValueError):
-            LayerParams(h=0.1, parameterization=Parameterization.LEARN_K, W=np.eye(2))
+        # the node mixer is the identity: W is not a parameter
+        assert LayerParams(h=0.1).W is None
+        with pytest.raises(TypeError):
+            LayerParams(h=0.1, W=np.eye(2))
 
     @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, 2.0, float("nan")])
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):
             LayerParams(h=0.1, leaky_slope=slope)
-
-    def test_learn_w_requires_scaled_identity_k(self):
-        with pytest.raises(ValueError):
-            LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
-                        W=np.eye(2), K=np.array([[1.0, 0.2], [0.2, 1.0]]))
 
 
 def symmetric_normal(rng, n):
@@ -143,17 +140,16 @@ def symmetric_normal(rng, n):
 
 
 def edge_form_field(f, a, params):
-    """X = -W^T G(A)^T sigma(G(A) W F) Ktilde through the (n, n, c) edge tensors."""
-    w = np.eye(f.shape[0]) if params.W is None else params.W
+    """X = -G(A)^T sigma(G(A) F) Ktilde through the (n, n, c) edge tensors."""
     k = np.eye(f.shape[1]) if params.K is None else 0.5 * (params.K + params.K.T)
-    edge = leaky_relu(graph_gradient(a, w @ f), params.leaky_slope)
-    return -w.T @ graph_gradient_adjoint(a, edge) @ k
+    edge = leaky_relu(graph_gradient(a, f), params.leaky_slope)
+    return -graph_gradient_adjoint(a, edge) @ k
 
 
-def edge_form_energy(a, f, w=None, slope=0.1):
-    """sum gamma(G(A) W F) through the (n, n, c) edge tensor, with gamma the
+def edge_form_energy(a, f, slope=0.1):
+    """sum gamma(G(A) F) through the (n, n, c) edge tensor, with gamma the
     half-quadratic antiderivative of the LeakyReLU (gamma(0) = 0)."""
-    x = graph_gradient(a, f if w is None else w @ f)
+    x = graph_gradient(a, f)
     return float(np.where(x > 0, 0.5 * x * x, 0.5 * slope * x * x).sum())
 
 
@@ -162,10 +158,10 @@ def weighted_symmetric(rng, n):
     return a + a.T
 
 
-def both_parameterizations(rng, n, c):
+def layer_draws(rng, c):
+    """A general K and a scaled identity, at two activation slopes."""
     yield LayerParams(h=0.1, K=rng.standard_normal((c, c)), leaky_slope=0.2)
-    yield LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
-                      W=np.eye(n) + 0.1 * rng.standard_normal((n, n)), K=0.7 * np.eye(c))
+    yield LayerParams(h=0.1, K=0.7 * np.eye(c))
 
 
 class TestLaplacianForm:
@@ -174,7 +170,7 @@ class TestLaplacianForm:
         n, c = 50, 4
         a = weighted_symmetric(rng, n)
         f = rng.standard_normal((n, c))
-        for params in both_parameterizations(rng, n, c):
+        for params in layer_draws(rng, c):
             ref = edge_form_field(f, a, params)
             assert np.abs(feature_field(f, a, params) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -184,20 +180,19 @@ class TestLaplacianForm:
         a = weighted_symmetric(rng, n)
         f = rng.standard_normal((n, c))
         x_bar = rng.standard_normal((n, c))
-        for params in both_parameterizations(rng, n, c):
-            name = "W" if params.parameterization == Parameterization.LEARN_W else "K"
+        for params in layer_draws(rng, c):
             f_bar, a_bar, grads = feature_field_vjp(f, a, params, x_bar)
             df = rng.standard_normal((n, c))
             da = rng.standard_normal((n, n))
             da = da + da.T
-            dp = rng.standard_normal(getattr(params, name).shape)
+            dp = rng.standard_normal(params.K.shape)
 
             def moved(t):
-                p = dataclasses.replace(params, **{name: getattr(params, name) + t * dp})
+                p = dataclasses.replace(params, K=params.K + t * dp)
                 return float((x_bar * edge_form_field(f + t * df, a + t * da, p)).sum())
 
             numeric = (moved(eps) - moved(-eps)) / (2 * eps)
-            analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (grads[name] * dp).sum())
+            analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (grads["K"] * dp).sum())
             assert analytic == pytest.approx(numeric, rel=1e-7)
 
     def test_energy_matches_edge_form_on_weighted_symmetric_graph(self):
@@ -205,9 +200,9 @@ class TestLaplacianForm:
         n, c = 50, 4
         a = weighted_symmetric(rng, n)
         f = rng.standard_normal((n, c))
-        for params in both_parameterizations(rng, n, c):
-            ref = edge_form_energy(a, f, params.W, params.leaky_slope)
-            assert energy(a, f, params.W, params.leaky_slope) == pytest.approx(ref, rel=1e-12)
+        for params in layer_draws(rng, c):
+            ref = edge_form_energy(a, f, params.leaky_slope)
+            assert energy(a, f, params.leaky_slope) == pytest.approx(ref, rel=1e-12)
 
 
 class TestEnergy:
@@ -248,23 +243,19 @@ def moved_distance(f, df, a, params):
 class TestContraction:
     def test_zero_perturbation_trivially_true(self):
         rng = np.random.default_rng(10)
-        p = LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
-                        W=rng.standard_normal((3, 3)), K=np.eye(2))
+        p = LayerParams(h=0.1, K=rng.standard_normal((2, 2)))
         f = rng.standard_normal((3, 2))
         assert moved_distance(f, np.zeros((3, 2)), symmetric_normal(rng, 3), p) == 0.0
 
     def test_holds_under_safe_step(self):
+        # for every positive definite Ktilde, not only a multiple of I
         rng = np.random.default_rng(11)
         for _ in range(1000):
             n, c = int(rng.integers(2, 8)), int(rng.integers(1, 5))
-            lam = 0.2 + 2.0 * rng.random()
-            w = rng.standard_normal((n, n))
+            b = rng.standard_normal((c, c))
+            k = b @ b.T + 0.05 * np.eye(c)
             a = symmetric_normal(rng, n)
-            base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
-                               W=w, K=lam * np.eye(c))
-            p = LayerParams(h=max_feature_step(a, base),
-                            parameterization=Parameterization.LEARN_W,
-                            W=w, K=lam * np.eye(c))
+            p = LayerParams(h=max_feature_step(a, LayerParams(h=1.0, K=k)), K=k)
             f, df = rng.standard_normal((n, c)), rng.standard_normal((n, c))
             assert moved_distance(f, df, a, p) <= np.linalg.norm(df) + 1e-9
 
@@ -273,12 +264,8 @@ class TestContraction:
         found = False
         for _ in range(200):
             n, c = 5, 3
-            w = rng.standard_normal((n, n))
             a = symmetric_normal(rng, n)
-            base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
-                               W=w, K=np.eye(c))
-            p = LayerParams(h=1e3 * max_feature_step(a, base),
-                            parameterization=Parameterization.LEARN_W, W=w, K=np.eye(c))
+            p = LayerParams(h=1e3 * max_feature_step(a, LayerParams(h=1.0)), K=np.eye(c))
             f, df = rng.standard_normal((n, c)), rng.standard_normal((n, c))
             if moved_distance(f, df, a, p) > np.linalg.norm(df) + 1e-9:
                 found = True
@@ -290,22 +277,19 @@ class TestContraction:
         for _ in range(50):
             n = int(rng.integers(2, 7))
             a = symmetric_normal(rng, n)
-            w = rng.standard_normal((n, n))
             dense = np.zeros((n * n, n))
             for col in range(n):
                 e = np.zeros(n)
                 e[col] = 1.0
                 dense[:, col] = (a * (e[:, None] - e[None, :])).reshape(-1)
-            sv = np.linalg.norm(dense @ w, 2) ** 2
-            assert gradient_operator_sq_norm(a, w) == pytest.approx(sv, rel=1e-10, abs=1e-10)
+            sv = np.linalg.norm(dense, 2) ** 2
+            assert gradient_operator_sq_norm(a) == pytest.approx(sv, rel=1e-10, abs=1e-10)
 
 
-def _dense_lam_max(a, w=None):
+def _dense_lam_max(a):
     b = a * a
     b = b + b.T
     lap = np.diag(b.sum(axis=1)) - b
-    if w is not None:
-        lap = w.T @ lap @ w
     return max(float(np.linalg.eigvalsh(lap).max()), 0.0)
 
 
@@ -318,75 +302,63 @@ def _lanczos_case(name):
     n = dynamics._LANCZOS_MIN_N + 44
     rng = np.random.default_rng(21)
     if name == "sbm":
-        return _sbm_adjacency(n), None
+        return _sbm_adjacency(n)
     if name == "weighted":
         cfg = AdjacencyStepConfig(coeffs=EquivariantCoeffs(k=0.05 * rng.standard_normal(8),
                                                            alpha=-1.0), h=0.5)
         a = adjacency_step(_sbm_adjacency(n), cfg)
         assert (a != 0).all()
-        return a, None
-    if name == "learn_w":
-        return _sbm_adjacency(n), np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        return a
     if name == "repeated_top":
         half = _sbm_adjacency(n // 2, seed=3)
         a = np.zeros((n, n))
         a[:n // 2, :n // 2] = half
         a[n // 2:, n // 2:] = half
-        return a, None
+        return a
     if name == "complete":
-        return np.ones((n, n)) - np.eye(n), None
-    return np.zeros((n, n)), None
+        return np.ones((n, n)) - np.eye(n)
+    return np.zeros((n, n))
 
 
-LANCZOS_CASES = ("sbm", "weighted", "learn_w", "repeated_top", "complete", "edgeless")
+LANCZOS_CASES = ("sbm", "weighted", "repeated_top", "complete", "edgeless")
 
 
 class TestLanczosStepBound:
     @pytest.mark.parametrize("name", LANCZOS_CASES)
     def test_matches_dense_eigvalsh(self, name):
-        a, w = _lanczos_case(name)
+        a = _lanczos_case(name)
         assert a.shape[0] >= dynamics._LANCZOS_MIN_N
-        dense = _dense_lam_max(a, w)
-        got = gradient_operator_sq_norm(a, w)
+        dense = _dense_lam_max(a)
+        got = gradient_operator_sq_norm(a)
         if name == "edgeless":
             assert got == 0.0
         else:
             assert abs(got - dense) <= 1e-12 * dense
-        assert gradient_operator_sq_norm(a, w) == got
+        assert gradient_operator_sq_norm(a) == got
 
     @pytest.mark.parametrize("name", LANCZOS_CASES)
     def test_step_never_exceeds_dense_oracle(self, name):
-        a, w = _lanczos_case(name)
-        params = (LayerParams(h=1.0) if w is None else
-                  LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w))
-        oracle = 1.0 / (_dense_lam_max(a, w) + H_SAFE_EPS)
-        assert max_feature_step(a, params) <= oracle * (1 + 1e-12)
+        a = _lanczos_case(name)
+        oracle = 1.0 / (_dense_lam_max(a) + H_SAFE_EPS)
+        assert max_feature_step(a, LayerParams(h=1.0)) <= oracle * (1 + 1e-12)
 
     def test_repeated_top_case_has_a_double_eigenvalue(self):
-        a, _ = _lanczos_case("repeated_top")
+        a = _lanczos_case("repeated_top")
         lam = np.linalg.eigvalsh(np.diag((2 * a * a).sum(axis=1)) - 2 * a * a)
         assert lam[-1] - lam[-2] <= 1e-10 * lam[-1]
 
     @pytest.mark.parametrize("name", LANCZOS_CASES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, name, bad):
-        a, w = _lanczos_case(name)
-        a = a.copy()
+        a = _lanczos_case(name).copy()
         a[3, 5] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            gradient_operator_sq_norm(a, w)
-        if w is not None:
-            a[3, 5] = 0.0
-            w = w.copy()
-            w[7, 2] = bad
-            with pytest.raises(np.linalg.LinAlgError):
-                gradient_operator_sq_norm(a, w)
+            gradient_operator_sq_norm(a)
 
     def test_l1_radius_step_never_exceeds_svd_oracle(self):
-        a, w = _lanczos_case("learn_w")
-        params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W, W=w)
-        s = np.sqrt(_dense_lam_max(a, w)) + 2.0 * 0.5 * float(np.linalg.norm(w, 2))
-        assert max_feature_step(a, params, l1_radius=0.5) <= 1.0 / (s * s + H_SAFE_EPS) * (1 + 1e-12)
+        a = _lanczos_case("sbm")
+        s = np.sqrt(_dense_lam_max(a)) + 2.0 * 0.5
+        assert max_feature_step(a, LayerParams(h=1.0), l1_radius=0.5) <= 1.0 / (s * s + H_SAFE_EPS) * (1 + 1e-12)
 
     def test_dense_path_rejects_non_finite_input(self):
         a = np.ones((5, 5))

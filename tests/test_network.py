@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csgnn.dynamics import LayerParams, Parameterization, feature_field, feature_step
+from csgnn.dynamics import LayerParams, feature_field, feature_step
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                                max_step_adjacency)
 from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
@@ -259,8 +259,7 @@ class TestMixedLipschitz:
 
     def test_zero_weights_give_zero_upper(self):
         rng = np.random.default_rng(1)
-        layer = LayerParams(h=0.1, parameterization=Parameterization.LEARN_W,
-                            W=np.zeros((4, 4)), K=np.eye(2))
+        layer = LayerParams(h=0.1, K=np.zeros((2, 2)))
         lower, upper = estimate_mixed_lipschitz(rng.standard_normal((4, 2)), layer, 5, rng)
         assert upper == 0.0
         assert lower <= 1e-12
@@ -379,28 +378,15 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_learn_w_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        coeffs = EquivariantCoeffs(k=0.1 * rng.standard_normal(8), alpha=-0.5)
-        layer = CoupledLayer(
-            feature=LayerParams(h=0.05, parameterization=Parameterization.LEARN_W,
-                                W=np.eye(4) + 0.01 * rng.standard_normal((4, 4))),
-            adjacency=AdjacencyStepConfig(coeffs=coeffs, h=0.3 * max_step_adjacency(coeffs)),
-        )
-        params = NetworkParams(encoder=rng.standard_normal((3, 2)), layers=(layer,),
-                               classifier_w=rng.standard_normal((2, 2)),
-                               classifier_b=np.zeros(2), share_weights=False)
-        save_checkpoint(params, tmp_path / "w.ckpt")
-        loaded = load_checkpoint(tmp_path / "w.ckpt")
-        assert np.array_equal(loaded.layers[0].feature.W, layer.feature.W)
-        assert loaded.layers[0].feature.K is None
-
     @pytest.mark.parametrize("mutate, match", [
         (lambda h, arrays: h.pop("dropout_p"), "header lacks key"),
         (lambda h, arrays: h["layers"][1].pop("has_K"), "layer 1 lacks key"),
         (lambda h, arrays: h["arrays"][0].pop("shape"), "array entry lacks key"),
         (lambda h, arrays: _drop_array(h, arrays, "layer0.K"), r"lacks array\(s\) layer0.K"),
-        (lambda h, arrays: h["layers"][0].update(has_W=True), r"lacks array\(s\) layer0.W"),
+        (lambda h, arrays: h["layers"][0].update(has_W=True), "learn_w parameterization was removed"),
+        (lambda h, arrays: h["layers"][1].update(parameterization="learn_w"),
+         "layer 1 must be learn_k"),
+        (lambda h, arrays: h["layers"][0].update(has_W="no"), "layer 0 must be learn_k"),
         (lambda h, arrays: _append_array(h, arrays, "encoder"), "'encoder' appears twice"),
         (lambda h, arrays: _append_array(h, arrays, "layer5.K"), "layer5.K are not used"),
         (lambda h, arrays: h["layers"][0].update(has_K=False), "layer0.K are not used"),

@@ -1,8 +1,14 @@
-"""The traced benchmark wraps csgnn functions by name; a rename must fail here."""
+"""What perfbench reads of csgnn: the functions the traced benchmark wraps by
+name, and the names its workloads use. A rename must fail here."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from csgnn.config import train_config_from
+from csgnn.dynamics import LayerParams
+from csgnn.training import TrainConfig, init_params
 from csgnn.verify import run_all
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -26,3 +32,22 @@ def test_verify_checks_are_the_suites_run_all_runs():
     # the traced benchmark reports one span per suite under these ids
     results, _ = run_all(seed=0, trials_scale=0.02)
     assert [r.check_id for r in results] == _tracing_namespace()["VERIFY_CHECKS"]
+
+
+# Kept only because perfbench's workloads use them; each can go with the next
+# benchmark change.
+
+def test_a_layer_has_no_node_mixer():
+    # `workloads.layer_dicts` reads `feature.W` and expects None
+    assert LayerParams(h=0.1).W is None
+
+
+def test_init_params_takes_five_positional_arguments():
+    # `CertifyVerify._build_params` passes the unread node count positionally
+    params = init_params(3, 2, 10, TrainConfig(hidden_dim=4), np.random.default_rng(0))
+    assert params.encoder.shape == (3, 4)
+
+
+def test_the_parameterization_key_accepts_learn_k():
+    # train-n1000 passes `--set parameterization=learn_k`
+    assert train_config_from({"parameterization": "learn_k"}) == TrainConfig()

@@ -1,10 +1,12 @@
 """`train` and `certify` outputs pinned to the bit.
 
-The digests and the certificate text below were produced by the code that
-checked adjacency symmetry on every kernel call; deciding it once per
-trajectory must not move a bit. The n=300 run takes the Lanczos step bound,
-the n=100 run learns W with dropout. The pins hold for one BLAS thread and
-for the library's default thread count alike.
+The n=300 digests and the certificate text below were produced by the code
+that checked adjacency symmetry on every kernel call; deciding it once per
+trajectory must not move a bit. The n=100 digests were produced by the code
+that still carried the learn_w parameterization; removing it must not move a
+bit of a learn_k run. The n=300 run takes the Lanczos step bound, the n=100
+run trains with dropout. The pins hold for one BLAS thread and for the
+library's default thread count alike.
 """
 
 import hashlib
@@ -18,10 +20,10 @@ N300_DIGESTS = {
     "model.ckpt": "940e4353fe1fdfe445fcc131942a9d881c8161e7cd025444cc193a9d15816dad",
     "summary.txt": "2168361e47b64864296c1a7a2f23717148562afdf66456edcb92cede22bc5485",
 }
-N100_LEARN_W_DIGESTS = {
-    "metrics.csv": "75a4200898d62964c94c8e9e1a79b1dc3ec5843a8e2828516194338aa83e05ff",
-    "model.ckpt": "8b8667b6de97e7b62fefe9117ceac08ffa51c1b35c05c7476908bdc39236e50e",
-    "summary.txt": "47db326b1afeace731c8f805a2c11614c18846df92e0cd2109b565a2392dbd09",
+N100_DROPOUT_DIGESTS = {
+    "metrics.csv": "38924c2344b8d488b62e6582fbfe7634f8d48c08946a86458c5ebd62a1747b65",
+    "model.ckpt": "4cf9ad2a91aea7ad0365284891e56d25414d2c51c29105b1da48edabcafcdab4",
+    "summary.txt": "3654c48c583ea925175e7e01af5d1a86b8bc54aeab999f39409dbaa8526a6436",
 }
 N300_CERTIFICATE = """\
 expansivity certificate (embedded-state budgets)
@@ -66,10 +68,10 @@ def test_certify_text_at_n300(n300, tmp_path, capsys):
     assert (tmp_path / "certificate.txt").read_text() == N300_CERTIFICATE
 
 
-def test_learn_w_train_outputs_with_dropout_at_n100(tmp_path):
+def test_learn_k_train_outputs_with_dropout_at_n100(tmp_path):
     assert main(["gen-sbm", "--out", str(tmp_path / "graph"), "--seed", "0", "--set", "n=100",
                  "--set", "p_in=0.1", "--set", "signal=1.3"]) == 0
     assert main(["train", "--out", str(tmp_path / "run"), "--seed", "0",
                  "--set", f"graph={tmp_path / 'graph'}", "--set", "epochs=10",
-                 "--set", "parameterization=learn_w", "--set", "dropout_p=0.3"]) == 0
-    assert _digests(tmp_path / "run") == N100_LEARN_W_DIGESTS
+                 "--set", "dropout_p=0.3"]) == 0
+    assert _digests(tmp_path / "run") == N100_DROPOUT_DIGESTS

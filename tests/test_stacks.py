@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csgnn import dynamics, equivariant, graph, network
-from csgnn.dynamics import LayerParams, Parameterization
+from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs
 from csgnn.graph import PerturbationBudget
 from csgnn.network import CoupledLayer
@@ -41,22 +41,15 @@ def _same(stacked, per_slice) -> bool:
     return np.array_equal(stacked, np.array(per_slice))
 
 
-def _learn_w(rng, n: int, c: int) -> tuple:
-    """Stacked learn_w parameters and the per-matrix ones."""
-    w = rng.standard_normal((M, n, n))
-    lam = 0.2 + rng.random(M)
-    k = lam[:, None, None] * np.eye(c)
-    h = rng.random(M)
-    singles = [LayerParams(h=h[i], parameterization=Parameterization.LEARN_W, W=w[i], K=k[i])
-               for i in range(M)]
-    return LayerParams(h=h, parameterization=Parameterization.LEARN_W, W=w, K=k), singles
+def _layers(h: np.ndarray, k: np.ndarray) -> tuple:
+    """Stacked parameters and the per-matrix ones."""
+    return LayerParams(h=h, K=k), [LayerParams(h=h[i], K=k[i]) for i in range(M)]
 
 
 def _learn_k(rng, c: int, definite: bool) -> tuple:
     b = rng.standard_normal((M, c, c))
     k = b @ np.swapaxes(b, -1, -2) + 0.05 * np.eye(c) if definite else b
-    h = rng.random(M)
-    return LayerParams(h=h, K=k), [LayerParams(h=h[i], K=k[i]) for i in range(M)]
+    return _layers(rng.random(M), k)
 
 
 @pytest.mark.parametrize("n", NS)
@@ -105,12 +98,13 @@ def test_stacked_step_config_checks_every_step():
 
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("kind", ["learn_w", "learn_k", "learn_k_indefinite", "identity"])
+@pytest.mark.parametrize("kind", ["scaled_identity", "learn_k", "learn_k_indefinite", "identity"])
 def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
     rng = np.random.default_rng(1000 * n + 10 * symmetric + len(kind))
     c = int(rng.integers(1, 5))
-    if kind == "learn_w":
-        params, singles = _learn_w(rng, n, c)
+    if kind == "scaled_identity":  # K = lam I, as the coupled verify suites draw it
+        lam = 0.2 + rng.random(M)
+        params, singles = _layers(rng.random(M), lam[:, None, None] * np.eye(c))
     elif kind == "identity":
         h = rng.random(M)
         params, singles = LayerParams(h=h), [LayerParams(h=h[i]) for i in range(M)]
@@ -119,7 +113,6 @@ def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
     a = _adjacency(rng, n, symmetric)
     f = rng.standard_normal((M, n, c))
     o = rng.standard_normal((M, n, n, c))
-    w = params.W
     assert _same(dynamics.graph_gradient(a, f),
                  [dynamics.graph_gradient(a[i], f[i]) for i in range(M)])
     assert _same(dynamics.graph_gradient_adjoint(a, o),
@@ -128,11 +121,9 @@ def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
                  [dynamics.feature_field(f[i], a[i], singles[i]) for i in range(M)])
     assert _same(dynamics.feature_step(f, a, params),
                  [dynamics.feature_step(f[i], a[i], singles[i]) for i in range(M)])
-    assert _same(dynamics.energy(a, f, w, 0.2),
-                 [dynamics.energy(a[i], f[i], None if w is None else w[i], 0.2) for i in range(M)])
-    assert _same(dynamics.gradient_operator_sq_norm(a, w),
-                 [dynamics.gradient_operator_sq_norm(a[i], None if w is None else w[i])
-                  for i in range(M)])
+    assert _same(dynamics.energy(a, f, 0.2), [dynamics.energy(a[i], f[i], 0.2) for i in range(M)])
+    assert _same(dynamics.gradient_operator_sq_norm(a),
+                 [dynamics.gradient_operator_sq_norm(a[i]) for i in range(M)])
     assert _same(dynamics.max_feature_step(a, params),
                  [dynamics.max_feature_step(a[i], singles[i]) for i in range(M)])
     radius = rng.random(M) * (rng.random(M) < 0.7)
@@ -169,7 +160,7 @@ def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
     sets = _coeff_sets(rng, False)
     coeffs = _stacked(sets)
     h_adj = equivariant.max_step_adjacency(coeffs)
-    feature, singles = _learn_w(rng, n, c)
+    feature, singles = _learn_k(rng, c, definite=True)
     layers = [CoupledLayer(feature=feature, adjacency=AdjacencyStepConfig(coeffs=coeffs, h=h_adj))]
     fs, as_ = network.evolve(f, a, layers * 2)
     for i in range(M):

@@ -27,7 +27,10 @@ def test_report_is_deterministic_given_seed():
 
 # The pinned report of `csgnn verify --seed 0 --set trials_scale=0.1`. Faster
 # forms of the dense reference paths (T, the Jacobian probe) must reproduce
-# it to the last printed digit.
+# it to the last printed digit. In all three reports the rows from
+# feature_frobenius_contraction on are those of the per-trial loops that draw
+# a channel mixer K instead of a node mixer W (see below); the rows before it
+# did not move.
 GOLDEN_SEED0_SCALE01 = """\
 check                                        status  trials      worst-slack
 metric_l0_l1_binary_agreement                PASS    100         0.000e+00
@@ -44,14 +47,14 @@ adjacency_jacobian_probe_margin_regime       PASS    10          9.601e-01
 adjacency_jacobian_probe_unconstrained       REPORT  10          1.354e+00
     10/10 smooth points exceed 1+1e-6: the l1 step bound is not pointwise sufficient once the activation derivative varies (see slope_uniform_margin); informational only
 feature_gradient_adjointness                 PASS    50          7.994e-15
-feature_frobenius_contraction                PASS    100         -2.412e-03
-feature_energy_monotonicity                  PASS    100         -1.120e-04
+feature_frobenius_contraction                PASS    100         -4.840e-05
+feature_energy_monotonicity                  PASS    100         -1.175e-04
 feature_constant_row_fixed_point             PASS    20          0.000e+00
-feature_step_equivariance                    PASS    50          9.036e-16
-coupled_expansivity_bound                    PASS    20          -5.101e-01
+feature_step_equivariance                    PASS    50          1.397e-15
+coupled_expansivity_bound                    PASS    20          -2.248e-01
 coupled_weighted_contraction                 REPORT  10          0.000e+00
-    m1=0.001, m2=0.001 shrink the distance on 100.0% of layers
-gradient_finite_difference                   PASS    2           2.331e-08
+    m1=0.001, m2=0.01 shrink the distance on 100.0% of layers
+gradient_finite_difference                   PASS    2           3.885e-08
 summary: 17 passed, 0 failed, 2 informational
 """
 
@@ -66,7 +69,9 @@ def test_report_matches_golden_text():
 # before the suites evaluated same-shaped trials as stacks. The four feature
 # rows (gradient adjointness, Frobenius contraction, energy monotonicity,
 # step equivariance) are those of the loops with symmetrized adjacency
-# draws, as `tests/test_verify_suites.py` keeps them.
+# draws, and the Frobenius-contraction and coupled suites draw K = B B^T +
+# 0.05 I and K = lam I where they drew a node mixer W, as
+# `tests/test_verify_suites.py` keeps them.
 GOLDEN_SEED0_DEFAULT = """\
 check                                        status  trials      worst-slack
 metric_l0_l1_binary_agreement                PASS    1000        0.000e+00
@@ -83,14 +88,14 @@ adjacency_jacobian_probe_margin_regime       PASS    100         9.821e-01
 adjacency_jacobian_probe_unconstrained       REPORT  100         1.455e+00
     96/100 smooth points exceed 1+1e-6: the l1 step bound is not pointwise sufficient once the activation derivative varies (see slope_uniform_margin); informational only
 feature_gradient_adjointness                 PASS    500         1.421e-14
-feature_frobenius_contraction                PASS    1000        -3.461e-04
-feature_energy_monotonicity                  PASS    1000        -6.508e-06
-feature_constant_row_fixed_point             PASS    200         0.000e+00
-feature_step_equivariance                    PASS    500         1.650e-15
-coupled_expansivity_bound                    PASS    200         -1.457e-01
+feature_frobenius_contraction                PASS    1000        -9.463e-05
+feature_energy_monotonicity                  PASS    1000        -1.513e-05
+feature_constant_row_fixed_point             PASS    200         1.332e-15
+feature_step_equivariance                    PASS    500         1.411e-15
+coupled_expansivity_bound                    PASS    200         -1.927e-01
 coupled_weighted_contraction                 REPORT  100         1.000e-02
     m1=0.001, m2=0.001 shrink the distance on 99.0% of layers
-gradient_finite_difference                   PASS    5           9.368e-08
+gradient_finite_difference                   PASS    5           1.558e-07
 summary: 17 passed, 0 failed, 2 informational
 """
 
@@ -110,14 +115,14 @@ adjacency_jacobian_probe_margin_regime       PASS    10          9.579e-01
 adjacency_jacobian_probe_unconstrained       REPORT  10          1.279e+00
     10/10 smooth points exceed 1+1e-6: the l1 step bound is not pointwise sufficient once the activation derivative varies (see slope_uniform_margin); informational only
 feature_gradient_adjointness                 PASS    50          8.559e-15
-feature_frobenius_contraction                PASS    100         -2.301e-02
-feature_energy_monotonicity                  PASS    100         -7.055e-05
+feature_frobenius_contraction                PASS    100         -1.207e-04
+feature_energy_monotonicity                  PASS    100         -4.680e-06
 feature_constant_row_fixed_point             PASS    20          0.000e+00
-feature_step_equivariance                    PASS    50          1.166e-15
-coupled_expansivity_bound                    PASS    20          -2.865e-01
+feature_step_equivariance                    PASS    50          1.507e-15
+coupled_expansivity_bound                    PASS    20          -5.273e-01
 coupled_weighted_contraction                 REPORT  10          0.000e+00
-    m1=0.001, m2=0.001 shrink the distance on 100.0% of layers
-gradient_finite_difference                   PASS    2           1.577e-08
+    m1=0.001, m2=0.01 shrink the distance on 100.0% of layers
+gradient_finite_difference                   PASS    2           4.740e-09
 summary: 17 passed, 0 failed, 2 informational
 """
 

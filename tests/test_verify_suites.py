@@ -1,18 +1,20 @@
 """The stacked property suites against the per-trial loops they replaced.
 
 Each oracle below is the loop a suite ran before it evaluated same-shaped
-trials as stacks, changed only to return its per-trial values and, in the
-feature suites, to symmetrize the drawn adjacency as `a + a.T`. Both draw from
-generators with the same seed; the values must agree to the bit and both
-generators must end in the same state, so every later suite sees the same
-stream.
+trials as stacks, changed only to return its per-trial values, in the
+feature suites to symmetrize the drawn adjacency as `a + a.T`, and in the
+Frobenius-contraction and coupled suites to draw a channel mixer K where they
+drew a node mixer W (K = B B^T + 0.05 I, and K = lam I with no W). Both draw
+from generators with the same seed; the values must agree to the bit and
+both generators must end in the same state, so every later suite sees the
+same stream.
 """
 
 import numpy as np
 import pytest
 
 from csgnn import dynamics, equivariant, graph, network, verify
-from csgnn.dynamics import LayerParams, Parameterization
+from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig
 from csgnn.graph import PerturbationBudget
 from csgnn.network import CoupledLayer
@@ -95,14 +97,13 @@ def loop_feature_contraction(rng, trials):
     for _ in range(trials):
         n = int(rng.integers(2, 8))
         c = int(rng.integers(1, 5))
-        lam = 0.2 + 2.0 * rng.random()
-        params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
-                             W=rng.standard_normal((n, n)), K=lam * np.eye(c))
+        b = rng.standard_normal((c, c))
+        k = b @ b.T + 0.05 * np.eye(c)
+        params = LayerParams(h=1.0, K=k)
         a = rng.standard_normal((n, n))
         a = a + a.T
         h = dynamics.max_feature_step(a, params)
-        params = LayerParams(h=h, parameterization=Parameterization.LEARN_W,
-                             W=params.W, K=params.K)
+        params = LayerParams(h=h, K=k)
         f = rng.standard_normal((n, c))
         df = rng.standard_normal((n, c))
         moved = dynamics.feature_step(f + df, a, params)
@@ -116,14 +117,14 @@ def loop_energy_monotonicity(rng, trials):
         c = int(rng.integers(1, 5))
         b = rng.standard_normal((c, c))
         k = b @ b.T + 0.05 * np.eye(c)
-        params = LayerParams(h=1.0, parameterization=Parameterization.LEARN_K, K=k)
+        params = LayerParams(h=1.0, K=k)
         a = rng.standard_normal((n, n))
         a = a + a.T
         h = dynamics.max_feature_step(a, params)
-        params = LayerParams(h=h, parameterization=Parameterization.LEARN_K, K=k)
+        params = LayerParams(h=h, K=k)
         f = rng.standard_normal((n, c))
-        e0 = dynamics.energy(a, f, None, params.leaky_slope)
-        e1 = dynamics.energy(a, dynamics.feature_step(f, a, params), None, params.leaky_slope)
+        e0 = dynamics.energy(a, f, params.leaky_slope)
+        e1 = dynamics.energy(a, dynamics.feature_step(f, a, params), params.leaky_slope)
         yield e1 - e0
 
 
@@ -133,8 +134,7 @@ def loop_constant_row_fixed_point(rng, trials):
         c = int(rng.integers(1, 4))
         a = _sym_binary(rng, n)
         f = np.tile(rng.standard_normal((1, c)), (n, 1))
-        params = LayerParams(h=0.7, parameterization=Parameterization.LEARN_K,
-                             K=rng.standard_normal((c, c)))
+        params = LayerParams(h=0.7, K=rng.standard_normal((c, c)))
         yield float(np.abs(dynamics.feature_step(f, a, params) - f).max())
 
 
@@ -142,8 +142,7 @@ def loop_feature_step_equivariance(rng, trials):
     for _ in range(trials):
         n = int(rng.integers(2, 8))
         c = int(rng.integers(1, 4))
-        params = LayerParams(h=0.3, parameterization=Parameterization.LEARN_K,
-                             K=rng.standard_normal((c, c)))
+        params = LayerParams(h=0.3, K=rng.standard_normal((c, c)))
         a = rng.standard_normal((n, n))
         a = a + a.T
         f = rng.standard_normal((n, c))
@@ -173,14 +172,11 @@ def _contractive_trial(rng, slope=0.1):
     a_clean = a0
     for _ in range(depth):
         lam = 0.3 + 1.7 * rng.random()
-        w = rng.standard_normal((n, n)) / np.sqrt(n)
         coeffs = _margin_coeffs(rng, slope)
-        base = LayerParams(h=1.0, parameterization=Parameterization.LEARN_W,
-                           W=w, K=lam * np.eye(c), leaky_slope=slope)
+        base = LayerParams(h=1.0, K=lam * np.eye(c), leaky_slope=slope)
         h = 0.9 * min(equivariant.max_step_adjacency(coeffs),
                       dynamics.max_feature_step(a_clean, base, l1_radius=eps_adj))
-        feature = LayerParams(h=h, parameterization=Parameterization.LEARN_W,
-                              W=w, K=lam * np.eye(c), leaky_slope=slope)
+        feature = LayerParams(h=h, K=lam * np.eye(c), leaky_slope=slope)
         adjacency = AdjacencyStepConfig(coeffs=coeffs, h=min(h, equivariant.max_step_adjacency(coeffs)),
                                         leaky_slope=slope)
         layers.append(CoupledLayer(feature=feature, adjacency=adjacency))
