@@ -19,6 +19,7 @@ from .graph import Graph
 from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
                        cross_entropy_logit_grad, select_checkpoint, train)
 from .network import forward
+from .stacks import freeze
 
 EVAL_SEEDS = tuple(range(10))
 
@@ -102,9 +103,7 @@ class GCNWeights:
 
     def __post_init__(self):
         for name in ("w1", "w2"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            freeze(self, name)
 
 
 def _sym_normalized(a: np.ndarray) -> np.ndarray:

@@ -132,11 +132,13 @@ def cmd_attack_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     values = _load_values(args, ("trials_scale", "fault_adjacency_step_scale"))
-    trials_scale = _checked(values, "trials_scale", 1.0, lambda x: np.isfinite(x) and x > 0,
-                            "finite and greater than 0")
+    def scale(key):
+        return _checked(values, key, 1.0, lambda x: np.isfinite(x) and x > 0,
+                        "finite and greater than 0")
+
     results, failures = verifymod.run_all(
-        seed=_get(values, "seed", 0), trials_scale=trials_scale,
-        fault_adjacency_step_scale=_get(values, "fault_adjacency_step_scale", 1.0))
+        seed=_get(values, "seed", 0), trials_scale=scale("trials_scale"),
+        fault_adjacency_step_scale=scale("fault_adjacency_step_scale"))
     report = verifymod.render_report(results)
     print(report, end="")
     if args.out:

@@ -49,22 +49,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stacks import any_of, per_matrix, scalar_or_stack, transposed
+from .stacks import any_of, freeze, per_matrix, scalar_or_stack, transposed
 
 H_SAFE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Per-layer feature-dynamics parameters: the step size h, the channel
-    mixer K (None means the identity) and the activation slope.
+    """Per-layer feature-dynamics parameters: the step size h, the c x c
+    channel mixer K and the activation slope.
 
     A stack of layers has K of shape (..., c, c) and h of shape (...); the
     feature functions then act on stacks of states with one layer per state.
     """
 
     h: float
-    K: np.ndarray = None
+    K: np.ndarray
     leaky_slope: float = 0.1
 
     # Not a field: the node mixer is always the identity. Kept as an attribute
@@ -76,12 +76,9 @@ class LayerParams:
             raise ValueError("step size must be nonnegative")
         if not 0 < self.leaky_slope <= 1:
             raise ValueError("activation slope must lie in (0, 1]")
-        if self.K is not None:
-            k = np.array(self.K, dtype=float)
-            if k.ndim < 2 or k.shape[-1] != k.shape[-2]:
-                raise ValueError("K must be square")
-            k.setflags(write=False)
-            object.__setattr__(self, "K", k)
+        k = freeze(self, "K")
+        if k.ndim < 2 or k.shape[-1] != k.shape[-2]:
+            raise ValueError("K must be square")
 
 
 # Every function below that takes adjacency and features also takes stacks
@@ -121,9 +118,7 @@ def _laplacian_apply(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:
     """X(F, A) = -G(A)^T sigma(G(A) F) Ktilde = -(1 + slope) L(A o A) F Ktilde."""
     v = (1.0 + params.leaky_slope) * _laplacian_apply(a * a, f)
-    if params.K is not None:
-        v = v @ symmetrized(params.K)
-    return -v
+    return -(v @ symmetrized(params.K))
 
 
 def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
@@ -138,7 +133,7 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     scale = 1.0 + params.leaky_slope
     b = a * a
     v = scale * _laplacian_apply(b, f)
-    p_bar = -x_bar if params.K is None else -(x_bar @ symmetrized(params.K))
+    p_bar = -(x_bar @ symmetrized(params.K))
     u_bar = scale * p_bar
     f_bar = _laplacian_apply(b, u_bar)
     b_bar = (u_bar * f).sum(axis=1)[:, None] - u_bar @ f.T
@@ -265,16 +260,13 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     s2 = gradient_operator_sq_norm(a)
     if any_of(l1_radius > 0.0):
         s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius, 2), s2)
-    if params.K is None:
-        lam_est = s2
-    else:
-        eigs = np.linalg.eigvalsh(symmetrized(params.K))
-        lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
-        # lam_max^2 / lam_min where Ktilde is positive definite, the plain
-        # operator norm elsewhere; an estimate that overflows gives h = 0
-        with np.errstate(over="ignore"):
-            ratio = np.divide(np.float_power(hi, 2), lo, where=lo > 0,
-                              out=np.asarray(np.abs(eigs).max(axis=-1)))
-            lam_est = ratio * s2
+    eigs = np.linalg.eigvalsh(symmetrized(params.K))
+    lo, hi = eigs.min(axis=-1), eigs.max(axis=-1)
+    # lam_max^2 / lam_min where Ktilde is positive definite, the plain
+    # operator norm elsewhere; an estimate that overflows gives h = 0
+    with np.errstate(over="ignore"):
+        ratio = np.divide(np.float_power(hi, 2), lo, where=lo > 0,
+                          out=np.asarray(np.abs(eigs).max(axis=-1)))
+        lam_est = ratio * s2
     h = 1.0 / (lam_est + H_SAFE_EPS)
     return scalar_or_stack(h)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stacks import any_of, per_matrix, transposed
+from .stacks import any_of, freeze, per_matrix, transposed
 
 T_SIZE_GUARD = 64
 
@@ -56,19 +56,15 @@ class EquivariantCoeffs:
     alpha: float
 
     def __post_init__(self):
-        k = np.array(self.k, dtype=float)
-        k.setflags(write=False)
+        k = freeze(self, "k")
         if k.ndim < 1 or k.shape[-1] != 8:
             raise ValueError("expected the eight free coefficients k2..k9")
         if k.ndim > 1:
-            alpha = np.array(self.alpha, dtype=float)
-            alpha.setflags(write=False)
-            object.__setattr__(self, "alpha", alpha)
+            freeze(self, "alpha")
         if getattr(self.alpha, "shape", ()) != k.shape[:-1]:
             raise ValueError("expected one alpha per set of free coefficients")
         if any_of(self.alpha > 0):
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
-        object.__setattr__(self, "k", k)
 
     @property
     def k1(self):

@@ -114,13 +114,14 @@ def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_ST
 
 
 def max_gradient_rel_error(rng, step: float = FD_STEP) -> float:
-    """Worst per-tensor relative deviation between backward and central FD."""
+    """Worst per-tensor relative deviation between backward and central FD;
+    NaN if any deviation is NaN."""
     g, params, seed = random_instance(rng)
     analytic = analytic_gradients(g, params, seed)
     numeric = fd_gradients(g, params, seed, step)
-    worst = 0.0
+    errors = []
     for key, fd in numeric.items():
         diff = float(np.abs(analytic[key] - fd).max())
         scale = max(float(np.abs(fd).max()), 1e-8)
-        worst = max(worst, diff / scale)
-    return worst
+        errors.append(diff / scale)
+    return np.nan if np.isnan(errors).any() else max([0.0] + errors)

@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stacks import all_symmetric, any_of, scalar_or_stack
-
-
-def _as_readonly(a: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+from .stacks import all_symmetric, any_of, freeze, scalar_or_stack
 
 
 @dataclass(frozen=True)
@@ -42,8 +36,8 @@ class Graph:
     test_mask: np.ndarray = None
 
     def __post_init__(self):
-        adj = _as_readonly(self.adjacency, float)
-        feat = _as_readonly(self.features, float)
+        adj = freeze(self, "adjacency")
+        feat = freeze(self, "features")
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if not all_symmetric(adj):
@@ -54,25 +48,17 @@ class Graph:
         n = adj.shape[0]
         if feat.ndim != 2 or feat.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {feat.shape}")
-        labels = self.labels if self.labels is not None else -np.ones(n, dtype=int)
-        labels = _as_readonly(labels, int)
+        labels = freeze(self, "labels", int, default=-np.ones(n, dtype=int))
         if labels.shape != (n,):
             raise ValueError("labels must be a length-n integer vector")
         masks = []
         for name in ("train_mask", "val_mask", "test_mask"):
-            m = getattr(self, name)
-            m = _as_readonly(m if m is not None else np.zeros(n, dtype=bool), bool)
+            m = freeze(self, name, bool, default=np.zeros(n, dtype=bool))
             if m.shape != (n,):
                 raise ValueError(f"{name} must be a length-n boolean vector")
             masks.append(m)
         if np.any(masks[0] & masks[1]) or np.any(masks[0] & masks[2]) or np.any(masks[1] & masks[2]):
             raise ValueError("train/val/test masks must be pairwise disjoint")
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "features", feat)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "train_mask", masks[0])
-        object.__setattr__(self, "val_mask", masks[1])
-        object.__setattr__(self, "test_mask", masks[2])
 
     @property
     def n(self) -> int:
@@ -102,11 +88,10 @@ class Permutation:
     perm: np.ndarray
 
     def __post_init__(self):
-        p = _as_readonly(self.perm, int)
+        p = freeze(self, "perm", int)
         n = p.shape[0]
         if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(n)):
             raise ValueError("perm must contain each index in {0..n-1} exactly once")
-        object.__setattr__(self, "perm", p)
 
     @property
     def n(self) -> int:
@@ -211,12 +196,20 @@ def save_graph(g: Graph, out_dir) -> None:
                header="train,val,test", comments="", newline="\n")
 
 
+def _load_table(path: Path, **kwargs) -> np.ndarray:
+    """`np.loadtxt`, with the file's name at the head of a parse error."""
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+
+
 def load_graph(in_dir) -> Graph:
     src = Path(in_dir)
-    features = np.loadtxt(src / "features.csv", delimiter=",", ndmin=2)
+    features = _load_table(src / "features.csv", delimiter=",", ndmin=2)
     n = features.shape[0]
     adjacency = np.zeros((n, n))
-    edges = np.loadtxt(src / "edges.txt", dtype=int, ndmin=2)
+    edges = _load_table(src / "edges.txt", dtype=int, ndmin=2)
     if edges.size:
         if edges.shape[1] != 2:
             raise ValueError(f"edges.txt must hold two columns (i j) per row, got {edges.shape[1]}")
@@ -226,8 +219,8 @@ def load_graph(in_dir) -> Graph:
             raise ValueError("edge index exceeds node count implied by features.csv")
         adjacency[edges[:, 0], edges[:, 1]] = 1.0
         adjacency[edges[:, 1], edges[:, 0]] = 1.0
-    labels = np.loadtxt(src / "labels.csv", dtype=int, ndmin=1)
-    masks = np.loadtxt(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
+    labels = _load_table(src / "labels.csv", dtype=int, ndmin=1)
+    masks = _load_table(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
     if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():
         raise ValueError("masks.csv must hold three columns (train,val,test) of 0/1 values")
     return Graph(

@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import LayerParams, feature_step, max_feature_step, symmetrized
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
 from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
-from .stacks import all_symmetric, scalar_or_stack, transposed
+from .stacks import all_symmetric, freeze, scalar_or_stack, transposed
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class NetworkParams:
     share_weights: bool = False
 
     def __post_init__(self):
-        enc = np.array(self.encoder, dtype=float)
-        cw = np.array(self.classifier_w, dtype=float)
-        cb = np.array(self.classifier_b, dtype=float)
+        enc = freeze(self, "encoder")
+        cw = freeze(self, "classifier_w")
+        cb = freeze(self, "classifier_b")
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("need at least one coupled layer")
@@ -52,11 +52,6 @@ class NetworkParams:
             raise ValueError("classifier bias length must match output width")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
-        for a in (enc, cw, cb):
-            a.setflags(write=False)
-        object.__setattr__(self, "encoder", enc)
-        object.__setattr__(self, "classifier_w", cw)
-        object.__setattr__(self, "classifier_b", cb)
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -229,8 +224,7 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     layers (and one `max_abs_entry` each) give one bound per state.
     """
     f = np.asarray(f, dtype=float)
-    k2 = (1.0 if layer.K is None
-          else np.linalg.norm(symmetrized(layer.K), 2, axis=(-2, -1)))
+    k2 = np.linalg.norm(symmetrized(layer.K), 2, axis=(-2, -1))
     lip = 4.0 * np.asarray(max_abs_entry, dtype=float) * _max_row_gap(f) * k2
     return scalar_or_stack(lip)
 
@@ -271,13 +265,14 @@ def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
 # Checkpoint format (version 1): the magic bytes b"CSGNNCKPT", a little-endian
 # uint32 version, a uint64 length-prefixed JSON header, then the raw
 # little-endian float64 buffers of every array in the header's "arrays" order:
-# encoder, classifier_w, classifier_b, then per layer K (if any) and the eight
-# free adjacency coefficients. Each layer's header still names its
-# parameterization "learn_k" and has_W false, so checkpoints keep their bytes;
-# one that names another parameterization or a W array is refused.
+# encoder, classifier_w, classifier_b, then per layer K and the eight free
+# adjacency coefficients. Each layer's header still carries the fields of
+# `_FIXED_LAYER_FIELDS`, which once told the parameterizations apart, so
+# checkpoints keep their bytes; one whose fields differ is refused.
 
 _MAGIC = b"CSGNNCKPT"
 _VERSION = 1
+_FIXED_LAYER_FIELDS = {"has_K": True, "has_W": False, "parameterization": "learn_k"}
 
 
 def _params_arrays(params: NetworkParams) -> list:
@@ -285,8 +280,7 @@ def _params_arrays(params: NetworkParams) -> list:
               ("classifier_w", params.classifier_w),
               ("classifier_b", params.classifier_b)]
     for l, layer in enumerate(params.layers):
-        if layer.feature.K is not None:
-            arrays.append((f"layer{l}.K", layer.feature.K))
+        arrays.append((f"layer{l}.K", layer.feature.K))
         arrays.append((f"layer{l}.k", layer.adjacency.coeffs.k))
     return arrays
 
@@ -298,14 +292,12 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         "share_weights": params.share_weights,
         "layers": [
             {
-                "parameterization": "learn_k",
+                **_FIXED_LAYER_FIELDS,
                 "h_feature": layer.feature.h,
                 "feature_slope": layer.feature.leaky_slope,
                 "h_adjacency": layer.adjacency.h,
                 "adjacency_slope": layer.adjacency.leaky_slope,
                 "alpha": layer.adjacency.coeffs.alpha,
-                "has_W": False,
-                "has_K": layer.feature.K is not None,
             }
             for layer in params.layers
         ],
@@ -323,7 +315,7 @@ def save_checkpoint(params: NetworkParams, path) -> None:
 
 _HEADER_KEYS = ("arrays", "dropout_p", "layers", "share_weights")
 _LAYER_KEYS = ("adjacency_slope", "alpha", "feature_slope", "h_adjacency", "h_feature",
-               "has_K", "has_W", "parameterization")
+               *_FIXED_LAYER_FIELDS)
 _LAYER_NUMBERS = ("h_feature", "feature_slope", "h_adjacency", "adjacency_slope", "alpha")
 
 
@@ -364,14 +356,13 @@ def _checked_header(header) -> dict:
         _require_keys(meta, _LAYER_KEYS, f"layer {l}")
         for key in _LAYER_NUMBERS:
             _require(_is_finite_number(meta[key]), f"layer {l} {key} must be a finite number")
-        _require(meta["parameterization"] == "learn_k" and meta["has_W"] is False,
-                 f"layer {l} must be learn_k without a W array, got parameterization "
-                 f"{meta['parameterization']!r} and has_W {meta['has_W']!r}: the learn_w "
-                 "parameterization was removed")
-        _require(isinstance(meta["has_K"], bool), f"layer {l} has_K must be a boolean")
-        if meta["has_K"]:
-            expected.add(f"layer{l}.K")
-        expected.add(f"layer{l}.k")
+        # types too: 1 == True, but a has_K of 1 is not a boolean
+        got = [f"{key} {meta[key]!r}" for key, want in _FIXED_LAYER_FIELDS.items()
+               if type(meta[key]) is not type(want) or meta[key] != want]
+        _require(not got, f"layer {l} must be learn_k with a K array and without a W array, "
+                 f"got {' and '.join(got)}: the learn_w parameterization was removed, as was "
+                 "the identity K")
+        expected.update((f"layer{l}.K", f"layer{l}.k"))
     shapes = {}
     for spec in header["arrays"]:
         _require_keys(spec, ("name", "shape"), "array entry")
@@ -421,7 +412,7 @@ def load_checkpoint(path) -> NetworkParams:
         layers.append(CoupledLayer(
             feature=LayerParams(
                 h=meta["h_feature"],
-                K=data[f"layer{l}.K"] if meta["has_K"] else None,
+                K=data[f"layer{l}.K"],
                 leaky_slope=meta["feature_slope"],
             ),
             adjacency=AdjacencyStepConfig(

@@ -3,7 +3,8 @@
 A stack has shape (..., n, m). A per-matrix quantity (a step size, a
 coefficient, a distance, a bound) is a scalar for one matrix and an array
 over the stack's leading axes for a stack. Each matrix of a stack gets the
-bits a call on that matrix alone gives.
+bits a call on that matrix alone gives. `freeze` is how every frozen
+container stores its arrays: as read-only copies.
 """
 
 from __future__ import annotations
@@ -35,3 +36,13 @@ def transposed(x: np.ndarray) -> np.ndarray:
 def all_symmetric(a: np.ndarray) -> bool:
     """Whether every matrix of a stack (or the one matrix) equals its transpose exactly."""
     return bool(np.array_equal(a, transposed(a)))
+
+
+def freeze(obj, name: str, dtype=float, default=None) -> np.ndarray:
+    """Set field `name` of the frozen dataclass `obj` to a read-only copy, as
+    `dtype`, of its value (of `default` where that is None); returns the copy."""
+    value = getattr(obj, name)
+    arr = np.array(default if value is None else value, dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr

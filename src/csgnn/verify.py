@@ -1,7 +1,8 @@
 """Property-suite runner backing the `verify` CLI command.
 
 Each suite draws its own randomness from one seed, reports a worst-case slack,
-and is either asserted (affects the exit code) or informational. The
+and is either asserted (affects the exit code) or informational. A NaN value
+makes the worst slack NaN, and an asserted suite with a NaN worst fails. The
 `fault_adjacency_step_scale` override multiplies the contraction suite's step
 size past its bound, for fault-injection tests of the harness itself.
 
@@ -37,7 +38,7 @@ class CheckResult:
     trials: int
     worst: float
     note: str = ""
-    # per-trial values of the stacked suites, in trial order; not reported
+    # per-trial values, in trial order; not reported
     values: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -110,16 +111,23 @@ def _groups(trials: int, draw):
         yield idx, [s[:len(idx)] for s in stacks]
 
 
+def _verdict(check_id: str, values, start: float, tol: float, note: str = "") -> CheckResult:
+    """A suite's result from its per-trial values: the worst is the running
+    max a loop over them takes from `start`, NaN if any value is NaN (which
+    Python's `max` skips), and the suite passes while the worst is <= `tol`."""
+    values = np.asarray(values, dtype=float)
+    worst = np.nan if np.isnan(values).any() else max([start] + values.tolist())
+    return CheckResult(check_id, PASS if worst <= tol else FAIL, len(values), worst, note, values)
+
+
 def _stacked_check(check_id: str, trials: int, draw, evaluate, start: float, tol: float,
                    note: str = "") -> CheckResult:
-    """An asserted suite's result: `evaluate` gives the per-trial values of
-    each stack of same-shaped trials, the worst is the running max a loop over
-    trials takes from `start`, and the suite passes while it is <= `tol`."""
+    """`_verdict` on the per-trial values that `evaluate` gives for each stack
+    of same-shaped trials."""
     values = np.empty(trials)
     for idx, fields in _groups(trials, draw):
         values[idx] = evaluate(*fields)
-    worst = max([start] + values.tolist())
-    return CheckResult(check_id, PASS if worst <= tol else FAIL, trials, worst, note, values)
+    return _verdict(check_id, values, start, tol, note)
 
 
 def _rows_relabelled(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -147,18 +155,17 @@ def _frobenius_norm(x: np.ndarray) -> np.ndarray:
 # --- individual suites ---------------------------------------------------------
 
 def check_metric_l0_l1_binary(rng, trials: int) -> CheckResult:
-    worst = 0.0
+    values = []
     for _ in range(trials):
         n = int(rng.integers(1, 11))
         a = (rng.random((n, n)) < 0.5).astype(float)
         b = (rng.random((n, n)) < 0.5).astype(float)
-        worst = max(worst, abs(graph.l0_distance(a, b) - graph.l1_vec_distance(a, b)))
-    status = PASS if worst == 0.0 else FAIL
-    return CheckResult("metric_l0_l1_binary_agreement", status, trials, worst)
+        values.append(abs(graph.l0_distance(a, b) - graph.l1_vec_distance(a, b)))
+    return _verdict("metric_l0_l1_binary_agreement", values, 0.0, 0.0)
 
 
 def check_metric_l1_lower_bound(rng, trials: int) -> CheckResult:
-    worst = -np.inf
+    values = []
     for _ in range(trials):
         n = int(rng.integers(1, 9))
         a = rng.standard_normal((n, n))
@@ -166,13 +173,12 @@ def check_metric_l1_lower_bound(rng, trials: int) -> CheckResult:
         diff = np.abs(a - b)
         changed = diff[diff > 0]
         bound = changed.size * changed.min() if changed.size else 0.0
-        worst = max(worst, bound - graph.l1_vec_distance(a, b))
-    status = PASS if worst <= 1e-12 else FAIL
-    return CheckResult("metric_l1_lower_bound", status, trials, worst)
+        values.append(bound - graph.l1_vec_distance(a, b))
+    return _verdict("metric_l1_lower_bound", values, -np.inf, 1e-12)
 
 
 def check_permutation_composition(rng, trials: int) -> CheckResult:
-    worst = 0.0
+    values = []
     for _ in range(trials):
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n))
@@ -182,10 +188,9 @@ def check_permutation_composition(rng, trials: int) -> CheckResult:
         q = graph.Permutation(rng.permutation(n))
         lhs = graph.permute_graph(graph.permute_graph(g, p), q)
         rhs = graph.permute_graph(g, q.after(p))
-        worst = max(worst, float(np.abs(lhs.adjacency - rhs.adjacency).max()),
-                    float(np.abs(lhs.features - rhs.features).max()))
-    status = PASS if worst == 0.0 else FAIL
-    return CheckResult("graph_permutation_composition", status, trials, worst)
+        values.append(np.max([np.abs(lhs.adjacency - rhs.adjacency).max(),
+                              np.abs(lhs.features - rhs.features).max()]))
+    return _verdict("graph_permutation_composition", values, 0.0, 0.0)
 
 
 def check_adjacency_l1_contraction(rng, trials: int, step_scale: float = 1.0) -> CheckResult:
@@ -252,68 +257,62 @@ def check_equivariant_linearity(rng, trials: int) -> CheckResult:
 
 
 def check_tmatrix_consistency(rng, trials: int) -> CheckResult:
-    worst = 0.0
-    per_n = max(1, trials // 4)
-    count = 0
+    values = []
     for n in (2, 3, 4, 5):
-        for _ in range(per_n):
+        for _ in range(max(1, trials // 4)):
             coeffs = _random_coeffs(rng)
             t = equivariant.build_T(coeffs, n)
             a = rng.standard_normal((n, n))
-            err = float(np.abs(equivariant.vec(equivariant.equivariant_linear(a, coeffs))
-                               - t @ equivariant.vec(a)).max())
-            worst = max(worst, err)
-            count += 1
-    status = PASS if worst <= 1e-10 else FAIL
-    return CheckResult("tmatrix_vectorization_consistency", status, count, worst)
+            values.append(float(np.abs(equivariant.vec(equivariant.equivariant_linear(a, coeffs))
+                                       - t @ equivariant.vec(a)).max()))
+    return _verdict("tmatrix_vectorization_consistency", values, 0.0, 1e-10)
 
 
 def check_tmatrix_norm_bound(rng, trials: int) -> CheckResult:
-    worst = -np.inf
+    values = []
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         coeffs = _random_coeffs(rng)
         t = equivariant.build_T(coeffs, n)
         s = t - coeffs.k1 * np.eye(n * n)
-        worst = max(worst, equivariant.operator_l1_norm(s) - float(np.abs(coeffs.k).sum()))
-    status = PASS if worst <= 1e-12 else FAIL
-    return CheckResult("tmatrix_l1_norm_bound", status, trials, worst)
+        values.append(equivariant.operator_l1_norm(s) - float(np.abs(coeffs.k).sum()))
+    return _verdict("tmatrix_l1_norm_bound", values, -np.inf, 1e-12)
 
 
-def _probe_suite(rng, trials: int, sampler) -> tuple:
-    worst = 0.0
-    violations = 0
-    done = 0
+def _probe_values(rng, trials: int, sampler) -> list:
+    """Probe values at up to `trials` smooth points, within 50 * `trials` draws."""
+    values = []
     attempts = 0
-    while done < trials and attempts < 50 * trials:
+    while len(values) < trials and attempts < 50 * trials:
         attempts += 1
         coeffs = sampler()
         n = int(rng.integers(3, 7))
         a = rng.standard_normal((n, n))
         h = equivariant.max_step_adjacency(coeffs)
         try:
-            val = equivariant.jacobian_l1_probe_unchecked(a, coeffs, h)
+            values.append(equivariant.jacobian_l1_probe_unchecked(a, coeffs, h))
         except ValueError:
             continue
-        done += 1
-        worst = max(worst, val)
-        if val > 1.0 + 1e-6:
-            violations += 1
-    return done, worst, violations
+    return values
+
 
 def check_jacobian_probe_margin_regime(rng, trials: int, slope: float = 0.1) -> CheckResult:
-    done, worst, violations = _probe_suite(rng, trials, lambda: _margin_coeffs(rng, slope))
-    status = PASS if violations == 0 and done == trials else FAIL
-    return CheckResult("adjacency_jacobian_probe_margin_regime", status, done, worst,
-                       "coefficients restricted to slope * (-alpha) >= (1-slope) * sum|k|")
+    values = _probe_values(rng, trials, lambda: _margin_coeffs(rng, slope))
+    result = _verdict("adjacency_jacobian_probe_margin_regime", values, 0.0, 1.0 + 1e-6,
+                      "coefficients restricted to slope * (-alpha) >= (1-slope) * sum|k|")
+    if len(values) < trials:  # ran out of smooth points
+        result.status = FAIL
+    return result
 
 
 def check_jacobian_probe_unconstrained(rng, trials: int) -> CheckResult:
-    done, worst, violations = _probe_suite(rng, trials, lambda: _random_coeffs(rng))
-    note = (f"{violations}/{done} smooth points exceed 1+1e-6: the l1 step bound is "
-            "not pointwise sufficient once the activation derivative varies "
-            "(see slope_uniform_margin); informational only")
-    return CheckResult("adjacency_jacobian_probe_unconstrained", REPORT, done, worst, note)
+    values = _probe_values(rng, trials, lambda: _random_coeffs(rng))
+    note = (f"{sum(v > 1.0 + 1e-6 for v in values)}/{len(values)} smooth points exceed "
+            "1+1e-6: the l1 step bound is not pointwise sufficient once the activation "
+            "derivative varies (see slope_uniform_margin); informational only")
+    result = _verdict("adjacency_jacobian_probe_unconstrained", values, 0.0, 1.0 + 1e-6, note)
+    result.status = REPORT
+    return result
 
 
 def check_feature_adjointness(rng, trials: int) -> CheckResult:
@@ -517,11 +516,8 @@ def check_coupled_weighted_contraction(rng, trials: int):
 
 def check_gradient_finite_difference(rng, trials: int) -> CheckResult:
     from .gradcheck import max_gradient_rel_error
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, max_gradient_rel_error(rng))
-    status = PASS if worst <= 1e-5 else FAIL
-    return CheckResult("gradient_finite_difference", status, trials, worst)
+    values = [max_gradient_rel_error(rng) for _ in range(trials)]
+    return _verdict("gradient_finite_difference", values, 0.0, 1e-5)
 
 
 # --- the runner ------------------------------------------------------------------

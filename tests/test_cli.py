@@ -129,15 +129,19 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
 
 
 # each of these used to run (a 10-trial verify for a non-positive
-# trials_scale) or fail with a message that did not name the key
+# trials_scale, a PASS for a NaN fault scale) or fail with a message that did
+# not name the key
 @pytest.mark.parametrize("command, args, key", [
     ("verify", ["--set", "trials_scale=-5"], "trials_scale"),
     ("verify", ["--set", "trials_scale=0"], "trials_scale"),
     ("verify", ["--set", "trials_scale=nan"], "trials_scale"),
+    *[("verify", ["--set", f"fault_adjacency_step_scale={bad}"], "fault_adjacency_step_scale")
+      for bad in ("nan", "inf", "0", "-1")],
     ("verify", ["--seed", "-1"], "seed"),
     ("train", ["--seed", "-1"], "seed"),
     ("attack-sweep", ["--set", "edge_ratios=0,abc"], "edge_ratios"),
-], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale", "verify-negative-seed",
+], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale",
+        *(f"{bad}-fault-scale" for bad in ("nan", "inf", "zero", "negative")), "verify-negative-seed",
         "train-negative-seed", "non-numeric-edge-ratio"])
 def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, tmp_path, capsys, command,
                                                            args, key):

@@ -15,9 +15,9 @@ PATH_GRAPH = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_NODE_F = np.array([[1.0], [3.0]])
 
 
-def linear_params(h, **kw):
-    # slope-1 LeakyReLU is the identity: hand-computable oracles
-    return LayerParams(h=h, leaky_slope=1.0, **kw)
+def linear_params(h, c):
+    # slope-1 LeakyReLU and K = I: hand-computable oracles
+    return LayerParams(h=h, K=np.eye(c), leaky_slope=1.0)
 
 
 class TestGraphGradient:
@@ -83,14 +83,14 @@ class TestAdjoint:
 
 class TestFeatureStep:
     def test_consensus_hand_case(self):
-        out = feature_step(TWO_NODE_F, PATH_GRAPH, linear_params(h=0.25))
+        out = feature_step(TWO_NODE_F, PATH_GRAPH, linear_params(h=0.25, c=1))
         assert np.allclose(out, [[2.0], [2.0]])
 
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((5, 3))
         a = symmetric_normal(rng, 5)
-        assert np.array_equal(feature_step(f, a, linear_params(h=0.0)), f)
+        assert np.array_equal(feature_step(f, a, linear_params(h=0.0, c=3)), f)
 
     def test_equal_inputs_equal_outputs(self):
         rng = np.random.default_rng(5)
@@ -122,15 +122,17 @@ class TestFeatureStep:
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_learn_k_rejects_w(self):
-        # the node mixer is the identity: W is not a parameter
-        assert LayerParams(h=0.1).W is None
+        # the node mixer is the identity: W is not a parameter; K always is
+        assert LayerParams(h=0.1, K=np.eye(2)).W is None
         with pytest.raises(TypeError):
-            LayerParams(h=0.1, W=np.eye(2))
+            LayerParams(h=0.1, K=np.eye(2), W=np.eye(2))
+        with pytest.raises(TypeError):
+            LayerParams(h=0.1)
 
     @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, 2.0, float("nan")])
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):
-            LayerParams(h=0.1, leaky_slope=slope)
+            LayerParams(h=0.1, K=np.eye(2), leaky_slope=slope)
 
 
 def symmetric_normal(rng, n):
@@ -141,7 +143,7 @@ def symmetric_normal(rng, n):
 
 def edge_form_field(f, a, params):
     """X = -G(A)^T sigma(G(A) F) Ktilde through the (n, n, c) edge tensors."""
-    k = np.eye(f.shape[1]) if params.K is None else 0.5 * (params.K + params.K.T)
+    k = 0.5 * (params.K + params.K.T)
     edge = leaky_relu(graph_gradient(a, f), params.leaky_slope)
     return -graph_gradient_adjoint(a, edge) @ k
 
@@ -215,7 +217,7 @@ class TestEnergy:
         assert energy(PATH_GRAPH, TWO_NODE_F, leaky_slope=1.0) == pytest.approx(4.0)
 
     def test_consensus_step_dissipates(self):
-        stepped = feature_step(TWO_NODE_F, PATH_GRAPH, linear_params(h=0.25))
+        stepped = feature_step(TWO_NODE_F, PATH_GRAPH, linear_params(h=0.25, c=1))
         e0 = energy(PATH_GRAPH, TWO_NODE_F, leaky_slope=1.0)
         e1 = energy(PATH_GRAPH, stepped, leaky_slope=1.0)
         assert e1 == pytest.approx(0.0, abs=1e-12)
@@ -265,7 +267,7 @@ class TestContraction:
         for _ in range(200):
             n, c = 5, 3
             a = symmetric_normal(rng, n)
-            p = LayerParams(h=1e3 * max_feature_step(a, LayerParams(h=1.0)), K=np.eye(c))
+            p = LayerParams(h=1e3 * max_feature_step(a, LayerParams(h=1.0, K=np.eye(c))), K=np.eye(c))
             f, df = rng.standard_normal((n, c)), rng.standard_normal((n, c))
             if moved_distance(f, df, a, p) > np.linalg.norm(df) + 1e-9:
                 found = True
@@ -340,7 +342,7 @@ class TestLanczosStepBound:
     def test_step_never_exceeds_dense_oracle(self, name):
         a = _lanczos_case(name)
         oracle = 1.0 / (_dense_lam_max(a) + H_SAFE_EPS)
-        assert max_feature_step(a, LayerParams(h=1.0)) <= oracle * (1 + 1e-12)
+        assert max_feature_step(a, LayerParams(h=1.0, K=np.eye(2))) <= oracle * (1 + 1e-12)
 
     def test_repeated_top_case_has_a_double_eigenvalue(self):
         a = _lanczos_case("repeated_top")
@@ -358,13 +360,13 @@ class TestLanczosStepBound:
     def test_l1_radius_step_never_exceeds_svd_oracle(self):
         a = _lanczos_case("sbm")
         s = np.sqrt(_dense_lam_max(a)) + 2.0 * 0.5
-        assert max_feature_step(a, LayerParams(h=1.0), l1_radius=0.5) <= 1.0 / (s * s + H_SAFE_EPS) * (1 + 1e-12)
+        assert max_feature_step(a, LayerParams(h=1.0, K=np.eye(2)), l1_radius=0.5) <= 1.0 / (s * s + H_SAFE_EPS) * (1 + 1e-12)
 
     def test_dense_path_rejects_non_finite_input(self):
         a = np.ones((5, 5))
         a[1, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
-            max_feature_step(a, LayerParams(h=1.0))
+            max_feature_step(a, LayerParams(h=1.0, K=np.eye(2)))
 
 
 @pytest.mark.parametrize("n", [127, dynamics._LANCZOS_MIN_N + 44])

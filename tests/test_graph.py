@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +212,19 @@ class TestGraphIO:
         g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="binary"):
             save_graph(g, tmp_path)
+
+    @pytest.mark.parametrize("name, text", [
+        ("edges.txt", "0.5 1\n"),
+        ("features.csv", "0.1,0.2\nx,0.4\n"),
+        ("labels.csv", "0\nx\n"),
+        ("masks.csv", "train,val,test\n1,0,0\n0,x,1\n"),
+    ], ids=["edges", "features", "labels", "masks"])
+    def test_parse_error_names_its_file(self, tmp_path, name, text):
+        g = Graph(adjacency=[[0.0, 1.0], [1.0, 0.0]], features=np.zeros((2, 2)))
+        save_graph(g, tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+            load_graph(tmp_path)
 
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):

@@ -389,7 +389,8 @@ class TestCheckpoint:
         (lambda h, arrays: h["layers"][0].update(has_W="no"), "layer 0 must be learn_k"),
         (lambda h, arrays: _append_array(h, arrays, "encoder"), "'encoder' appears twice"),
         (lambda h, arrays: _append_array(h, arrays, "layer5.K"), "layer5.K are not used"),
-        (lambda h, arrays: h["layers"][0].update(has_K=False), "layer0.K are not used"),
+        (lambda h, arrays: h["layers"][0].update(has_K=False), "identity K"),
+        (lambda h, arrays: h["layers"][1].update(has_K=1), "layer 1 must be learn_k.*got has_K 1"),
         (lambda h, arrays: h["arrays"][2].update(shape=[-2]), "shape"),
         (lambda h, arrays: h["arrays"][2].update(shape=[2.0]), "shape"),
         (lambda h, arrays: h["layers"][0].update(h_feature=float("nan")), "h_feature"),

@@ -39,7 +39,7 @@ def test_verify_checks_are_the_suites_run_all_runs():
 
 def test_a_layer_has_no_node_mixer():
     # `workloads.layer_dicts` reads `feature.W` and expects None
-    assert LayerParams(h=0.1).W is None
+    assert LayerParams(h=0.1, K=np.eye(2)).W is None
 
 
 def test_init_params_takes_five_positional_arguments():

@@ -105,9 +105,8 @@ def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
     if kind == "scaled_identity":  # K = lam I, as the coupled verify suites draw it
         lam = 0.2 + rng.random(M)
         params, singles = _layers(rng.random(M), lam[:, None, None] * np.eye(c))
-    elif kind == "identity":
-        h = rng.random(M)
-        params, singles = LayerParams(h=h), [LayerParams(h=h[i]) for i in range(M)]
+    elif kind == "identity":  # K = I exactly, the layer that mixes no channels
+        params, singles = _layers(rng.random(M), np.broadcast_to(np.eye(c), (M, c, c)))
     else:
         params, singles = _learn_k(rng, c, definite=kind == "learn_k")
     a = _adjacency(rng, n, symmetric)

@@ -263,11 +263,8 @@ def _dense_h_safe(a, feature):
     b = b + b.T
     lap = np.diag(b.sum(axis=1)) - b
     s2 = max(float(np.linalg.eigvalsh(lap).max()), 0.0)
-    if feature.K is None:
-        lam = s2
-    else:
-        eigs = np.linalg.eigvalsh(0.5 * (feature.K + feature.K.T))
-        lam = (eigs.max() ** 2 / eigs.min() if eigs.min() > 0 else np.abs(eigs).max()) * s2
+    eigs = np.linalg.eigvalsh(0.5 * (feature.K + feature.K.T))
+    lam = (eigs.max() ** 2 / eigs.min() if eigs.min() > 0 else np.abs(eigs).max()) * s2
     return 1.0 / (lam + 1e-12)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from csgnn.verify import (FAIL, PASS, REPORT, all_passed, render_report, run_all)
+from csgnn import gradcheck
+from csgnn.verify import (FAIL, PASS, REPORT, all_passed, check_gradient_finite_difference,
+                          render_report, run_all)
 
 
 def test_quick_run_all_passes_asserted_suites():
@@ -17,6 +19,28 @@ def test_fault_injection_fails_contraction_suite():
     by_id = {r.check_id: r for r in results}
     assert by_id["adjacency_l1_contraction"].status == FAIL
     assert not all_passed(results)
+
+
+def test_nan_fault_scale_fails_contraction_suite_with_nan_worst():
+    # Python's max skips NaN: this suite used to PASS with worst -inf
+    results, _ = run_all(seed=0, trials_scale=0.02, fault_adjacency_step_scale=float("nan"))
+    by_id = {r.check_id: r for r in results}
+    assert by_id["adjacency_l1_contraction"].status == FAIL
+    assert np.isnan(by_id["adjacency_l1_contraction"].worst)
+    assert not all_passed(results)
+
+
+def test_nan_gradient_fails_gradient_suite(monkeypatch):
+    exact = gradcheck.analytic_gradients
+
+    def nan_encoder_gradient(*args):
+        grads = exact(*args)
+        return {**grads, "encoder": np.full_like(grads["encoder"], np.nan)}
+
+    monkeypatch.setattr(gradcheck, "analytic_gradients", nan_encoder_gradient)
+    result = check_gradient_finite_difference(np.random.default_rng(0), 2)
+    assert result.status == FAIL
+    assert np.isnan(result.worst)
 
 
 def test_report_is_deterministic_given_seed():
