@@ -11,9 +11,8 @@ from .graph import (Graph, Permutation, PerturbationBudget, frobenius_distance,
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           build_T, equivariant_linear, max_step_adjacency, operator_l1_norm)
 from .dynamics import LayerParams, energy, feature_step, max_feature_step
-from .network import (CoupledLayer, ForwardTrace, NetworkParams, certificate, evolve,
-                      expansivity_bound, forward, load_checkpoint, save_checkpoint,
-                      weighted_distance)
+from .network import (CoupledLayer, ForwardTrace, NetworkParams, certificate, evolve, forward,
+                      load_checkpoint, save_checkpoint, weighted_distance)
 from .training import (AdamState, TrainConfig, adam_step, backward,
                        masked_cross_entropy, train)
 from .attacks import (AttackKind, AttackSpec, evaluate_robustness, feature_noise_attack,

@@ -56,15 +56,22 @@ def _checked(values: dict, key: str, default, ok, what: str):
     return value
 
 
+def _finite_nonnegative(x) -> bool:
+    return bool(np.isfinite(x)) and x >= 0
+
+
 def _float_list(values: dict, key: str, default) -> list:
     raw = values.get(key)
     if raw is None:
         return list(default)
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok != ""]
+        items = [float(tok) for tok in str(raw).split(",") if tok != ""]
     except ValueError:
-        raise ValueError(f"config key {key!r} must be a comma-separated list of numbers, "
-                         f"got {raw!r}") from None
+        items = None
+    if items is None or not all(map(_finite_nonnegative, items)):
+        raise ValueError(f"config key {key!r} must be a comma-separated list of finite "
+                         f"nonnegative numbers, got {raw!r}")
+    return items
 
 
 def cmd_gen_sbm(args) -> int:
@@ -156,12 +163,16 @@ def cmd_certify(args) -> int:
     for key in ("checkpoint", "graph"):
         if key not in values:
             raise SystemExit2(f"certify needs a '{key} = <path>' config entry")
+    budget = PerturbationBudget(**{key: _checked(values, key, 0.0, _finite_nonnegative,
+                                                 "finite and nonnegative")
+                                   for key in ("eps_feat", "eps_adj")})
     params = load_checkpoint(values["checkpoint"])
     g = load_graph(values["graph"])
-    budget = PerturbationBudget(eps_feat=_get(values, "eps_feat", 0.0),
-                                eps_adj=_get(values, "eps_adj", 0.0))
+    if g.feat_dim != params.encoder.shape[0]:
+        raise ValueError(f"the graph's feature width {g.feat_dim} does not match the "
+                         f"checkpoint's encoder input {params.encoder.shape[0]}")
     f0 = g.features @ params.encoder
-    cert = certificate(f0, g.adjacency, params, budget)
+    cert = certificate(f0, g.adjacency, params.layers, budget)
     text = render_certificate(cert, params)
     print(text, end="")
     if args.out:

@@ -223,6 +223,9 @@ def load_graph(in_dir) -> Graph:
     masks = _load_table(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
     if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():
         raise ValueError("masks.csv must hold three columns (train,val,test) of 0/1 values")
+    for name, rows in (("labels.csv", labels.shape[0]), ("masks.csv", masks.shape[0])):
+        if rows != n:
+            raise ValueError(f"{name} has {rows} rows, but features.csv has {n}")
     return Graph(
         adjacency=adjacency,
         features=features,

@@ -52,6 +52,10 @@ class NetworkParams:
             raise ValueError("classifier bias length must match output width")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
+        for l, layer in enumerate(layers[1:] if self.share_weights else (), start=1):
+            if not (np.array_equal(layer.feature.K, layers[0].feature.K)
+                    and np.array_equal(layer.adjacency.coeffs.k, layers[0].adjacency.coeffs.k)):
+                raise ValueError(f"share_weights is set, but layer {l}'s K or k differs from layer 0's")
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -168,22 +172,6 @@ def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
     return m1 * frobenius_distance(f1, f2) + m2 * l1_vec_distance(a1, a2)
 
 
-def expansivity_bound(h: list, lip_estimates: list, budget: PerturbationBudget) -> float:
-    """Certified output-distance bound eps1 + eps2 * (1 + sum_i lip_i * h_i).
-
-    The layers run along the last axis of `h` and `lip_estimates`; leading
-    axes, and budgets holding arrays, give one bound per configuration.
-    """
-    h = np.asarray(h, dtype=float)
-    lip = np.asarray(lip_estimates, dtype=float)
-    if h.shape != lip.shape:
-        raise ValueError("step-size and Lipschitz lists must have equal length")
-    if np.any(h < 0) or np.any(lip < 0):
-        raise ValueError("step sizes and Lipschitz estimates must be nonnegative")
-    bound = budget.eps_feat + budget.eps_adj * (1.0 + (lip * h).sum(axis=-1))
-    return scalar_or_stack(bound)
-
-
 _EPS = np.finfo(float).eps
 
 
@@ -229,37 +217,39 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     return scalar_or_stack(lip)
 
 
-def certificate(f0: np.ndarray, a0: np.ndarray, params: NetworkParams,
-                budget: PerturbationBudget) -> dict:
-    """Per-layer expansivity certificate for the coupled map on an embedded state.
+def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudget) -> dict:
+    """Per-layer expansivity certificate for the coupled layers on an embedded state.
 
     Runs the clean trajectory, bounds each layer's mixed Lipschitz constant over
     the l1 ball of radius eps_adj around the clean adjacency state (where every
     admissible perturbed state stays, by adjacency nonexpansiveness), and
-    assembles the final output-distance bound. The admissible adjacency
+    assembles the output-distance bound eps_feat + eps_adj * (1 + sum_l h_l lip_l),
+    raising FloatingPointError where it is not finite. The admissible adjacency
     perturbations are the symmetric ones: A0 must be exactly symmetric, as
-    `evolve` checks, and so must A0 + dA.
+    `evolve` checks, and so must A0 + dA. Stacked states and layers, and
+    budgets holding arrays, give one certificate per state.
     """
-    fs, as_ = evolve(f0, a0, params.layers)
-    rows = []
-    lips = []
-    hs = []
-    for l, layer in enumerate(params.layers):
-        lip = lipschitz_upper(fs[l], layer.feature,
-                              float(np.abs(as_[l]).max()) + budget.eps_adj)
-        rows.append({
-            "layer": l + 1,
-            "h_feature": layer.feature.h,
-            "h_adjacency": layer.adjacency.h,
-            "h_adjacency_max": max_step_adjacency(layer.adjacency.coeffs),
-            "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
-            "lipschitz_upper": lip,
-        })
-        lips.append(lip)
-        hs.append(layer.feature.h)
-    bound = expansivity_bound(hs, lips, budget)
+    fs, as_ = evolve(f0, a0, layers)
+    # a budget near the float range overflows the bound, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lips = [lipschitz_upper(fs[l], layer.feature,
+                                np.abs(as_[l]).max(axis=(-2, -1)) + budget.eps_adj)
+                for l, layer in enumerate(layers)]
+        h = np.stack([layer.feature.h for layer in layers], axis=-1)
+        bound = budget.eps_feat + budget.eps_adj * (1.0 + (np.stack(lips, axis=-1) * h).sum(axis=-1))
+    if not np.all(np.isfinite(bound)):
+        raise FloatingPointError(f"the certified bound for eps_feat={budget.eps_feat} and "
+                                 f"eps_adj={budget.eps_adj} is not finite")
+    rows = [{
+        "layer": l + 1,
+        "h_feature": layer.feature.h,
+        "h_adjacency": layer.adjacency.h,
+        "h_adjacency_max": max_step_adjacency(layer.adjacency.coeffs),
+        "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
+        "lipschitz_upper": lips[l],
+    } for l, layer in enumerate(layers)]
     return {"eps_feat": budget.eps_feat, "eps_adj": budget.eps_adj,
-            "layers": rows, "bound": bound}
+            "layers": rows, "bound": scalar_or_stack(bound)}
 
 
 # Checkpoint format (version 1): the magic bytes b"CSGNNCKPT", a little-endian

@@ -461,13 +461,8 @@ def check_expansivity_bound(rng, trials: int) -> CheckResult:
         a_out = equivariant.adjacency_step(as_[-1], layers[-1].adjacency)
         a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
         measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
-        lips = [network.lipschitz_upper(fs[l], layer.feature,
-                                        np.abs(as_[l]).max(axis=(-2, -1)) + budget_adj)
-                for l, layer in enumerate(layers)]
-        bound = network.expansivity_bound(np.stack([ly.feature.h for ly in layers], axis=-1),
-                                          np.stack(lips, axis=-1),
-                                          PerturbationBudget(eps_feat=budget_feat, eps_adj=budget_adj))
-        return measured - bound
+        budget = PerturbationBudget(eps_feat=budget_feat, eps_adj=budget_adj)
+        return measured - network.certificate(f0, a0, layers, budget)["bound"]
 
     return _stacked_check("coupled_expansivity_bound", trials, lambda: _contractive_draw(rng),
                           evaluate, -np.inf, 1e-7)

@@ -140,13 +140,20 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
     ("verify", ["--seed", "-1"], "seed"),
     ("train", ["--seed", "-1"], "seed"),
     ("attack-sweep", ["--set", "edge_ratios=0,abc"], "edge_ratios"),
+    ("attack-sweep", ["--set", "edge_ratios=0,-1"], "edge_ratios"),
+    ("attack-sweep", ["--set", "feat_eps_list=0.5,inf"], "feat_eps_list"),
+    ("certify", ["--set", "eps_feat=-1"], "eps_feat"),
+    ("certify", ["--set", "eps_adj=-0.5"], "eps_adj"),
 ], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale",
         *(f"{bad}-fault-scale" for bad in ("nan", "inf", "zero", "negative")), "verify-negative-seed",
-        "train-negative-seed", "non-numeric-edge-ratio"])
-def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, tmp_path, capsys, command,
-                                                           args, key):
+        "train-negative-seed", "non-numeric-edge-ratio", "negative-edge-ratio",
+        "infinite-feature-budget", "negative-eps-feat", "negative-eps-adj"])
+def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, trained_dir, tmp_path, capsys,
+                                                           command, args, key):
     argv = [command, "--out", str(tmp_path / "out"), *args]
-    if command != "verify":
+    if command == "certify":
+        argv += ["--set", f"graph={sbm_dir}", "--set", f"checkpoint={trained_dir}/model.ckpt"]
+    elif command != "verify":
         argv += ["--set", f"graph={sbm_dir}", "--set", "epochs=1"]
     assert run(argv) == 3
     assert capsys.readouterr().err.startswith(f"error: config key '{key}' must")
@@ -422,7 +429,7 @@ class TestCertifyCommand:
     def test_warns_when_feature_step_exceeds_ball_bound(self, sbm_dir, trained_dir, capsys):
         params = load_checkpoint(trained_dir / "model.ckpt")
         g = load_graph(sbm_dir)
-        cert = certificate(g.features @ params.encoder, g.adjacency, params,
+        cert = certificate(g.features @ params.encoder, g.adjacency, params.layers,
                            PerturbationBudget(eps_feat=0.0, eps_adj=5.0))
         over = [row["layer"] for row in cert["layers"] if row["h_feature"] > row["h_feature_safe"]]
         assert over
@@ -444,7 +451,7 @@ class TestCertifyCommand:
         assert code == 0
         params = load_checkpoint(trained_dir / "model.ckpt")
         g = load_graph(sbm_dir)
-        cert = certificate(g.features @ params.encoder, g.adjacency, params,
+        cert = certificate(g.features @ params.encoder, g.adjacency, params.layers,
                            PerturbationBudget(eps_feat=0.25, eps_adj=1.5))
         printed = float(out.strip().split("=")[-1])
         assert printed == pytest.approx(cert["bound"], rel=1e-9)
@@ -480,6 +487,44 @@ class TestCertifyCommand:
         assert code == 3
         assert "finite" in captured.err
         assert "certified" not in captured.out
+
+    def test_overflowing_bound_is_runtime_error(self, sbm_dir, trained_dir, tmp_path, capsys):
+        # it printed numpy's overflow warning, then a bound of inf, and exited 0
+        code = run(["certify", "--out", str(tmp_path / "out"),
+                    "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={sbm_dir}", "--set", "eps_adj=1e308"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: the certified bound for eps_feat=0.0 and eps_adj=1e+308"
+                                " is not finite\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_mismatched_shared_weights_are_runtime_error(self, sbm_dir, trained_dir, tmp_path,
+                                                         capsys):
+        # its two layers hold different K and k; it used to certify as if that were shared
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        old, new = b'"share_weights":false', b'"share_weights":true '
+        assert old in raw
+        bad.write_bytes(raw.replace(old, new))  # same length: the header length still holds
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "layer 1's K or k differs from layer 0's" in captured.err
+        assert captured.out == ""
+
+    def test_feature_width_mismatch_is_runtime_error(self, trained_dir, tmp_path, capsys):
+        # numpy's matmul message used to name neither width
+        graph = tmp_path / "sbm3"
+        assert run(["gen-sbm", "--out", str(graph), "--set", "n=30", "--set", "feat_dim=3"]) == 0
+        capsys.readouterr()
+        code = run(["certify", "--set", f"checkpoint={trained_dir}/model.ckpt",
+                    "--set", f"graph={graph}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ("error: the graph's feature width 3 does not match the checkpoint's"
+                                " encoder input 4\n")
 
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2

@@ -226,6 +226,16 @@ class TestGraphIO:
         with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
             load_graph(tmp_path)
 
+    @pytest.mark.parametrize("name", ["labels.csv", "masks.csv"])
+    def test_row_count_mismatch_names_the_file_and_both_counts(self, tmp_path, name):
+        # it used to read "labels must be a length-n integer vector"
+        g = Graph(adjacency=np.eye(4)[[1, 0, 3, 2]], features=np.zeros((4, 2)), labels=[0, 1, 0, 1])
+        save_graph(g, tmp_path)
+        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(lines[:-1]))  # drop the last node's row
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} has 3 rows, but features.csv has 4$"):
+            load_graph(tmp_path)
+
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):
         g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)))

@@ -11,9 +11,8 @@ from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency
                                max_step_adjacency)
 from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
 from csgnn import network
-from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, expansivity_bound,
-                           forward, lipschitz_upper, load_checkpoint, save_checkpoint,
-                           weighted_distance)
+from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, forward,
+                           lipschitz_upper, load_checkpoint, save_checkpoint, weighted_distance)
 
 
 def zero_dynamics_layer(c, h=0.5):
@@ -172,6 +171,22 @@ class TestForward:
         with pytest.raises(ValueError, match="encoder"):
             forward(g, params, mode="eval")
 
+    @pytest.mark.parametrize("field", ["K", "k"])
+    def test_shared_weights_are_equal_in_every_layer(self, field):
+        # a corrupt checkpoint could hold one, and training reads only layer 0's
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 3, 4, 2, depth=3)
+        first, other = params.layers[:2]
+        slower = dataclasses.replace(first, feature=dataclasses.replace(first.feature, h=0.05))
+        shared = dataclasses.replace(params, layers=(first, first, slower), share_weights=True)
+        assert shared.layers[2].feature.h == 0.05  # step sizes may differ
+        if field == "K":
+            bad = dataclasses.replace(first, feature=other.feature)
+        else:
+            bad = dataclasses.replace(first, adjacency=other.adjacency)
+        with pytest.raises(ValueError, match="layer 2's K or k differs from layer 0's"):
+            dataclasses.replace(params, layers=(first, first, bad), share_weights=True)
+
 
 class TestDistances:
     def test_weighted_distance_identical_states(self):
@@ -200,22 +215,48 @@ class TestDistances:
 
 
 class TestExpansivityBound:
-    def test_feature_only_budget(self):
-        b = PerturbationBudget(eps_feat=0.7, eps_adj=0.0)
-        assert expansivity_bound([0.5, 0.5], [3.0, 4.0], b) == pytest.approx(0.7)
+    """Hand cases of the bound eps_feat + eps_adj * (1 + sum_l h_l lip_l)."""
 
-    def test_single_layer_hand_case(self):
-        b = PerturbationBudget(eps_feat=0.0, eps_adj=1.0)
-        assert expansivity_bound([0.5], [2.0], b) == pytest.approx(2.0)
+    def test_feature_only_budget(self):
+        rng = np.random.default_rng(7)
+        params = random_params(rng, 3, 4, 2)
+        a0 = np.abs(rng.standard_normal((5, 5)))
+        cert = certificate(rng.standard_normal((5, 4)), a0 + a0.T, params.layers,
+                           PerturbationBudget(eps_feat=0.7, eps_adj=0.0))
+        assert all(row["lipschitz_upper"] > 0 for row in cert["layers"])
+        assert cert["bound"] == 0.7
 
     def test_zero_lipschitz(self):
-        b = PerturbationBudget(eps_feat=0.3, eps_adj=0.4)
-        assert expansivity_bound([0.1, 0.2], [0.0, 0.0], b) == pytest.approx(0.7)
+        # zero features have no row gap, so every lip is 0
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 3, 4, 2, depth=3)
+        cert = certificate(np.zeros((5, 4)), np.ones((5, 5)), params.layers,
+                           PerturbationBudget(eps_feat=0.3, eps_adj=0.4))
+        assert [row["lipschitz_upper"] for row in cert["layers"]] == [0.0] * 3
+        assert cert["bound"] == 0.3 + 0.4
+
+    def test_single_layer_hand_case(self):
+        # one node pair one unit apart on a single channel, K = I: lip = 4 * 1.5 * gap,
+        # gap the padded bound on the row distance 1
+        layer = CoupledLayer(feature=LayerParams(h=0.5, K=np.eye(1)),
+                             adjacency=zero_dynamics_layer(1).adjacency)
+        f0 = np.array([[0.0], [1.0]])
+        a0 = np.array([[0.0, 0.5], [0.5, 0.0]])
+        cert = certificate(f0, a0, [layer], PerturbationBudget(eps_feat=0.0, eps_adj=1.0))
+        lip = 4.0 * 1.5 * network._max_row_gap(f0)
+        assert cert["layers"][0]["lipschitz_upper"] == lip
+        assert cert["bound"] == 1.0 * (1.0 + lip * 0.5)
+        assert cert["bound"] == pytest.approx(4.0)
 
     def test_negative_inputs_rejected(self):
-        b = PerturbationBudget(eps_feat=0.0, eps_adj=1.0)
-        with pytest.raises(ValueError):
-            expansivity_bound([-0.1], [1.0], b)
+        # the certificate reads its step sizes from LayerParams, which refuses
+        # a negative one, as the budget refuses a negative radius
+        with pytest.raises(ValueError, match="nonnegative"):
+            LayerParams(h=-0.1, K=np.eye(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            LayerParams(h=np.array([0.1, -0.1]), K=np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            PerturbationBudget(eps_feat=0.0, eps_adj=-1.0)
 
 
 def estimate_mixed_lipschitz(f: np.ndarray, layer: LayerParams, n_samples: int, rng,
@@ -325,14 +366,14 @@ class TestCertificate:
     def test_zero_budget_zero_bound(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, 3, 4, 2)
-        cert = certificate(rng.standard_normal((5, 4)), np.eye(5), params,
+        cert = certificate(rng.standard_normal((5, 4)), np.eye(5), params.layers,
                            PerturbationBudget(eps_feat=0.0, eps_adj=0.0))
         assert cert["bound"] == 0.0
 
     def test_zero_coefficient_network(self):
         params = NetworkParams(encoder=np.eye(2), layers=(zero_dynamics_layer(2),),
                                classifier_w=np.eye(2), classifier_b=np.zeros(2))
-        cert = certificate(np.ones((3, 2)), np.eye(3), params,
+        cert = certificate(np.ones((3, 2)), np.eye(3), params.layers,
                            PerturbationBudget(eps_feat=0.25, eps_adj=0.5))
         assert cert["bound"] == pytest.approx(0.75)
 
@@ -342,18 +383,21 @@ class TestCertificate:
         budget = PerturbationBudget(eps_feat=0.3, eps_adj=0.7)
         f0 = rng.standard_normal((6, 4))
         a0 = np.abs(rng.standard_normal((6, 6)))
-        cert = certificate(f0, a0 + a0.T, params, budget)
-        recomputed = expansivity_bound([r["h_feature"] for r in cert["layers"]],
-                                       [r["lipschitz_upper"] for r in cert["layers"]],
-                                       budget)
-        assert cert["bound"] == pytest.approx(recomputed, rel=1e-12)
+        cert = certificate(f0, a0 + a0.T, params.layers, budget)
+        fs, as_ = evolve(f0, a0 + a0.T, params.layers)
+        total = 0.0
+        for l, (row, layer) in enumerate(zip(cert["layers"], params.layers)):
+            lip = lipschitz_upper(fs[l], layer.feature, np.abs(as_[l]).max() + 0.7)
+            assert row["lipschitz_upper"] == lip
+            total += row["h_feature"] * lip
+        assert cert["bound"] == pytest.approx(0.3 + 0.7 * (1.0 + total), rel=1e-12)
 
     def test_takes_only_the_adjacency_steps_its_layers_read(self, monkeypatch):
         rng = np.random.default_rng(6)
         params = random_params(rng, 3, 4, 2, depth=2)
         a0 = np.abs(rng.standard_normal((6, 6)))
         calls = _counted_adjacency_steps(monkeypatch)
-        certificate(rng.standard_normal((6, 4)), a0 + a0.T, params,
+        certificate(rng.standard_normal((6, 4)), a0 + a0.T, params.layers,
                     PerturbationBudget(eps_feat=0.3, eps_adj=0.7))
         assert len(calls) == 1
 

@@ -162,14 +162,20 @@ def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
     feature, singles = _learn_k(rng, c, definite=True)
     layers = [CoupledLayer(feature=feature, adjacency=AdjacencyStepConfig(coeffs=coeffs, h=h_adj))]
     fs, as_ = network.evolve(f, a, layers * 2)
+
+    def one_layer(i):
+        return [CoupledLayer(feature=singles[i], adjacency=AdjacencyStepConfig(coeffs=sets[i], h=h_adj[i]))]
+
     for i in range(M):
-        one = [CoupledLayer(feature=singles[i], adjacency=AdjacencyStepConfig(coeffs=sets[i], h=h_adj[i]))]
-        fs_i, as_i = network.evolve(f[i], a[i], one * 2)
+        fs_i, as_i = network.evolve(f[i], a[i], one_layer(i) * 2)
         assert all(np.array_equal(x[i], y) for x, y in zip(fs, fs_i))
         assert all(np.array_equal(x[i], y) for x, y in zip(as_, as_i))
 
-    hs, lips = rng.random((2, M, 3))
     eps_feat, eps_adj = rng.random((2, M))
-    assert _same(network.expansivity_bound(hs, lips, PerturbationBudget(eps_feat, eps_adj)),
-                 [network.expansivity_bound(hs[i], lips[i], PerturbationBudget(eps_feat[i], eps_adj[i]))
-                  for i in range(M)])
+    cert = network.certificate(f, a, layers * 2, PerturbationBudget(eps_feat, eps_adj))
+    singles_cert = [network.certificate(f[i], a[i], one_layer(i) * 2,
+                                        PerturbationBudget(eps_feat[i], eps_adj[i])) for i in range(M)]
+    assert _same(cert["bound"], [c["bound"] for c in singles_cert])
+    for l, row in enumerate(cert["layers"]):
+        for key in ("h_feature", "h_adjacency", "h_adjacency_max", "h_feature_safe", "lipschitz_upper"):
+            assert _same(row[key], [c["layers"][l][key] for c in singles_cert])

@@ -116,7 +116,7 @@ def test_evolve_and_certificate_reject_an_asymmetric_a0():
     with pytest.raises(ValueError, match="symmetric"):
         evolve(f0, a0, params.layers)
     with pytest.raises(ValueError, match="symmetric"):
-        certificate(f0, a0, params, PerturbationBudget(eps_feat=0.1, eps_adj=0.2))
+        certificate(f0, a0, params.layers, PerturbationBudget(eps_feat=0.1, eps_adj=0.2))
     # a stack is rejected when any one of its matrices is asymmetric
     stack = np.stack([a0 + a0.T, a0])
     with pytest.raises(ValueError, match="symmetric"):
@@ -165,5 +165,5 @@ def test_certificate_compares_symmetry_once(monkeypatch):
     f0, a0, params = _asymmetric_instance()
     a0 = a0 + a0.T
     calls = _counted_symmetry_checks(monkeypatch)
-    certificate(f0, a0, params, PerturbationBudget(eps_feat=0.1, eps_adj=0.2))
+    certificate(f0, a0, params.layers, PerturbationBudget(eps_feat=0.1, eps_adj=0.2))
     assert calls == [(7, 7)]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from csgnn import gradcheck
-from csgnn.verify import (FAIL, PASS, REPORT, all_passed, check_gradient_finite_difference,
-                          render_report, run_all)
+from csgnn import gradcheck, network
+from csgnn.verify import (FAIL, PASS, REPORT, all_passed, check_expansivity_bound,
+                          check_gradient_finite_difference, render_report, run_all)
 
 
 def test_quick_run_all_passes_asserted_suites():
@@ -41,6 +41,19 @@ def test_nan_gradient_fails_gradient_suite(monkeypatch):
     result = check_gradient_finite_difference(np.random.default_rng(0), 2)
     assert result.status == FAIL
     assert np.isnan(result.worst)
+
+
+def test_an_unsound_certificate_fails_the_expansivity_suite(monkeypatch):
+    # the suite checks the bound `certify` prints: drop its eps_adj term and it fails
+    sound = network.certificate
+
+    def without_adjacency_term(f0, a0, layers, budget):
+        return {**sound(f0, a0, layers, budget), "bound": budget.eps_feat}
+
+    monkeypatch.setattr(network, "certificate", without_adjacency_term)
+    result = check_expansivity_bound(np.random.default_rng(0), 200)
+    assert result.status == FAIL
+    assert result.worst > 0
 
 
 def test_report_is_deterministic_given_seed():

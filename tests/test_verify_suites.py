@@ -193,11 +193,7 @@ def loop_expansivity_bound(rng, trials):
         a_out = equivariant.adjacency_step(as_[-1], layers[-1].adjacency)
         a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
         measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
-        lips = [network.lipschitz_upper(fs[l], layers[l].feature,
-                                        float(np.abs(as_[l]).max()) + budget.eps_adj)
-                for l in range(len(layers))]
-        bound = network.expansivity_bound([ly.feature.h for ly in layers], lips, budget)
-        yield measured - bound
+        yield measured - network.certificate(f0, a0, layers, budget)["bound"]
 
 
 def loop_coupled_weighted_contraction(rng, trials):
