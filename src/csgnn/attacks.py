@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import Graph
 from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
-                       cross_entropy_logit_grad, select_checkpoint, train)
+                       cross_entropy_logit_grad, require_train_and_val, select_checkpoint, train)
 from .network import forward
 from .stacks import freeze
 
@@ -136,6 +136,7 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     with `config`'s seed, epochs, patience, `hidden_dim` and node-group
     learning rate and weight decay. An Adam step that leaves a non-finite
     weight or logit stops training at the best checkpoint so far."""
+    require_train_and_val(g)
     rng = np.random.default_rng(config.seed)
     w = {"w1": _uniform_init(rng, g.feat_dim, config.hidden_dim),
          "w2": _uniform_init(rng, config.hidden_dim, int(g.labels.max()) + 1)}

@@ -24,10 +24,13 @@ from .training import accuracy, history_to_csv, train
 
 
 def _load_values(args, keys) -> dict:
-    """The run's config values; a key the command does not read (`keys`, and
-    `seed` for every command) is a usage error."""
-    values = cfgmod.load_file(args.config) if args.config else {}
-    values = cfgmod.apply_overrides(values, args.set or [])
+    """The run's config values; a line that is not key=value, or a key the command
+    does not read (`keys`, and `seed` for every command), is a usage error."""
+    text = Path(args.config).read_text() if args.config else ""
+    try:
+        values = cfgmod.apply_overrides(cfgmod.loads(text), args.set or [])
+    except ValueError as exc:
+        raise SystemExit2(exc) from None
     stray = sorted(set(values) - set(keys) - {"seed"})
     if stray:
         raise SystemExit2(f"{args.command} does not read the config key(s) {', '.join(stray)}")
@@ -138,23 +141,14 @@ def cmd_attack_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    values = _load_values(args, ("trials_scale", "fault_adjacency_step_scale"))
-    def scale(key):
-        return _checked(values, key, 1.0, lambda x: np.isfinite(x) and x > 0,
-                        "finite and greater than 0")
-
-    results, failures = verifymod.run_all(
-        seed=_get(values, "seed", 0), trials_scale=scale("trials_scale"),
-        fault_adjacency_step_scale=scale("fault_adjacency_step_scale"))
+    values = _load_values(args, ("trials_scale",))
+    trials_scale = _checked(values, "trials_scale", 1.0, lambda x: np.isfinite(x) and x > 0,
+                            "finite and greater than 0")
+    results = verifymod.run_all(seed=_get(values, "seed", 0), trials_scale=trials_scale)
     report = verifymod.render_report(results)
     print(report, end="")
     if args.out:
-        out = _out_dir(args)
-        (out / "verify_report.txt").write_text(report)
-        if failures:
-            lines = ["trial,distance_before,distance_after"]
-            lines += [f"{idx},{before:.10g},{after:.10g}" for idx, before, after in failures]
-            (out / "coupled_contraction_failures.csv").write_text("\n".join(lines) + "\n")
+        (_out_dir(args) / "verify_report.txt").write_text(report)
     return 0 if verifymod.all_passed(results) else 1
 
 

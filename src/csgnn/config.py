@@ -8,7 +8,6 @@ kept as strings.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
 
 from .training import TrainConfig
 
@@ -38,10 +37,6 @@ def loads(text: str) -> dict:
         key, raw = stripped.split("=", 1)
         out[key.strip()] = parse_value(raw)
     return out
-
-
-def load_file(path) -> dict:
-    return loads(Path(path).read_text())
 
 
 def apply_overrides(values: dict, overrides: list) -> dict:

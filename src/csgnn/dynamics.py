@@ -125,8 +125,8 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
                       x_bar: np.ndarray) -> tuple:
     """Reverse of `feature_field`.
 
-    Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, grads), with
-    grads holding the gradient of K under "K". a_bar matches the edge form
+    Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, K_bar), the
+    last the gradient of K. a_bar matches the edge form
     along symmetric directions, the only ones an adjacency trajectory started
     from a symmetric A takes.
     """
@@ -138,7 +138,7 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     f_bar = _laplacian_apply(b, u_bar)
     b_bar = (u_bar * f).sum(axis=1)[:, None] - u_bar @ f.T
     k_tilde_bar = -v.T @ x_bar
-    return f_bar, 2.0 * a * b_bar, {"K": 0.5 * (k_tilde_bar + k_tilde_bar.T)}
+    return f_bar, 2.0 * a * b_bar, 0.5 * (k_tilde_bar + k_tilde_bar.T)
 
 
 def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:

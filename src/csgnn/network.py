@@ -52,6 +52,10 @@ class NetworkParams:
             raise ValueError("classifier bias length must match output width")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
+        c = enc.shape[1]
+        for l, K in enumerate(layer.feature.K for layer in layers):
+            if K.shape != (c, c):
+                raise ValueError(f"layer {l}'s K has shape {K.shape}; the encoder width is {c}")
         for l, layer in enumerate(layers[1:] if self.share_weights else (), start=1):
             if not (np.array_equal(layer.feature.K, layers[0].feature.K)
                     and np.array_equal(layer.adjacency.coeffs.k, layers[0].adjacency.coeffs.k)):

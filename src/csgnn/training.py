@@ -149,10 +149,10 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
             a_bar, k_grad = adjacency_step_vjp(a_prev, layer.adjacency, a_bar)
 
         # feature step F_next = F_d + h*X(F_d, A)
-        f_d_bar, a_field_bar, per_layer[l] = feature_field_vjp(
+        f_d_bar, a_field_bar, K_grad = feature_field_vjp(
             trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
         a_bar = a_bar + a_field_bar
-        per_layer[l]["k"] = k_grad
+        per_layer[l] = {"K": K_grad, "k": k_grad}
         f_d_bar = f_d_bar + f_bar
 
         mask = trace.layer_masks[l]
@@ -341,6 +341,12 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred == np.asarray(labels)[mask]).mean())
 
 
+def require_train_and_val(g: Graph) -> None:
+    """Refuse a graph without a node to fit or a node to select checkpoints on."""
+    if not g.train_mask.any() or not g.val_mask.any():
+        raise ValueError("training requires nonempty train and validation masks")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -356,8 +362,7 @@ def train(g_attacked: Graph, config: TrainConfig):
     `select_checkpoint`; a non-finite loss or forward pass, or an Adam step
     that leaves a non-finite tensor, stops training there.
     """
-    if not g_attacked.train_mask.any() or not g_attacked.val_mask.any():
-        raise ValueError("training requires nonempty train and validation masks")
+    require_train_and_val(g_attacked)
     rng = np.random.default_rng(config.seed)
     c_out = int(g_attacked.labels.max()) + 1
     params = init_params(g_attacked.feat_dim, c_out, g_attacked.n, config, rng)

@@ -1,10 +1,10 @@
 """Property-suite runner backing the `verify` CLI command.
 
-Each suite draws its own randomness from one seed, reports a worst-case slack,
-and is either asserted (affects the exit code) or informational. A NaN value
-makes the worst slack NaN, and an asserted suite with a NaN worst fails. The
-`fault_adjacency_step_scale` override multiplies the contraction suite's step
-size past its bound, for fault-injection tests of the harness itself.
+`run_all(seed, trials_scale)` runs every suite on one generator seeded with
+`seed` and returns one `CheckResult` per suite, in report order. Each result
+carries a worst-case slack and is either asserted (PASS or FAIL, which sets
+the exit code) or informational (REPORT). A NaN value makes the worst slack
+NaN, and an asserted suite with a NaN worst fails.
 
 Suites whose draws do not depend on computed results evaluate their trials as
 stacks of same-shaped trials (see "stacked evaluation" below); the Jacobian
@@ -41,9 +41,9 @@ class CheckResult:
     # per-trial values, in trial order; not reported
     values: np.ndarray = field(default=None, repr=False, compare=False)
 
-    @property
-    def asserted(self) -> bool:
-        return self.status != REPORT
+
+# the activation slope of every drawn coupled layer and margin-regime draw: the product default
+SLOPE = 0.1
 
 
 def _scaled(n: int, scale: float) -> int:
@@ -60,10 +60,10 @@ def _random_coeffs(rng) -> EquivariantCoeffs:
     return EquivariantCoeffs(k=k, alpha=alpha)
 
 
-def _margin_coeffs(rng, slope: float) -> EquivariantCoeffs:
-    """Coefficients inside the slope-uniform nonexpansiveness regime."""
+def _margin_coeffs(rng) -> EquivariantCoeffs:
+    """Coefficients inside the slope-uniform nonexpansiveness regime at SLOPE."""
     alpha = -abs(rng.standard_normal()) - 0.5
-    cap = slope * (-alpha) / (1.0 - slope) if slope < 1.0 else np.inf
+    cap = SLOPE * (-alpha) / (1.0 - SLOPE)
     k = rng.standard_normal(8)
     k *= (0.2 + 0.7 * rng.random()) * min(cap, 10.0) / np.abs(k).sum()
     return EquivariantCoeffs(k=k, alpha=alpha)
@@ -193,20 +193,19 @@ def check_permutation_composition(rng, trials: int) -> CheckResult:
     return _verdict("graph_permutation_composition", values, 0.0, 0.0)
 
 
-def check_adjacency_l1_contraction(rng, trials: int, step_scale: float = 1.0) -> CheckResult:
+def check_adjacency_l1_contraction(rng, trials: int) -> CheckResult:
     def draw():
         n = int(rng.integers(3, 9))
         return (n, *_coeff_draw(rng), rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
     def evaluate(k, alpha, a, b):
         coeffs = EquivariantCoeffs(k=k, alpha=alpha)
-        h = equivariant.max_step_adjacency(coeffs) * step_scale
+        h = equivariant.max_step_adjacency(coeffs)
         d_out = graph.l1_vec_distance(equivariant.adjacency_step_unchecked(a, coeffs, h),
                                       equivariant.adjacency_step_unchecked(b, coeffs, h))
         return d_out - graph.l1_vec_distance(a, b)
 
-    note = f"step scale {step_scale:g}" if step_scale != 1.0 else ""
-    return _stacked_check("adjacency_l1_contraction", trials, draw, evaluate, -np.inf, 1e-9, note)
+    return _stacked_check("adjacency_l1_contraction", trials, draw, evaluate, -np.inf, 1e-9)
 
 
 def _at_max_step(k: np.ndarray, alpha: np.ndarray) -> AdjacencyStepConfig:
@@ -296,8 +295,8 @@ def _probe_values(rng, trials: int, sampler) -> list:
     return values
 
 
-def check_jacobian_probe_margin_regime(rng, trials: int, slope: float = 0.1) -> CheckResult:
-    values = _probe_values(rng, trials, lambda: _margin_coeffs(rng, slope))
+def check_jacobian_probe_margin_regime(rng, trials: int) -> CheckResult:
+    values = _probe_values(rng, trials, lambda: _margin_coeffs(rng))
     result = _verdict("adjacency_jacobian_probe_margin_regime", values, 0.0, 1.0 + 1e-6,
                       "coefficients restricted to slope * (-alpha) >= (1-slope) * sum|k|")
     if len(values) < trials:  # ran out of smooth points
@@ -406,7 +405,7 @@ def check_feature_step_equivariance(rng, trials: int) -> CheckResult:
     return _stacked_check("feature_step_equivariance", trials, draw, evaluate, 0.0, 1e-10)
 
 
-def _contractive_draw(rng, slope: float = 0.1) -> tuple:
+def _contractive_draw(rng) -> tuple:
     """The draws of one random coupled configuration: its shape key, clean
     embedded state, budgeted perturbation with its budget, and per layer the
     feature scale lam (K = lam I) and margin-regime coefficients."""
@@ -427,12 +426,12 @@ def _contractive_draw(rng, slope: float = 0.1) -> tuple:
     lams, coeffs = [], []
     for _ in range(depth):
         lams.append(0.3 + 1.7 * rng.random())
-        coeffs.append(_margin_coeffs(rng, slope))
+        coeffs.append(_margin_coeffs(rng))
     return ((n, c, depth), f0, a0, df, da, eps_adj, float(np.linalg.norm(df)),
             float(np.abs(da).sum()), lams, [cf.k for cf in coeffs], [cf.alpha for cf in coeffs])
 
 
-def _contractive_layers(f0, a0, eps_adj, lams, ks, alphas, slope: float = 0.1) -> list:
+def _contractive_layers(f0, a0, eps_adj, lams, ks, alphas) -> list:
     """Stacked coupled layers of same-shaped contractive draws, each inside both
     provable regimes along its own clean trajectory (the feature step bounded
     over the eps_adj ball around the clean adjacency state)."""
@@ -442,11 +441,11 @@ def _contractive_layers(f0, a0, eps_adj, lams, ks, alphas, slope: float = 0.1) -
     for l in range(lams.shape[-1]):
         coeffs = EquivariantCoeffs(k=ks[:, l], alpha=alphas[:, l])
         k = lams[:, l, None, None] * eye
-        base = LayerParams(h=1.0, K=k, leaky_slope=slope)
+        base = LayerParams(h=1.0, K=k, leaky_slope=SLOPE)
         h_adj = equivariant.max_step_adjacency(coeffs)
         h = 0.9 * np.minimum(h_adj, dynamics.max_feature_step(a_clean, base, l1_radius=eps_adj))
         feature = dataclasses.replace(base, h=h)
-        adjacency = AdjacencyStepConfig(coeffs=coeffs, h=np.minimum(h, h_adj), leaky_slope=slope)
+        adjacency = AdjacencyStepConfig(coeffs=coeffs, h=np.minimum(h, h_adj), leaky_slope=SLOPE)
         layers.append(CoupledLayer(feature=feature, adjacency=adjacency))
         a_clean = equivariant.adjacency_step(a_clean, adjacency)
     return layers
@@ -468,10 +467,11 @@ def check_expansivity_bound(rng, trials: int) -> CheckResult:
                           evaluate, -np.inf, 1e-7)
 
 
-def check_coupled_weighted_contraction(rng, trials: int):
+def check_coupled_weighted_contraction(rng, trials: int) -> CheckResult:
     """Appendix-style weighted-distance decrease across one full layer, as an
     empirical report: searches the weight grid for the smallest pair making the
-    distance shrink on at least 95% of trials."""
+    distance shrink on at least 95% of trials. Its values are the per-trial
+    (before, after) distances at the reported pair."""
     cases = []
     for idx, (f0, a0, df, da, eps_adj, _, _, *layer_draws) in _groups(
             trials, lambda: _contractive_draw(rng)):
@@ -482,10 +482,7 @@ def check_coupled_weighted_contraction(rng, trials: int):
         s1p = (dynamics.feature_step(*s0p, layer.feature), equivariant.adjacency_step(s0p[1], layer.adjacency))
         cases.append((idx, (f0, a0), s0p, s1, s1p))
     grid = [10.0 ** j for j in range(-3, 4)]
-    best = None
-    best_rate = 0.0
-    failures = []
-    distances = np.empty((trials, 2))
+    best, best_rate, distances = None, 0.0, None
     for m1 in grid:
         for m2 in grid:
             # per trial, the distance before and after the layer
@@ -493,20 +490,17 @@ def check_coupled_weighted_contraction(rng, trials: int):
             for idx, s0, s0p, s1, s1p in cases:
                 dist[idx, 0] = network.weighted_distance(m1, m2, s0, s0p)
                 dist[idx, 1] = network.weighted_distance(m1, m2, s1, s1p)
-            shrunk = dist[:, 1] <= dist[:, 0] + 1e-12
-            rate = int(np.count_nonzero(shrunk)) / trials
+            rate = int(np.count_nonzero(dist[:, 1] <= dist[:, 0] + 1e-12)) / trials
             if rate > best_rate:
                 best_rate, best, distances = rate, (m1, m2), dist
-                failures = [(idx, before, after)
-                            for idx, (before, after) in enumerate(dist.tolist()) if not shrunk[idx]]
             if rate >= 0.95:
                 note = f"m1={m1:g}, m2={m2:g} shrink the distance on {rate:.1%} of layers"
                 return CheckResult("coupled_weighted_contraction", REPORT, trials,
-                                   1.0 - rate, note, dist), []
+                                   1.0 - rate, note, dist)
     note = (f"no grid pair reached 95%; best m1={best[0]:g}, m2={best[1]:g} "
             f"at {best_rate:.1%}")
     return CheckResult("coupled_weighted_contraction", REPORT, trials, 1.0 - best_rate, note,
-                       distances), failures
+                       distances)
 
 
 def check_gradient_finite_difference(rng, trials: int) -> CheckResult:
@@ -517,32 +511,30 @@ def check_gradient_finite_difference(rng, trials: int) -> CheckResult:
 
 # --- the runner ------------------------------------------------------------------
 
-def run_all(seed: int = 0, trials_scale: float = 1.0, fault_adjacency_step_scale: float = 1.0):
-    """Run every suite; returns (results, failure dumps)."""
+def run_all(seed: int = 0, trials_scale: float = 1.0) -> list:
+    """Run every suite; returns their results in report order."""
     rng = np.random.default_rng(seed)
-    results = []
-    results.append(check_metric_l0_l1_binary(rng, _scaled(1000, trials_scale)))
-    results.append(check_metric_l1_lower_bound(rng, _scaled(500, trials_scale)))
-    results.append(check_permutation_composition(rng, _scaled(200, trials_scale)))
-    results.append(check_adjacency_l1_contraction(rng, _scaled(1000, trials_scale),
-                                                  fault_adjacency_step_scale))
-    results.append(check_adjacency_equivariance(rng, _scaled(1000, trials_scale)))
-    results.append(check_adjacency_symmetry(rng, _scaled(1000, trials_scale)))
-    results.append(check_equivariant_linearity(rng, _scaled(300, trials_scale)))
-    results.append(check_tmatrix_consistency(rng, _scaled(200, trials_scale)))
-    results.append(check_tmatrix_norm_bound(rng, _scaled(200, trials_scale)))
-    results.append(check_jacobian_probe_margin_regime(rng, _scaled(100, trials_scale)))
-    results.append(check_jacobian_probe_unconstrained(rng, _scaled(100, trials_scale)))
-    results.append(check_feature_adjointness(rng, _scaled(500, trials_scale)))
-    results.append(check_feature_contraction(rng, _scaled(1000, trials_scale)))
-    results.append(check_energy_monotonicity(rng, _scaled(1000, trials_scale)))
-    results.append(check_constant_row_fixed_point(rng, _scaled(200, trials_scale)))
-    results.append(check_feature_step_equivariance(rng, _scaled(500, trials_scale)))
-    results.append(check_expansivity_bound(rng, _scaled(200, trials_scale)))
-    coupled, failures = check_coupled_weighted_contraction(rng, _scaled(100, trials_scale))
-    results.append(coupled)
-    results.append(check_gradient_finite_difference(rng, max(2, int(round(5 * trials_scale)))))
-    return results, failures
+    return [
+        check_metric_l0_l1_binary(rng, _scaled(1000, trials_scale)),
+        check_metric_l1_lower_bound(rng, _scaled(500, trials_scale)),
+        check_permutation_composition(rng, _scaled(200, trials_scale)),
+        check_adjacency_l1_contraction(rng, _scaled(1000, trials_scale)),
+        check_adjacency_equivariance(rng, _scaled(1000, trials_scale)),
+        check_adjacency_symmetry(rng, _scaled(1000, trials_scale)),
+        check_equivariant_linearity(rng, _scaled(300, trials_scale)),
+        check_tmatrix_consistency(rng, _scaled(200, trials_scale)),
+        check_tmatrix_norm_bound(rng, _scaled(200, trials_scale)),
+        check_jacobian_probe_margin_regime(rng, _scaled(100, trials_scale)),
+        check_jacobian_probe_unconstrained(rng, _scaled(100, trials_scale)),
+        check_feature_adjointness(rng, _scaled(500, trials_scale)),
+        check_feature_contraction(rng, _scaled(1000, trials_scale)),
+        check_energy_monotonicity(rng, _scaled(1000, trials_scale)),
+        check_constant_row_fixed_point(rng, _scaled(200, trials_scale)),
+        check_feature_step_equivariance(rng, _scaled(500, trials_scale)),
+        check_expansivity_bound(rng, _scaled(200, trials_scale)),
+        check_coupled_weighted_contraction(rng, _scaled(100, trials_scale)),
+        check_gradient_finite_difference(rng, max(2, int(round(5 * trials_scale)))),
+    ]
 
 
 def render_report(results: list) -> str:

@@ -142,6 +142,13 @@ class TestGCNBaseline:
         w = train_gcn(g, TrainConfig(seed=3, hidden_dim=4, epochs=0))
         assert np.array_equal(w.w1, w1) and np.array_equal(w.w2, w2)
 
+    def test_an_empty_validation_split_is_refused(self):
+        # every epoch's validation accuracy was NaN, so the initial draw was returned
+        g = small_graph(np.random.default_rng(9))
+        g = g.replace(val_mask=np.zeros(g.n, bool), test_mask=g.test_mask | g.val_mask)
+        with pytest.raises(ValueError, match="nonempty train and validation masks"):
+            train_gcn(g, TrainConfig(seed=3, hidden_dim=4, epochs=20))
+
     def test_non_finite_adam_step_stops_training(self):
         # at this rate an Adam step soon overflows the weights; training stops
         # there, so no NaN weights (whose NaN logits `accuracy` would score

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -12,7 +13,7 @@ import csgnn
 from csgnn import config as cfgmod
 from csgnn.cli import main
 from csgnn.graph import load_graph
-from csgnn.network import certificate, load_checkpoint
+from csgnn.network import NetworkParams, certificate, load_checkpoint, save_checkpoint
 from csgnn.graph import PerturbationBudget
 
 
@@ -89,7 +90,7 @@ class TestConfigFormat:
     ("train", "epochs=2.7"), ("train", "h=yes"), ("train", "share_weights=1"),
     ("train", "seed=0.5"), ("gen-sbm", "n=100.7"), ("gen-sbm", "classes=2.9"),
     ("gen-sbm", "signal=true"), ("attack-sweep", "n_seeds=1.5"), ("certify", "eps_adj=no"),
-    ("verify", "fault_adjacency_step_scale=true"),
+    ("verify", "trials_scale=true"),
 ])
 def test_a_value_that_would_be_cast_inexactly_is_runtime_error(sbm_dir, trained_dir, tmp_path,
                                                                 capsys, command, override):
@@ -129,14 +130,11 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
 
 
 # each of these used to run (a 10-trial verify for a non-positive
-# trials_scale, a PASS for a NaN fault scale) or fail with a message that did
-# not name the key
+# trials_scale) or fail with a message that did not name the key
 @pytest.mark.parametrize("command, args, key", [
     ("verify", ["--set", "trials_scale=-5"], "trials_scale"),
     ("verify", ["--set", "trials_scale=0"], "trials_scale"),
     ("verify", ["--set", "trials_scale=nan"], "trials_scale"),
-    *[("verify", ["--set", f"fault_adjacency_step_scale={bad}"], "fault_adjacency_step_scale")
-      for bad in ("nan", "inf", "0", "-1")],
     ("verify", ["--seed", "-1"], "seed"),
     ("train", ["--seed", "-1"], "seed"),
     ("attack-sweep", ["--set", "edge_ratios=0,abc"], "edge_ratios"),
@@ -145,7 +143,7 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
     ("certify", ["--set", "eps_feat=-1"], "eps_feat"),
     ("certify", ["--set", "eps_adj=-0.5"], "eps_adj"),
 ], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale",
-        *(f"{bad}-fault-scale" for bad in ("nan", "inf", "zero", "negative")), "verify-negative-seed",
+        "verify-negative-seed",
         "train-negative-seed", "non-numeric-edge-ratio", "negative-edge-ratio",
         "infinite-feature-budget", "negative-eps-feat", "negative-eps-adj"])
 def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, trained_dir, tmp_path, capsys,
@@ -365,6 +363,22 @@ class TestAttackSweep:
             rows[patience] = {line.split(",")[0]: line for line in lines}
         assert rows[1]["gcn"] != rows[40]["gcn"]
 
+    @pytest.mark.parametrize("model", ["csgnn", "gcn"])
+    def test_an_empty_validation_split_is_runtime_error(self, tmp_path, capsys, model):
+        # the gcn-only sweep used to exit 0, scoring the untrained initial weights
+        graph = tmp_path / "graph"
+        assert run(["gen-sbm", "--out", str(graph), "--set", "n=60"]) == 0
+        lines = (graph / "masks.csv").read_text().splitlines()
+        folded = [f"{t},0,{int(v == '1' or s == '1')}"
+                  for t, v, s in (line.split(",") for line in lines[1:])]
+        (graph / "masks.csv").write_text("\n".join(lines[:1] + folded) + "\n")
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"), "--set", f"graph={graph}",
+                    "--set", f"models={model}", "--set", "edge_ratios=0", "--set", "n_seeds=2",
+                    "--set", "epochs=20"])
+        assert code == 3
+        assert "training requires nonempty train and validation masks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", "n_seeds=0", "--set", "epochs=2"])
@@ -379,16 +393,23 @@ class TestVerifyCommand:
                     "--set", "trials_scale=0.02"])
         out = capsys.readouterr().out
         assert code == 0
-        assert (tmp_path / "verify_report.txt").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["verify_report.txt"]
         assert "adjacency_l1_contraction" in out
         assert "tmatrix_vectorization_consistency" in out
 
-    def test_fault_injection_flips_exit_code(self, capsys):
-        code = run(["verify", "--seed", "0", "--set", "trials_scale=0.02",
-                    "--set", "fault_adjacency_step_scale=25.0"])
+    def test_fault_injection_flips_exit_code(self, capsys, contraction_step_scale):
+        contraction_step_scale(25.0)
+        code = run(["verify", "--seed", "0", "--set", "trials_scale=0.02"])
         out = capsys.readouterr().out
         assert code == 1
         assert "adjacency_l1_contraction                     FAIL" in out
+
+    def test_the_removed_fault_scale_is_a_usage_error(self, tmp_path, capsys):
+        code = run(["verify", "--out", str(tmp_path / "out"),
+                    "--set", "fault_adjacency_step_scale=25"])
+        assert code == 2
+        assert "fault_adjacency_step_scale" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_report_lists_every_suite(self, capsys):
         run(["verify", "--seed", "1", "--set", "trials_scale=0.02"])
@@ -514,6 +535,22 @@ class TestCertifyCommand:
         assert "layer 1's K or k differs from layer 0's" in captured.err
         assert captured.out == ""
 
+    def test_a_K_of_another_width_is_runtime_error(self, sbm_dir, trained_dir, tmp_path, capsys):
+        # numpy's matmul message used to name neither the layer nor the widths
+        params = load_checkpoint(trained_dir / "model.ckpt")
+        layers = list(params.layers)
+        layers[1] = dataclasses.replace(
+            layers[1], feature=dataclasses.replace(layers[1].feature, K=np.eye(3)))
+        corrupt = object.__new__(NetworkParams)  # skips the check under test
+        corrupt.__dict__.update(vars(params), layers=tuple(layers))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(corrupt, bad)
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: layer 1's K has shape (3, 3); the encoder width is 4\n"
+        assert captured.out == ""
+
     def test_feature_width_mismatch_is_runtime_error(self, trained_dir, tmp_path, capsys):
         # numpy's matmul message used to name neither width
         graph = tmp_path / "sbm3"
@@ -549,6 +586,21 @@ def test_each_command_rejects_a_key_it_does_not_read(tmp_path, capsys, command, 
     assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["override", "config-line"])
+def test_a_malformed_setting_is_usage_error(tmp_path, capsys, source):
+    # both used to exit 3, as runtime errors
+    if source == "override":
+        argv, message = ["--set", "trials_scale"], "override must look like key=value"
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\ntrials_scale 0.5\n")
+        argv, message = ["--config", str(config)], "line 2: expected 'key = value'"
+    assert run(["verify", "--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -183,7 +183,7 @@ class TestLaplacianForm:
         f = rng.standard_normal((n, c))
         x_bar = rng.standard_normal((n, c))
         for params in layer_draws(rng, c):
-            f_bar, a_bar, grads = feature_field_vjp(f, a, params, x_bar)
+            f_bar, a_bar, k_bar = feature_field_vjp(f, a, params, x_bar)
             df = rng.standard_normal((n, c))
             da = rng.standard_normal((n, n))
             da = da + da.T
@@ -194,7 +194,7 @@ class TestLaplacianForm:
                 return float((x_bar * edge_form_field(f + t * df, a + t * da, p)).sum())
 
             numeric = (moved(eps) - moved(-eps)) / (2 * eps)
-            analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (grads["K"] * dp).sum())
+            analytic = float((f_bar * df).sum() + (a_bar * da).sum() + (k_bar * dp).sum())
             assert analytic == pytest.approx(numeric, rel=1e-7)
 
     def test_energy_matches_edge_form_on_weighted_symmetric_graph(self):

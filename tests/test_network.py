@@ -187,6 +187,14 @@ class TestForward:
         with pytest.raises(ValueError, match="layer 2's K or k differs from layer 0's"):
             dataclasses.replace(params, layers=(first, first, bad), share_weights=True)
 
+    def test_a_layer_K_must_match_the_encoder_width(self):
+        params = random_params(np.random.default_rng(8), 3, 4, 2, depth=3)
+        layers = list(params.layers)
+        layers[2] = dataclasses.replace(layers[2], feature=LayerParams(h=0.1, K=np.eye(3)))
+        match = r"layer 2's K has shape \(3, 3\); the encoder width is 4"
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(params, layers=tuple(layers))
+
 
 class TestDistances:
     def test_weighted_distance_identical_states(self):
@@ -454,6 +462,18 @@ class TestCheckpoint:
         header, arrays = _checkpoint_parts(path)
         mutate(header, arrays)
         _write_checkpoint_parts(path, header, arrays)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    def test_a_K_of_another_width_is_rejected_naming_the_layer(self, tmp_path):
+        # it used to load, and certify failed later inside numpy's matmul
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2, depth=3), path)
+        header, arrays = _checkpoint_parts(path)
+        i = [spec["name"] for spec in header["arrays"]].index("layer2.K")
+        header["arrays"][i]["shape"], arrays[i] = [3, 3], np.eye(3).ravel()
+        _write_checkpoint_parts(path, header, arrays)
+        match = r"layer 2's K has shape \(3, 3\); the encoder width is 4"
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 

@@ -30,7 +30,7 @@ def test_every_trace_target_is_bound():
 
 def test_verify_checks_are_the_suites_run_all_runs():
     # the traced benchmark reports one span per suite under these ids
-    results, _ = run_all(seed=0, trials_scale=0.02)
+    results = run_all(seed=0, trials_scale=0.02)
     assert [r.check_id for r in results] == _tracing_namespace()["VERIFY_CHECKS"]
 
 

@@ -7,23 +7,25 @@ from csgnn.verify import (FAIL, PASS, REPORT, all_passed, check_expansivity_boun
 
 
 def test_quick_run_all_passes_asserted_suites():
-    results, _ = run_all(seed=0, trials_scale=0.02)
+    results = run_all(seed=0, trials_scale=0.02)
     assert all_passed(results)
     by_id = {r.check_id: r for r in results}
     assert by_id["adjacency_l1_contraction"].status == PASS
     assert by_id["adjacency_jacobian_probe_unconstrained"].status == REPORT
 
 
-def test_fault_injection_fails_contraction_suite():
-    results, _ = run_all(seed=0, trials_scale=0.02, fault_adjacency_step_scale=25.0)
+def test_fault_injection_fails_contraction_suite(contraction_step_scale):
+    contraction_step_scale(25.0)
+    results = run_all(seed=0, trials_scale=0.02)
     by_id = {r.check_id: r for r in results}
     assert by_id["adjacency_l1_contraction"].status == FAIL
     assert not all_passed(results)
 
 
-def test_nan_fault_scale_fails_contraction_suite_with_nan_worst():
+def test_nan_fault_scale_fails_contraction_suite_with_nan_worst(contraction_step_scale):
     # Python's max skips NaN: this suite used to PASS with worst -inf
-    results, _ = run_all(seed=0, trials_scale=0.02, fault_adjacency_step_scale=float("nan"))
+    contraction_step_scale(float("nan"))
+    results = run_all(seed=0, trials_scale=0.02)
     by_id = {r.check_id: r for r in results}
     assert by_id["adjacency_l1_contraction"].status == FAIL
     assert np.isnan(by_id["adjacency_l1_contraction"].worst)
@@ -57,8 +59,8 @@ def test_an_unsound_certificate_fails_the_expansivity_suite(monkeypatch):
 
 
 def test_report_is_deterministic_given_seed():
-    a, _ = run_all(seed=4, trials_scale=0.02)
-    b, _ = run_all(seed=4, trials_scale=0.02)
+    a = run_all(seed=4, trials_scale=0.02)
+    b = run_all(seed=4, trials_scale=0.02)
     assert render_report(a) == render_report(b)
 
 
@@ -97,7 +99,7 @@ summary: 17 passed, 0 failed, 2 informational
 
 
 def test_report_matches_golden_text():
-    results, _ = run_all(seed=0, trials_scale=0.1)
+    results = run_all(seed=0, trials_scale=0.1)
     assert render_report(results) == GOLDEN_SEED0_SCALE01
 
 
@@ -167,7 +169,7 @@ summary: 17 passed, 0 failed, 2 informational
 @pytest.mark.parametrize("seed,scale,golden", [(0, 1.0, GOLDEN_SEED0_DEFAULT),
                                                (1, 0.1, GOLDEN_SEED1_SCALE01)])
 def test_report_matches_loop_golden_text(seed, scale, golden):
-    results, _ = run_all(seed=seed, trials_scale=scale)
+    results = run_all(seed=seed, trials_scale=scale)
     assert render_report(results) == golden
 
 
@@ -175,7 +177,7 @@ def test_unconstrained_probe_documents_violations():
     # the step bound alone does not control the l1 operator norm once the
     # activation derivative varies entrywise; the informational suite must
     # surface that honestly rather than hide it
-    results, _ = run_all(seed=0, trials_scale=0.3)
+    results = run_all(seed=0, trials_scale=0.3)
     by_id = {r.check_id: r for r in results}
     rep = by_id["adjacency_jacobian_probe_unconstrained"]
     assert rep.status == REPORT
