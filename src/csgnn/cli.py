@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,24 +21,40 @@ from .equivariant import slope_uniform_margin
 from .graph import PerturbationBudget, load_graph, save_graph
 from .network import certificate, forward, load_checkpoint, save_checkpoint
 from .sbm import gen_sbm
-from .training import accuracy, history_to_csv, train
+from .training import TrainConfig, accuracy, history_to_csv, train
 
 
-def _load_values(args, keys) -> dict:
-    """The run's config values; a line that is not key=value, or a key the command
-    does not read (`keys`, and `seed` for every command), is a usage error."""
-    text = Path(args.config).read_text() if args.config else ""
+def _settings(args, table: dict) -> dict:
+    """The run's settings: each key of `table` read from the config file and the
+    --set overrides as the type of its default, or that default. A default of None
+    marks a required path, read as text. A line or override that is not key=value,
+    a key outside `table` and a missing path are usage errors."""
     try:
-        values = cfgmod.apply_overrides(cfgmod.loads(text), args.set or [])
+        text = Path(args.config).read_bytes().decode() if args.config else ""
+        raw = {**cfgmod.loads(text), **cfgmod.overrides(args.set or [])}
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"config file {args.config} is not UTF-8 text: byte "
+                          f"{exc.object[exc.start]:#04x} at position {exc.start}") from None
     except ValueError as exc:
         raise SystemExit2(exc) from None
-    stray = sorted(set(values) - set(keys) - {"seed"})
+    stray = sorted(set(raw) - set(table))
     if stray:
         raise SystemExit2(f"{args.command} does not read the config key(s) {', '.join(stray)}")
     if args.seed is not None:
-        values["seed"] = args.seed
-    _checked(values, "seed", 0, lambda seed: seed >= 0, "a non-negative integer")
-    return values
+        raw["seed"] = str(args.seed)
+    for key, default in table.items():
+        if default is None and key not in raw:
+            raise SystemExit2(f"{args.command} needs a '{key} = <path>' config entry")
+    settings = {key: cfgmod.read(key, raw[key], str if default is None else type(default))
+                if key in raw else default for key, default in table.items()}
+    _check(settings, "seed", lambda seed: seed >= 0, "a non-negative integer")
+    return settings
+
+
+def _check(settings: dict, key: str, ok, what: str) -> None:
+    """Raises ValueError naming `key` unless `ok(settings[key])` holds."""
+    if not ok(settings[key]):
+        raise ValueError(f"config key {key!r} must be {what}, got {settings[key]!r}")
 
 
 def _out_dir(args) -> Path:
@@ -46,29 +63,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _get(values: dict, key: str, default):
-    """The value of `key`, or `default`, read as the type of `default`."""
-    return cfgmod.cast(key, values.get(key, default), type(default))
-
-
-def _checked(values: dict, key: str, default, ok, what: str):
-    """`_get`, raising ValueError naming `key` unless `ok(value)` holds."""
-    value = _get(values, key, default)
-    if not ok(value):
-        raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
-    return value
-
-
 def _finite_nonnegative(x) -> bool:
     return bool(np.isfinite(x)) and x >= 0
 
 
-def _float_list(values: dict, key: str, default) -> list:
-    raw = values.get(key)
-    if raw is None:
-        return list(default)
+def _float_list(settings: dict, key: str) -> list:
+    raw = settings[key]
     try:
-        items = [float(tok) for tok in str(raw).split(",") if tok != ""]
+        items = [float(tok) for tok in raw.split(",") if tok != ""]
     except ValueError:
         items = None
     if items is None or not all(map(_finite_nonnegative, items)):
@@ -77,17 +79,20 @@ def _float_list(values: dict, key: str, default) -> list:
     return items
 
 
+# Each command's settings, {key: default}: a default of None marks a required
+# path. Every command reads `seed`.
+GEN_SBM = {"n": 100, "classes": 2, "p_in": 0.3, "p_out": 0.02, "feat_dim": 8, "signal": 1.5,
+           "seed": 0}
+TRAIN_CONFIG = {field.name: field.default for field in dataclasses.fields(TrainConfig)}
+TRAIN = {"graph": None, **TRAIN_CONFIG}
+ATTACK_SWEEP = {**TRAIN, "edge_ratios": "0,0.5,1.0", "feat_eps_list": "",
+                "models": "csgnn,gcn", "n_seeds": 10}
+VERIFY = {"trials_scale": 1.0, "seed": 0}
+CERTIFY = {"checkpoint": None, "graph": None, "eps_feat": 0.0, "eps_adj": 0.0, "seed": 0}
+
+
 def cmd_gen_sbm(args) -> int:
-    values = _load_values(args, ("n", "classes", "p_in", "p_out", "feat_dim", "signal"))
-    g = gen_sbm(
-        n=_get(values, "n", 100),
-        classes=_get(values, "classes", 2),
-        p_in=_get(values, "p_in", 0.3),
-        p_out=_get(values, "p_out", 0.02),
-        feat_dim=_get(values, "feat_dim", 8),
-        signal=_get(values, "signal", 1.5),
-        seed=_get(values, "seed", 0),
-    )
+    g = gen_sbm(**_settings(args, GEN_SBM))
     out = _out_dir(args)
     save_graph(g, out)
     print(f"wrote SBM graph: n={g.n}, undirected edges={g.num_undirected_edges()} -> {out}")
@@ -95,12 +100,9 @@ def cmd_gen_sbm(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _load_values(args, ("graph", *cfgmod.TRAIN_KEYS))
-    if "graph" not in values:
-        raise SystemExit2("train needs a 'graph = <dir>' config entry")
-    g = load_graph(values["graph"])
-    tc = cfgmod.train_config_from(values)
-    params, history = train(g, tc)
+    settings = _settings(args, TRAIN)
+    g = load_graph(settings.pop("graph"))
+    params, history = train(g, TrainConfig(**settings))
     out = _out_dir(args)
     (out / "metrics.csv").write_text(history_to_csv(history))
     save_checkpoint(params, out / "model.ckpt")
@@ -114,25 +116,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack_sweep(args) -> int:
-    values = _load_values(args, ("graph", *cfgmod.TRAIN_KEYS, "edge_ratios", "feat_eps_list",
-                                 "models", "n_seeds"))
-    if "graph" not in values:
-        raise SystemExit2("attack-sweep needs a 'graph = <dir>' config entry")
-    g = load_graph(values["graph"])
-    tc = cfgmod.train_config_from(values)
-    ratios = _float_list(values, "edge_ratios", (0.0, 0.5, 1.0))
-    feat_epss = _float_list(values, "feat_eps_list", ())
-    seed0 = _get(values, "seed", 0)
+    settings = _settings(args, ATTACK_SWEEP)
+    g = load_graph(settings["graph"])
+    tc = TrainConfig(**{key: settings[key] for key in TRAIN_CONFIG})
+    ratios = _float_list(settings, "edge_ratios")
+    feat_epss = _float_list(settings, "feat_eps_list")
+    seed0 = settings["seed"]
     specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
     specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
-    models = [name.strip() for name in str(values.get("models", "csgnn,gcn")).split(",")]
+    models = [name.strip() for name in settings["models"].split(",")]
     for name in models:
         if name not in MODELS:
             raise SystemExit2(f"unknown model {name!r}")
     # a tuple of seeds holds at most sys.maxsize of them
-    n_seeds = _checked(values, "n_seeds", 10, lambda k: 1 <= k <= sys.maxsize,
-                       f"an integer from 1 to {sys.maxsize}")
-    rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(n_seeds)))
+    _check(settings, "n_seeds", lambda k: 1 <= k <= sys.maxsize,
+           f"an integer from 1 to {sys.maxsize}")
+    rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(settings["n_seeds"])))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)
     (out / "results.csv").write_text(csv_text)
@@ -141,10 +140,10 @@ def cmd_attack_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    values = _load_values(args, ("trials_scale",))
-    trials_scale = _checked(values, "trials_scale", 1.0, lambda x: np.isfinite(x) and x > 0,
-                            "finite and greater than 0")
-    results = verifymod.run_all(seed=_get(values, "seed", 0), trials_scale=trials_scale)
+    settings = _settings(args, VERIFY)
+    _check(settings, "trials_scale", lambda x: np.isfinite(x) and x > 0,
+           "finite and greater than 0")
+    results = verifymod.run_all(seed=settings["seed"], trials_scale=settings["trials_scale"])
     report = verifymod.render_report(results)
     print(report, end="")
     if args.out:
@@ -153,15 +152,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    values = _load_values(args, ("checkpoint", "graph", "eps_feat", "eps_adj"))
-    for key in ("checkpoint", "graph"):
-        if key not in values:
-            raise SystemExit2(f"certify needs a '{key} = <path>' config entry")
-    budget = PerturbationBudget(**{key: _checked(values, key, 0.0, _finite_nonnegative,
-                                                 "finite and nonnegative")
-                                   for key in ("eps_feat", "eps_adj")})
-    params = load_checkpoint(values["checkpoint"])
-    g = load_graph(values["graph"])
+    settings = _settings(args, CERTIFY)
+    for key in ("eps_feat", "eps_adj"):
+        _check(settings, key, _finite_nonnegative, "finite and nonnegative")
+    budget = PerturbationBudget(eps_feat=settings["eps_feat"], eps_adj=settings["eps_adj"])
+    params = load_checkpoint(settings["checkpoint"])
+    g = load_graph(settings["graph"])
     if g.feat_dim != params.encoder.shape[0]:
         raise ValueError(f"the graph's feature width {g.feat_dim} does not match the "
                          f"checkpoint's encoder input {params.encoder.shape[0]}")

@@ -1,29 +1,20 @@
 """Flat key-value text configs: `key = value` lines, '#' comments.
 
-One format serves coefficient sets, training hyperparameters, and run options,
-so runs stay diffable. Values are parsed as int, then float, then bool, then
-kept as strings.
+One format serves training hyperparameters, run options and paths, so runs
+stay diffable. `loads` (a config file) and `overrides` (`key=value` items)
+return each value as its raw text; `read` types it as the command declares.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from .training import TrainConfig
+_BOOLS = {"true": True, "yes": True, "false": False, "no": False}
 
 
-def parse_value(raw: str):
-    raw = raw.strip()
-    for caster in (int, float):
-        try:
-            return caster(raw)
-        except ValueError:
-            pass
-    if raw.lower() in ("true", "yes"):
-        return True
-    if raw.lower() in ("false", "no"):
-        return False
-    return raw
+def _split(item: str):
+    """(key, raw value) of a `key=value` item, or None without '=' or a key."""
+    key, sep, raw = item.partition("=")
+    key = key.strip()
+    return (key, raw.strip()) if sep and key else None
 
 
 def loads(text: str) -> dict:
@@ -32,42 +23,43 @@ def loads(text: str) -> dict:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        pair = _split(stripped)
+        if pair is None:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        out[key.strip()] = parse_value(raw)
+        out[pair[0]] = pair[1]
     return out
 
 
-def apply_overrides(values: dict, overrides: list) -> dict:
-    out = dict(values)
-    for item in overrides:
-        if "=" not in item:
+def overrides(items) -> dict:
+    out = {}
+    for item in items:
+        pair = _split(item)
+        if pair is None:
             raise ValueError(f"override must look like key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        out[key.strip()] = parse_value(raw)
+        out[pair[0]] = pair[1]
     return out
 
 
-def cast(key: str, value, kind):
-    """`value` read as `kind`. For a bool, int or float kind it raises
-    ValueError, naming `key`, on a string, on a bool read as a number or a
-    number as a bool, on an int that would drop a fraction (1e2 reads as
-    100), and on an int too large for a float."""
-    if kind in (bool, int, float) and (
-            isinstance(value, str) or isinstance(value, bool) != (kind is bool)
-            or (kind is int and value % 1 != 0)):
-        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ValueError(f"config key {key!r} is too large for a {kind.__name__}") from None
-
-
-# every TrainConfig field, with the type of its default as the value's kind
-TRAIN_KEYS = {field.name: type(field.default) for field in dataclasses.fields(TrainConfig)}
-
-
-def train_config_from(values: dict) -> TrainConfig:
-    return TrainConfig(**{key: cast(key, values[key], kind)
-                          for key, kind in TRAIN_KEYS.items() if key in values})
+def read(key: str, raw: str, kind: type):
+    """`raw` read as `kind`: str, bool, int or float. It raises ValueError,
+    naming `key`, on a bool other than true/yes/false/no, on a number that
+    does not parse, on an int that would drop a fraction (1e2 reads as 100),
+    and on an int too large for a float."""
+    if kind is str:
+        return raw
+    if kind is bool and raw.lower() in _BOOLS:
+        return _BOOLS[raw.lower()]
+    if kind in (int, float):
+        try:
+            return kind(int(raw))
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is too large for a {kind.__name__}") from None
+        except ValueError:
+            pass
+        try:
+            number = float(raw)
+        except ValueError:
+            number = None
+        if number is not None and (kind is float or number % 1 == 0):
+            return kind(number)
+    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {raw!r}")

@@ -59,29 +59,33 @@ def trained_dir(tmp_path_factory, sbm_dir):
 
 class TestConfigFormat:
     def test_round_trip(self):
-        # the values as a config file writes them, parsed back to the same types
+        # the values as a config file writes them, read back as their keys' kinds
         text = "epochs = 12\nh = 0.25\nshare_weights = true\ngraph = data/sbm\n"
-        values = cfgmod.loads(text)
+        raw = cfgmod.loads(text)
+        assert raw == {"epochs": "12", "h": "0.25", "share_weights": "true", "graph": "data/sbm"}
+        kinds = {"epochs": int, "h": float, "share_weights": bool, "graph": str}
+        values = {key: cfgmod.read(key, raw[key], kind) for key, kind in kinds.items()}
         assert values == {"epochs": 12, "h": 0.25, "share_weights": True, "graph": "data/sbm"}
         assert [type(v) for v in values.values()] == [int, float, bool, str]
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nepochs = 3  # trailing\n"
-        assert cfgmod.loads(text) == {"epochs": 3}
+        assert cfgmod.loads(text) == {"epochs": "3"}
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             cfgmod.loads("epochs: 3\n")
 
     def test_overrides(self):
-        out = cfgmod.apply_overrides({"a": 1}, ["a=2", "b=x"])
-        assert out == {"a": 2, "b": "x"}
+        out = cfgmod.overrides(["a=2", "b=x", "a= 3 "])
+        assert out == {"a": "3", "b": "x"}
 
-    def test_cast_keeps_exact_values(self):
-        assert type(cfgmod.cast("epochs", 1e2, int)) is int
-        assert cfgmod.cast("epochs", 1e2, int) == 100
-        assert cfgmod.cast("h", 1, float) == 1.0
-        assert cfgmod.cast("share_weights", False, bool) is False
+    def test_read_keeps_exact_values(self):
+        assert type(cfgmod.read("epochs", "1e2", int)) is int
+        assert cfgmod.read("epochs", "1e2", int) == 100
+        assert cfgmod.read("h", "1", float) == 1.0
+        assert cfgmod.read("share_weights", "False", bool) is False
+        assert cfgmod.read("graph", "123", str) == "123"
 
 
 # each of these used to be cast silently: epochs=2.7 trained 2 epochs, h=yes
@@ -223,6 +227,12 @@ class TestTrainCommand:
         assert run(["train", "--out", str(tmp_path),
                     "--set", f"graph={tmp_path}/nope"]) == 3
 
+    def test_a_numeric_graph_path_is_read_as_a_path(self, tmp_path, monkeypatch, capsys):
+        # it used to be read as the int 123 and exit 1 with a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", "--set", "graph=123"]) == 3
+        assert capsys.readouterr().err == "error: 123/features.csv not found.\n"
+
     def test_negative_edge_index_is_runtime_error(self, sbm_dir, tmp_path):
         graph = _copy_graph(sbm_dir, tmp_path / "graph")
         with open(graph / "edges.txt", "a") as fh:
@@ -319,7 +329,7 @@ class TestTrainCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         summary = cfgmod.loads((tmp_path / "summary.txt").read_text())
         rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
-        assert summary["epochs_run"] == len(rows) < 200
+        assert int(summary["epochs_run"]) == len(rows) < 200
         params = load_checkpoint(tmp_path / "model.ckpt")
         tensors = [params.encoder, params.classifier_w, params.classifier_b]
         for layer in params.layers:
@@ -563,6 +573,20 @@ class TestCertifyCommand:
         assert captured.err == ("error: the graph's feature width 3 does not match the checkpoint's"
                                 " encoder input 4\n")
 
+    def test_a_numeric_checkpoint_path_leaves_stdin_unread(self, tmp_path):
+        # `checkpoint=0` used to open file descriptor 0 (stdin) as the checkpoint and close it
+        src = str(Path(csgnn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys; from csgnn.cli import main; "
+                 "code = main(['certify', '--set', 'checkpoint=0', '--set', 'graph=x']); "
+                 "sys.stdout.write(sys.stdin.read()); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                              input="left for the caller", capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: [Errno 2] No such file or directory: '0'\n"
+        assert proc.stdout == "left for the caller"
+
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2
 
@@ -601,6 +625,31 @@ def test_a_malformed_setting_is_usage_error(tmp_path, capsys, source):
     assert run(["verify", "--out", str(tmp_path / "out"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["override", "config-line"])
+def test_an_empty_key_is_usage_error(tmp_path, capsys, source):
+    # both used to exit 2 with "does not read the config key(s) " naming no key
+    if source == "override":
+        argv, message = ["--set", "=5"], "override must look like key=value, got '=5'"
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\n= 5\n")
+        argv, message = ["--config", str(config)], "line 2: expected 'key = value'"
+    assert run(["verify", "--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # it used to exit 3 with the codec's message, which named neither file nor line
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 3\n\xff = 1\n")
+    assert run(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"usage error: config file {config} is not UTF-8 text:"
+                                       " byte 0xff at position 9\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csgnn.config import train_config_from
+from csgnn.cli import main
 from csgnn.dynamics import LayerParams
 from csgnn.training import TrainConfig, init_params
 from csgnn.verify import run_all
@@ -48,6 +48,9 @@ def test_init_params_takes_five_positional_arguments():
     assert params.encoder.shape == (3, 4)
 
 
-def test_the_parameterization_key_accepts_learn_k():
+def test_the_parameterization_key_accepts_learn_k(tmp_path):
     # train-n1000 passes `--set parameterization=learn_k`
-    assert train_config_from({"parameterization": "learn_k"}) == TrainConfig()
+    graph = tmp_path / "graph"
+    assert main(["gen-sbm", "--out", str(graph), "--set", "n=20"]) == 0
+    assert main(["train", "--out", str(tmp_path / "run"), "--set", f"graph={graph}",
+                 "--set", "epochs=1", "--set", "parameterization=learn_k"]) == 0
