@@ -49,7 +49,8 @@ class EquivariantCoeffs:
 
     k1 is never stored; it is always derived so that k1 + sum |k_i| = alpha.
     A stack of coefficient sets has k of shape (..., 8) and alpha of shape
-    (...); M then acts on a stack of matrices with one set per matrix.
+    (...), or one alpha for the whole stack; M then acts on a stack of
+    matrices with one set per matrix.
     """
 
     k: np.ndarray  # the eight free coefficients k2..k9
@@ -61,8 +62,8 @@ class EquivariantCoeffs:
             raise ValueError("expected the eight free coefficients k2..k9")
         if k.ndim > 1:
             freeze(self, "alpha")
-        if getattr(self.alpha, "shape", ()) != k.shape[:-1]:
-            raise ValueError("expected one alpha per set of free coefficients")
+        if np.shape(self.alpha) not in ((), k.shape[:-1]):
+            raise ValueError("expected one alpha, or one alpha per set of free coefficients")
         if any_of(self.alpha > 0):
             raise ValueError(f"alpha must be <= 0, got {self.alpha}")
 

@@ -1,7 +1,9 @@
 """Central finite-difference verification of the hand-written reverse pass.
 
 The analytic backward is checked against central differences of the training
-loss, tensor by tensor, on random small instances. Instances whose adjacency
+loss, tensor by tensor, on random small instances drawn one at a time. Each
+tensor's differences come from one stacked forward over all its bumped
+copies (the stack convention of `stacks.py`). Instances whose adjacency
 pre-activations sit within KINK_GUARD of a LeakyReLU kink are resampled: the
 loss is only differentiable off that set, and finite differences straddle it.
 The feature layer has no kink on the symmetric graphs drawn here, where its
@@ -84,6 +86,8 @@ def _seeded_forward(g: Graph, params: NetworkParams, seed: int):
 
 
 def loss_at(g: Graph, params: NetworkParams, seed: int) -> float:
+    """The training loss under the seed's dropout masks; one per member for
+    stacked parameters, whose members all share those masks."""
     logits, _ = _seeded_forward(g, params, seed)
     return masked_cross_entropy(logits, g.labels, g.train_mask)
 
@@ -95,21 +99,29 @@ def analytic_gradients(g: Graph, params: NetworkParams, seed: int) -> dict:
 
 
 def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_STEP) -> dict:
+    """Central differences (L(+step) - L(-step)) / (2 step) of the loss in
+    every entry of every trainable tensor.
+
+    Each tensor's 2*size bumped copies (the base with one entry moved by
+    +step, then each by -step) run as one stack through `loss_at`; the other
+    tensors stay unstacked, and a loss that does not depend on the stacked
+    tensor (the last layer's unread k) serves every copy. A stack has at most
+    2 * 16 members, the largest tensor `random_instance` draws being a 4 x 4 K.
+    """
     tensors = params_to_tensors(params)
     out = {}
     for key, base in tensors.items():
         base = np.asarray(base, dtype=float)
-        grad = np.zeros_like(base)
-        flat = grad.reshape(-1)
-        for idx in range(base.size):
-            for sign in (+1.0, -1.0):
-                bumped = dict(tensors)
-                arr = np.array(base)
-                arr.reshape(-1)[idx] += sign * step
-                bumped[key] = arr
-                p = rebuild_params(params, bumped)
-                flat[idx] += sign * loss_at(g, p, seed)
-        out[key] = grad / (2.0 * step)
+        size = base.size
+        # bumped[s, i] is the flat base with entry i moved by +step (s = 0) or -step (s = 1)
+        bumped = np.tile(base.reshape(-1), (2, size, 1))
+        entry = np.arange(size)
+        bumped[0, entry, entry] += step
+        bumped[1, entry, entry] -= step
+        stack = bumped.reshape((2 * size,) + base.shape)
+        losses = loss_at(g, rebuild_params(params, {**tensors, key: stack}), seed)
+        losses = np.broadcast_to(losses, (2 * size,))
+        out[key] = ((losses[:size] - losses[size:]) / (2.0 * step)).reshape(base.shape)
     return out
 
 

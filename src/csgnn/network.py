@@ -30,7 +30,12 @@ class CoupledLayer:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Full trainable state: encoder, L coupled layers, linear classifier."""
+    """Full trainable state: encoder, L coupled layers, linear classifier.
+
+    Any one tensor may be a stack along leading axes (the stack convention of
+    `stacks.py`): `forward` then runs one network per member, and the shape
+    checks read the trailing axes.
+    """
 
     encoder: np.ndarray        # c_in x c
     layers: tuple
@@ -46,15 +51,15 @@ class NetworkParams:
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("need at least one coupled layer")
-        if enc.ndim != 2 or cw.ndim != 2 or enc.shape[1] != cw.shape[0]:
+        if enc.ndim < 2 or cw.ndim < 2 or enc.shape[-1] != cw.shape[-2]:
             raise ValueError("encoder output width must match classifier input width")
-        if cb.shape != (cw.shape[1],):
+        if cb.shape[-1:] != cw.shape[-1:]:
             raise ValueError("classifier bias length must match output width")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
-        c = enc.shape[1]
+        c = enc.shape[-1]
         for l, K in enumerate(layer.feature.K for layer in layers):
-            if K.shape != (c, c):
+            if K.shape[-2:] != (c, c):
                 raise ValueError(f"layer {l}'s K has shape {K.shape}; the encoder width is {c}")
         for l, layer in enumerate(layers[1:] if self.share_weights else (), start=1):
             if not (np.array_equal(layer.feature.K, layers[0].feature.K)
@@ -68,7 +73,7 @@ class NetworkParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.encoder.shape[1]
+        return self.encoder.shape[-1]
 
 
 @dataclass
@@ -128,9 +133,9 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if g.features.shape[1] != params.encoder.shape[0]:
+    if g.features.shape[1] != params.encoder.shape[-2]:
         raise ValueError(
-            f"feature width {g.features.shape[1]} does not match encoder input {params.encoder.shape[0]}")
+            f"feature width {g.features.shape[1]} does not match encoder input {params.encoder.shape[-2]}")
     use_dropout = mode == "train" and params.dropout_p > 0.0
     if use_dropout and rng is None:
         raise ValueError("train mode with dropout needs an rng")
@@ -144,7 +149,7 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     states = adjacency_states(g.adjacency, params.layers)
     *layer_dropped, f = _feature_states(f, states, params.layers, layer_masks)
     f_out = f if final_mask is None else f * final_mask
-    logits = f_out @ params.classifier_w + params.classifier_b
+    logits = f_out @ params.classifier_w + params.classifier_b[..., None, :]
     _check_finite(logits, "logits")
     return logits, ForwardTrace(states, f_in, layer_dropped, f_out, layer_masks, final_mask)
 
@@ -221,19 +226,13 @@ def lipschitz_upper(f: np.ndarray, layer: LayerParams, max_abs_entry: float) -> 
     return scalar_or_stack(lip)
 
 
-def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudget) -> dict:
-    """Per-layer expansivity certificate for the coupled layers on an embedded state.
-
-    Runs the clean trajectory, bounds each layer's mixed Lipschitz constant over
-    the l1 ball of radius eps_adj around the clean adjacency state (where every
-    admissible perturbed state stays, by adjacency nonexpansiveness), and
-    assembles the output-distance bound eps_feat + eps_adj * (1 + sum_l h_l lip_l),
-    raising FloatingPointError where it is not finite. The admissible adjacency
-    perturbations are the symmetric ones: A0 must be exactly symmetric, as
-    `evolve` checks, and so must A0 + dA. Stacked states and layers, and
-    budgets holding arrays, give one certificate per state.
+def trajectory_bound(fs: list, as_: list, layers, budget: PerturbationBudget) -> tuple:
+    """(bound, [lip_1..lip_L]): the certified output-distance bound
+    eps_feat + eps_adj * (1 + sum_l h_l lip_l) over the clean trajectory
+    (fs, as_) that `evolve` returns for `layers`, and each layer's mixed
+    Lipschitz bound over the l1 ball of radius eps_adj around its clean
+    adjacency state. Raises FloatingPointError where the bound is not finite.
     """
-    fs, as_ = evolve(f0, a0, layers)
     # a budget near the float range overflows the bound, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         lips = [lipschitz_upper(fs[l], layer.feature,
@@ -244,6 +243,21 @@ def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudg
     if not np.all(np.isfinite(bound)):
         raise FloatingPointError(f"the certified bound for eps_feat={budget.eps_feat} and "
                                  f"eps_adj={budget.eps_adj} is not finite")
+    return scalar_or_stack(bound), lips
+
+
+def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudget) -> dict:
+    """Per-layer expansivity certificate for the coupled layers on an embedded state.
+
+    Runs the clean trajectory and takes its `trajectory_bound`: every
+    admissible perturbed adjacency state stays in the l1 ball of radius
+    eps_adj around the clean one, by adjacency nonexpansiveness. The
+    admissible adjacency perturbations are the symmetric ones: A0 must be
+    exactly symmetric, as `evolve` checks, and so must A0 + dA. Stacked states
+    and layers, and budgets holding arrays, give one certificate per state.
+    """
+    fs, as_ = evolve(f0, a0, layers)
+    bound, lips = trajectory_bound(fs, as_, layers, budget)
     rows = [{
         "layer": l + 1,
         "h_feature": layer.feature.h,
@@ -252,8 +266,7 @@ def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudg
         "h_feature_safe": max_feature_step(as_[l], layer.feature, l1_radius=budget.eps_adj),
         "lipschitz_upper": lips[l],
     } for l, layer in enumerate(layers)]
-    return {"eps_feat": budget.eps_feat, "eps_adj": budget.eps_adj,
-            "layers": rows, "bound": scalar_or_stack(bound)}
+    return {"eps_feat": budget.eps_feat, "eps_adj": budget.eps_adj, "layers": rows, "bound": bound}
 
 
 # Checkpoint format (version 1): the magic bytes b"CSGNNCKPT", a little-endian
@@ -345,7 +358,9 @@ def _checked_header(header) -> dict:
     _require(isinstance(header["share_weights"], bool), "share_weights must be a boolean")
     _require(isinstance(header["layers"], list), "layers must be a list")
     _require(isinstance(header["arrays"], list), "arrays must be a list")
-    expected = {"encoder", "classifier_w", "classifier_b"}
+    # array name -> its number of axes: the product functions also take
+    # stacked parameters, which a checkpoint never holds
+    expected = {"encoder": 2, "classifier_w": 2, "classifier_b": 1}
     for l, meta in enumerate(header["layers"]):
         _require_keys(meta, _LAYER_KEYS, f"layer {l}")
         for key in _LAYER_NUMBERS:
@@ -356,7 +371,7 @@ def _checked_header(header) -> dict:
         _require(not got, f"layer {l} must be learn_k with a K array and without a W array, "
                  f"got {' and '.join(got)}: the learn_w parameterization was removed, as was "
                  "the identity K")
-        expected.update((f"layer{l}.K", f"layer{l}.k"))
+        expected.update({f"layer{l}.K": 2, f"layer{l}.k": 1})
     shapes = {}
     for spec in header["arrays"]:
         _require_keys(spec, ("name", "shape"), "array entry")
@@ -371,6 +386,9 @@ def _checked_header(header) -> dict:
     _require(not missing, f"lacks array(s) {', '.join(missing)}")
     unused = sorted(shapes.keys() - expected)
     _require(not unused, f"array(s) {', '.join(unused)} are not used by any layer")
+    for name, shape in shapes.items():
+        _require(len(shape) == expected[name],
+                 f"array {name!r} has shape {list(shape)}; expected {expected[name]} axes")
     return shapes
 
 

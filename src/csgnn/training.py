@@ -18,6 +18,7 @@ from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step
                           max_step_adjacency)
 from .graph import Graph
 from .network import CoupledLayer, ForwardTrace, NetworkParams, adjacency_states, forward
+from .stacks import scalar_or_stack
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -85,23 +86,24 @@ class TrainConfig:
 def _masked_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> tuple:
     """(mask, the masked rows' logits shifted by their maxima, their labels),
     after checking that the mask selects a node and every masked label names
-    a class."""
+    a class; stacked logits (..., n, classes) give stacked rows."""
     logits = np.asarray(logits, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask selects no nodes")
-    sel = logits[mask]
+    sel = logits[..., mask, :]
     lab = np.asarray(labels)[mask]
-    if lab.min() < 0 or lab.max() >= logits.shape[1]:
+    if lab.min() < 0 or lab.max() >= logits.shape[-1]:
         raise ValueError("label out of range on a masked node")
-    return mask, sel - sel.max(axis=1, keepdims=True), lab
+    return mask, sel - sel.max(axis=-1, keepdims=True), lab
 
 
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean negative log-softmax of the true class over masked nodes."""
+    """Mean negative log-softmax of the true class over masked nodes; one
+    loss per member for stacked logits."""
     _, shifted, lab = _masked_rows(logits, labels, mask)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float((lse - shifted[np.arange(len(lab)), lab]).mean())
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    return scalar_or_stack((lse - shifted[..., np.arange(len(lab)), lab]).mean(axis=-1))
 
 
 def cross_entropy_logit_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -205,7 +207,8 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     the layer's own adjacency state A_l, stepped from g's adjacency with the
     new coefficients. The clamp is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
-    `g` the feature steps stay as stored.
+    `g` the feature steps stay as stored; one of `tensors` may then be a stack
+    (see `NetworkParams`), which gets one adjacency clamp per member.
     """
     layers = []
     for l, layer in enumerate(params.layers):
@@ -213,7 +216,8 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         fp = layer.feature
         coeffs = EquivariantCoeffs(k=np.asarray(tensors[f"layer{slot}.k"], dtype=float),
                                    alpha=layer.adjacency.coeffs.alpha)
-        h_adj = min(layer.adjacency.h if config is None else config.h, max_step_adjacency(coeffs))
+        h_adj = scalar_or_stack(np.minimum(layer.adjacency.h if config is None else config.h,
+                                           max_step_adjacency(coeffs)))
         layers.append(CoupledLayer(
             feature=dataclasses.replace(fp, K=tensors[f"layer{slot}.K"],
                                         h=fp.h if config is None else config.h),

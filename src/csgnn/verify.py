@@ -9,7 +9,9 @@ NaN, and an asserted suite with a NaN worst fails.
 Suites whose draws do not depend on computed results evaluate their trials as
 stacks of same-shaped trials (see "stacked evaluation" below); the Jacobian
 probe suites and `gradient_finite_difference` draw again on rejected points,
-so they stay one trial at a time.
+so they draw their trials one at a time. Within a trial they stack too: the
+probe steps all its perturbed matrices at once, and the gradient check runs
+an instance's central differences as one stacked forward per tensor.
 """
 
 from __future__ import annotations
@@ -461,7 +463,8 @@ def check_expansivity_bound(rng, trials: int) -> CheckResult:
         a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
         measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
         budget = PerturbationBudget(eps_feat=budget_feat, eps_adj=budget_adj)
-        return measured - network.certificate(f0, a0, layers, budget)["bound"]
+        # the bound `certify` prints, over the clean trajectory evolved above
+        return measured - network.trajectory_bound(fs, as_, layers, budget)[0]
 
     return _stacked_check("coupled_expansivity_bound", trials, lambda: _contractive_draw(rng),
                           evaluate, -np.inf, 1e-7)

@@ -445,6 +445,8 @@ class TestCheckpoint:
         (lambda h, arrays: h["layers"][1].update(has_K=1), "layer 1 must be learn_k.*got has_K 1"),
         (lambda h, arrays: h["arrays"][2].update(shape=[-2]), "shape"),
         (lambda h, arrays: h["arrays"][2].update(shape=[2.0]), "shape"),
+        (lambda h, arrays: h["arrays"][0].update(shape=[1, 3, 4]), "'encoder'.*expected 2 axes"),
+        (lambda h, arrays: h["arrays"][-1].update(shape=[1, 8]), "'layer1.k'.*expected 1 axes"),
         (lambda h, arrays: h["layers"][0].update(h_feature=float("nan")), "h_feature"),
         (lambda h, arrays: h["layers"][1].update(h_adjacency=float("inf")), "h_adjacency"),
         (lambda h, arrays: h["layers"][0].update(feature_slope=float("nan")), "feature_slope"),

@@ -7,8 +7,10 @@ import pytest
 from csgnn import dynamics, equivariant, graph, network
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs
-from csgnn.graph import PerturbationBudget
+from csgnn.graph import Graph, PerturbationBudget
 from csgnn.network import CoupledLayer
+from csgnn.training import (TrainConfig, init_params, masked_cross_entropy, params_to_tensors,
+                            rebuild_params)
 
 NS = range(1, 9)
 M = 6  # matrices per stack
@@ -91,7 +93,7 @@ def test_stacked_step_config_checks_every_step():
     with pytest.raises(ValueError, match="positive"):
         AdjacencyStepConfig(coeffs=coeffs, h=np.zeros(M))
     with pytest.raises(ValueError, match="one alpha"):
-        EquivariantCoeffs(k=np.zeros((M, 8)), alpha=-1.0)
+        EquivariantCoeffs(k=np.zeros((M, 8)), alpha=-np.ones(M - 1))
     with pytest.raises(ValueError, match="alpha"):
         EquivariantCoeffs(k=np.zeros((2, 8)), alpha=np.array([-1.0, 0.5]))
 
@@ -179,3 +181,39 @@ def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
     for l, row in enumerate(cert["layers"]):
         for key in ("h_feature", "h_adjacency", "h_adjacency_max", "h_feature_safe", "lipschitz_upper"):
             assert _same(row[key], [c["layers"][l][key] for c in singles_cert])
+
+
+def _small_network(rng, share_weights: bool) -> tuple:
+    n = 7
+    upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+    g = Graph(adjacency=(upper | upper.T).astype(float), features=rng.standard_normal((n, 3)),
+              labels=rng.integers(0, 3, n), train_mask=rng.random(n) < 0.7)
+    cfg = TrainConfig(hidden_dim=4, num_layers=3, h=0.3, dropout_p=0.3, share_weights=share_weights)
+    return g, init_params(3, 3, n, cfg, rng)
+
+
+# the last layer's k is unread, so its stack gives unstacked logits
+@pytest.mark.parametrize("key", ["encoder", "classifier_w", "classifier_b", "layer1.K", "layer0.k",
+                                 "layer2.k", "shared.K", "shared.k"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_network_takes_one_stacked_tensor(key, mode):
+    rng = np.random.default_rng(len(key) + 10 * len(mode))
+    g, params = _small_network(rng, share_weights=key.startswith("shared"))
+    key = key.replace("shared", "layer0")
+    tensors = params_to_tensors(params)
+    stack = tensors[key] + 0.05 * rng.standard_normal((M,) + tensors[key].shape)
+    members = [rebuild_params(params, {**tensors, key: x}) for x in stack]
+    stacked = rebuild_params(params, {**tensors, key: stack})
+    seed = int(rng.integers(2**31))
+
+    def logits(p):
+        return network.forward(g, p, mode=mode, rng=np.random.default_rng(seed))[0]
+
+    got = logits(stacked)
+    assert got.ndim == (2 if key == "layer2.k" else 3)
+    got = np.broadcast_to(got, (M, g.n, 3))
+    want = [logits(p) for p in members]
+    assert _same(got, want)
+    losses = [masked_cross_entropy(x, g.labels, g.train_mask) for x in want]
+    assert all(type(x) is float for x in losses)
+    assert _same(masked_cross_entropy(np.array(want), g.labels, g.train_mask), losses)

@@ -47,12 +47,12 @@ def test_nan_gradient_fails_gradient_suite(monkeypatch):
 
 def test_an_unsound_certificate_fails_the_expansivity_suite(monkeypatch):
     # the suite checks the bound `certify` prints: drop its eps_adj term and it fails
-    sound = network.certificate
+    sound = network.trajectory_bound
 
-    def without_adjacency_term(f0, a0, layers, budget):
-        return {**sound(f0, a0, layers, budget), "bound": budget.eps_feat}
+    def without_adjacency_term(fs, as_, layers, budget):
+        return budget.eps_feat, sound(fs, as_, layers, budget)[1]
 
-    monkeypatch.setattr(network, "certificate", without_adjacency_term)
+    monkeypatch.setattr(network, "trajectory_bound", without_adjacency_term)
     result = check_expansivity_bound(np.random.default_rng(0), 200)
     assert result.status == FAIL
     assert result.worst > 0
