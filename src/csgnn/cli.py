@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: gen-sbm, train, attack-sweep, verify, certify. Every command is
-deterministic given (config, seed): all randomness flows from the one seed.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime error.
+Subcommands: gen-sbm, train, attack-sweep, verify, certify. All randomness flows
+from the one seed; certify draws none and reads no seed. Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .training import TrainConfig, accuracy, history_to_csv, train
 
 
 def _settings(args, table: dict) -> dict:
-    """The run's settings: each key of `table` read from the config file and the
-    --set overrides as the type of its default, or that default. A default of None
-    marks a required path, read as text. A line or override that is not key=value,
-    a key outside `table` and a missing path are usage errors."""
+    """The run's settings: each key of `table` read from the config file, --set
+    and --seed as the type of its default, or that default; None marks a required
+    path, read as text. A malformed line or override, a key outside `table` and a
+    missing path are usage errors; an --out at or below a file is refused here."""
     try:
         text = Path(args.config).read_bytes().decode() if args.config else ""
         raw = {**cfgmod.loads(text), **cfgmod.overrides(args.set or [])}
@@ -37,17 +37,22 @@ def _settings(args, table: dict) -> dict:
                           f"{exc.object[exc.start]:#04x} at position {exc.start}") from None
     except ValueError as exc:
         raise SystemExit2(exc) from None
+    if args.seed is not None:
+        raw["seed"] = str(args.seed)
     stray = sorted(set(raw) - set(table))
     if stray:
         raise SystemExit2(f"{args.command} does not read the config key(s) {', '.join(stray)}")
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
     for key, default in table.items():
         if default is None and key not in raw:
             raise SystemExit2(f"{args.command} needs a '{key} = <path>' config entry")
     settings = {key: cfgmod.read(key, raw[key], str if default is None else type(default))
                 if key in raw else default for key, default in table.items()}
-    _check(settings, "seed", lambda seed: seed >= 0, "a non-negative integer")
+    if "seed" in table:
+        _check(settings, "seed", lambda seed: seed >= 0, "a non-negative integer")
+    out = Path(args.out or ".")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out {out}: {nearest} exists and is not a directory")
     return settings
 
 
@@ -80,7 +85,7 @@ def _float_list(settings: dict, key: str) -> list:
 
 
 # Each command's settings, {key: default}: a default of None marks a required
-# path. Every command reads `seed`.
+# path. Every command but certify reads `seed`.
 GEN_SBM = {"n": 100, "classes": 2, "p_in": 0.3, "p_out": 0.02, "feat_dim": 8, "signal": 1.5,
            "seed": 0}
 TRAIN_CONFIG = {field.name: field.default for field in dataclasses.fields(TrainConfig)}
@@ -88,7 +93,7 @@ TRAIN = {"graph": None, **TRAIN_CONFIG}
 ATTACK_SWEEP = {**TRAIN, "edge_ratios": "0,0.5,1.0", "feat_eps_list": "",
                 "models": "csgnn,gcn", "n_seeds": 10}
 VERIFY = {"trials_scale": 1.0, "seed": 0}
-CERTIFY = {"checkpoint": None, "graph": None, "eps_feat": 0.0, "eps_adj": 0.0, "seed": 0}
+CERTIFY = {"checkpoint": None, "graph": None, "eps_feat": 0.0, "eps_adj": 0.0}
 
 
 def cmd_gen_sbm(args) -> int:
@@ -117,6 +122,12 @@ def cmd_train(args) -> int:
 
 def cmd_attack_sweep(args) -> int:
     settings = _settings(args, ATTACK_SWEEP)
+    models = [name.strip() for name in settings["models"].split(",")]
+    for i, name in enumerate(models):
+        if name not in MODELS:
+            raise SystemExit2(f"unknown model {name!r}")
+        if name in models[:i]:
+            raise SystemExit2(f"model {name!r} is named twice")
     g = load_graph(settings["graph"])
     tc = TrainConfig(**{key: settings[key] for key in TRAIN_CONFIG})
     ratios = _float_list(settings, "edge_ratios")
@@ -124,10 +135,6 @@ def cmd_attack_sweep(args) -> int:
     seed0 = settings["seed"]
     specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
     specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
-    models = [name.strip() for name in settings["models"].split(",")]
-    for name in models:
-        if name not in MODELS:
-            raise SystemExit2(f"unknown model {name!r}")
     # a tuple of seeds holds at most sys.maxsize of them
     _check(settings, "n_seeds", lambda k: 1 <= k <= sys.maxsize,
            f"an integer from 1 to {sys.maxsize}")

@@ -24,17 +24,20 @@ from .training import (TrainConfig, backward, cross_entropy_logit_grad, init_par
 
 FD_STEP = 1e-6
 KINK_GUARD = 2e-4
+N_MAX = 6
+DROPOUT_CHOICES = (0.0, 0.3)
+MAX_TRIES = 80
 
 
-def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: int = 80):
-    """A random (graph, params, dropout seed) triple at a smooth point of the loss.
+def random_instance(rng):
+    """A random (graph, params, dropout seed) triple at a smooth point of the
+    loss: at most N_MAX nodes, dropout from DROPOUT_CHOICES, MAX_TRIES draws.
 
     Every training-mode forward from a fresh generator on the seed draws the
-    same dropout masks, so the loss is a deterministic function of the
-    parameters.
+    same dropout masks, so the loss is a deterministic function of the parameters.
     """
-    for _ in range(max_tries):
-        n = int(rng.integers(4, n_max + 1))
+    for _ in range(MAX_TRIES):
+        n = int(rng.integers(4, N_MAX + 1))
         c_in = int(rng.integers(2, 4))
         c_out = int(rng.integers(2, 4))
         upper = np.triu(rng.random((n, n)) < 0.5, k=1)
@@ -50,7 +53,7 @@ def random_instance(rng, n_max: int = 6, dropout_choices=(0.0, 0.3), max_tries: 
             num_layers=int(rng.integers(1, 4)),
             h=0.3,
             alpha=-0.3 - abs(rng.standard_normal()),
-            dropout_p=float(rng.choice(dropout_choices)),
+            dropout_p=float(rng.choice(DROPOUT_CHOICES)),
             share_weights=bool(rng.integers(0, 2)),
             seed=int(rng.integers(0, 2**31)),
         )
@@ -98,12 +101,12 @@ def analytic_gradients(g: Graph, params: NetworkParams, seed: int) -> dict:
     return backward(trace, g, params, logit_grad)
 
 
-def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_STEP) -> dict:
-    """Central differences (L(+step) - L(-step)) / (2 step) of the loss in
-    every entry of every trainable tensor.
+def fd_gradients(g: Graph, params: NetworkParams, seed: int) -> dict:
+    """Central differences (L(+FD_STEP) - L(-FD_STEP)) / (2 FD_STEP) of the
+    loss in every entry of every trainable tensor.
 
     Each tensor's 2*size bumped copies (the base with one entry moved by
-    +step, then each by -step) run as one stack through `loss_at`; the other
+    +FD_STEP, then each by -FD_STEP) run as one stack through `loss_at`; the other
     tensors stay unstacked, and a loss that does not depend on the stacked
     tensor (the last layer's unread k) serves every copy. A stack has at most
     2 * 16 members, the largest tensor `random_instance` draws being a 4 x 4 K.
@@ -113,27 +116,24 @@ def fd_gradients(g: Graph, params: NetworkParams, seed: int, step: float = FD_ST
     for key, base in tensors.items():
         base = np.asarray(base, dtype=float)
         size = base.size
-        # bumped[s, i] is the flat base with entry i moved by +step (s = 0) or -step (s = 1)
+        # bumped[s, i]: the flat base with entry i moved by +FD_STEP (s = 0) or -FD_STEP (s = 1)
         bumped = np.tile(base.reshape(-1), (2, size, 1))
         entry = np.arange(size)
-        bumped[0, entry, entry] += step
-        bumped[1, entry, entry] -= step
+        bumped[0, entry, entry] += FD_STEP
+        bumped[1, entry, entry] -= FD_STEP
         stack = bumped.reshape((2 * size,) + base.shape)
         losses = loss_at(g, rebuild_params(params, {**tensors, key: stack}), seed)
         losses = np.broadcast_to(losses, (2 * size,))
-        out[key] = ((losses[:size] - losses[size:]) / (2.0 * step)).reshape(base.shape)
+        out[key] = ((losses[:size] - losses[size:]) / (2.0 * FD_STEP)).reshape(base.shape)
     return out
 
 
-def max_gradient_rel_error(rng, step: float = FD_STEP) -> float:
+def max_gradient_rel_error(rng) -> float:
     """Worst per-tensor relative deviation between backward and central FD;
     NaN if any deviation is NaN."""
     g, params, seed = random_instance(rng)
     analytic = analytic_gradients(g, params, seed)
-    numeric = fd_gradients(g, params, seed, step)
-    errors = []
-    for key, fd in numeric.items():
-        diff = float(np.abs(analytic[key] - fd).max())
-        scale = max(float(np.abs(fd).max()), 1e-8)
-        errors.append(diff / scale)
+    numeric = fd_gradients(g, params, seed)
+    errors = [float(np.abs(analytic[key] - fd).max()) / max(float(np.abs(fd).max()), 1e-8)
+              for key, fd in numeric.items()]
     return np.nan if np.isnan(errors).any() else max([0.0] + errors)

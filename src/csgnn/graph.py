@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,7 +210,9 @@ def load_graph(in_dir) -> Graph:
     features = _load_table(src / "features.csv", delimiter=",", ndmin=2)
     n = features.shape[0]
     adjacency = np.zeros((n, n))
-    edges = _load_table(src / "edges.txt", dtype=int, ndmin=2)
+    with warnings.catch_warnings():  # an edgeless graph's empty edges.txt is zero edges
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        edges = _load_table(src / "edges.txt", dtype=int, ndmin=2)
     if edges.size:
         if edges.shape[1] != 2:
             raise ValueError(f"edges.txt must hold two columns (i j) per row, got {edges.shape[1]}")

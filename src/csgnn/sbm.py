@@ -17,7 +17,7 @@ VAL_FRACTION = 0.1
 
 
 def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
-            signal: float, seed: int = 0) -> Graph:
+            signal: float, seed: int) -> Graph:
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError("need 0 <= p_out < p_in <= 1")
     if n < classes or classes < 2 or feat_dim < 1:

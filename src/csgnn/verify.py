@@ -71,8 +71,8 @@ def _margin_coeffs(rng) -> EquivariantCoeffs:
     return EquivariantCoeffs(k=k, alpha=alpha)
 
 
-def _sym_binary(rng, n: int, p: float = 0.4) -> np.ndarray:
-    upper = np.triu(rng.random((n, n)) < p, k=1)
+def _sym_binary(rng, n: int) -> np.ndarray:
+    upper = np.triu(rng.random((n, n)) < 0.4, k=1)
     return (upper | upper.T).astype(float)
 
 
@@ -514,7 +514,7 @@ def check_gradient_finite_difference(rng, trials: int) -> CheckResult:
 
 # --- the runner ------------------------------------------------------------------
 
-def run_all(seed: int = 0, trials_scale: float = 1.0) -> list:
+def run_all(seed: int, trials_scale: float) -> list:
     """Run every suite; returns their results in report order."""
     rng = np.random.default_rng(seed)
     return [

@@ -51,8 +51,10 @@ class TestRandomEdgeAttack:
 
     def test_labels_and_masks_untouched(self):
         g = small_graph(np.random.default_rng(2))
-        spec = AttackSpec(kind=AttackKind.BOTH, edge_ratio=0.5, feat_eps=1.0, seed=0)
-        out = apply_attack(g, spec)
+        out = apply_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5, seed=0))
+        out = apply_attack(out, AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=1.0, seed=0))
+        assert out.num_undirected_edges() > g.num_undirected_edges()
+        assert not np.array_equal(out.features, g.features)
         assert np.array_equal(out.labels, g.labels)
         assert np.array_equal(out.train_mask, g.train_mask)
         assert np.array_equal(out.val_mask, g.val_mask)
@@ -104,7 +106,7 @@ class TestFeatureNoiseAttack:
     @pytest.mark.parametrize("budget", [{"edge_ratio": float("nan")}, {"feat_eps": float("inf")}])
     def test_non_finite_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="finite"):
-            AttackSpec(kind=AttackKind.BOTH, **budget)
+            AttackSpec(kind=AttackKind.FEATURE_NOISE, **budget)
 
 
 class TestGCNBaseline:

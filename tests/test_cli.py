@@ -389,6 +389,15 @@ class TestAttackSweep:
         assert "training requires nonempty train and validation masks" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_model_named_twice_is_usage_error(self, tmp_path, capsys):
+        # it used to train gcn twice per (budget, seed) and write two identical gcn rows;
+        # the graph does not exist, so the refusal comes before anything is loaded
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"),
+                    "--set", f"graph={tmp_path}/nope", "--set", "models=gcn,csgnn, gcn"])
+        assert code == 2
+        assert capsys.readouterr().err == "usage error: model 'gcn' is named twice\n"
+        assert not (tmp_path / "out").exists()
+
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", "n_seeds=0", "--set", "epochs=2"])
@@ -587,6 +596,17 @@ class TestCertifyCommand:
         assert proc.stderr == "error: [Errno 2] No such file or directory: '0'\n"
         assert proc.stdout == "left for the caller"
 
+    @pytest.mark.parametrize("seed", [["--seed", "1"], ["--set", "seed=1"]], ids=["flag", "set"])
+    def test_a_seed_is_usage_error(self, sbm_dir, trained_dir, tmp_path, capsys, seed):
+        # certify draws nothing at random; it used to accept a seed and ignore it
+        code = run(["certify", "--out", str(tmp_path / "out"), *seed,
+                    "--set", f"checkpoint={trained_dir}/model.ckpt", "--set", f"graph={sbm_dir}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "usage error: certify does not read the config key(s) seed\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_checkpoint_key_is_usage_error(self):
         assert run(["certify", "--set", "graph=x"]) == 2
 
@@ -663,3 +683,43 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["train", "certify"])
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_an_out_path_through_a_file_is_refused_before_any_work(sbm_dir, trained_dir, tmp_path,
+                                                                capsys, monkeypatch, command,
+                                                                where):
+    # train used to run every epoch and certify to print its certificate, then
+    # both exited 3 with "[Errno 17] File exists"
+    monkeypatch.setattr("csgnn.cli.train", None)
+    monkeypatch.setattr("csgnn.cli.certificate", None)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = blocker if where == "file" else blocker / "out"
+    needs = {"train": [f"graph={sbm_dir}"],
+             "certify": [f"graph={sbm_dir}", f"checkpoint={trained_dir}/model.ckpt"]}[command]
+    argv = [command, "--out", str(out)]
+    for item in needs:
+        argv += ["--set", item]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out}: {blocker} exists and is not a directory\n"
+    assert captured.out == ""
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_an_edgeless_graph_runs_without_a_warning(tmp_path, capsys):
+    # its empty edges.txt used to print numpy's loadtxt warning on every load,
+    # which pytest's filterwarnings turns into an error
+    graph, run_dir = tmp_path / "graph", tmp_path / "run"
+    assert run(["gen-sbm", "--out", str(graph), "--set", "n=20", "--set", "p_in=0.001",
+                "--set", "p_out=0"]) == 0
+    assert (graph / "edges.txt").read_bytes() == b""
+    assert run(["train", "--out", str(run_dir), "--set", f"graph={graph}",
+                "--set", "epochs=2"]) == 0
+    assert run(["certify", "--set", f"graph={graph}",
+                "--set", f"checkpoint={run_dir}/model.ckpt", "--set", "eps_feat=0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "certified output-distance bound = 0.5\n" in captured.out

@@ -14,7 +14,7 @@ from csgnn.gradcheck import FD_STEP, fd_gradients, loss_at, random_instance
 from csgnn.training import params_to_tensors, rebuild_params
 
 
-def loop_fd_gradients(g, params, seed, step=FD_STEP):
+def loop_fd_gradients(g, params, seed):
     tensors = params_to_tensors(params)
     out = {}
     for key, base in tensors.items():
@@ -25,11 +25,11 @@ def loop_fd_gradients(g, params, seed, step=FD_STEP):
             for sign in (+1.0, -1.0):
                 bumped = dict(tensors)
                 arr = np.array(base)
-                arr.reshape(-1)[idx] += sign * step
+                arr.reshape(-1)[idx] += sign * FD_STEP
                 bumped[key] = arr
                 p = rebuild_params(params, bumped)
                 flat[idx] += sign * loss_at(g, p, seed)
-        out[key] = grad / (2.0 * step)
+        out[key] = grad / (2.0 * FD_STEP)
     return out
 
 
@@ -55,7 +55,8 @@ def test_stacked_differences_match_the_per_bump_loop():
 
 
 def test_a_negative_zero_entry_keeps_its_sign_in_the_other_copies(monkeypatch):
-    g, params, seed = random_instance(np.random.default_rng(5), dropout_choices=(0.3,))
+    monkeypatch.setattr(gradcheck, "DROPOUT_CHOICES", (0.3,))
+    g, params, seed = random_instance(np.random.default_rng(5))
     encoder = np.array(params.encoder)
     encoder[0, 0] = -0.0
     params = dataclasses.replace(params, encoder=encoder,

@@ -236,6 +236,15 @@ class TestGraphIO:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} has 3 rows, but features.csv has 4$"):
             load_graph(tmp_path)
 
+    def test_an_edgeless_graph_loads_as_zero_edges(self, tmp_path):
+        # its empty edges.txt used to raise numpy's "input contained no data" warning
+        g = Graph(adjacency=np.zeros((3, 3)), features=np.ones((3, 2)), labels=[0, 1, 0])
+        save_graph(g, tmp_path)
+        assert (tmp_path / "edges.txt").read_bytes() == b""
+        back = load_graph(tmp_path)
+        assert np.array_equal(back.adjacency, np.zeros((3, 3)))
+        assert np.array_equal(back.features, g.features)
+
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):
         g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from csgnn import dynamics
+from csgnn import dynamics, gradcheck
 from csgnn.dynamics import LayerParams, max_feature_step
 from csgnn.equivariant import EquivariantCoeffs, max_step_adjacency
 from csgnn.gradcheck import (analytic_gradients, fd_gradients, loss_at,
@@ -83,12 +83,13 @@ class TestBackward:
         for val in grads.values():
             assert np.abs(val).max() == 0.0
 
-    def test_seeded_loss_replays_the_sampled_masks(self):
+    def test_seeded_loss_replays_the_sampled_masks(self, monkeypatch):
         # the gradient check draws its dropout masks from a fresh generator on
         # the instance's seed; the loss must be the one under the masks that a
         # training forward from that seed applies, bit for bit
+        monkeypatch.setattr(gradcheck, "DROPOUT_CHOICES", (0.3,))
         rng = np.random.default_rng(8)
-        g, params, seed = random_instance(rng, dropout_choices=(0.3,))
+        g, params, seed = random_instance(rng)
         logits, trace = forward(g, params, mode="train", rng=np.random.default_rng(seed))
         assert all(np.any(m == 0.0) for m in (*trace.layer_masks, trace.final_mask))
         f = trace.input_dropped @ params.encoder
@@ -107,12 +108,13 @@ class TestBackward:
         for _ in range(6):
             assert max_gradient_rel_error(rng) <= 1e-5
 
-    def test_frozen_adjacency_matches_feature_only_oracle(self):
+    def test_frozen_adjacency_matches_feature_only_oracle(self, monkeypatch):
         # with k = 0 and alpha = 0 the adjacency never moves; gradients of the
         # feature-side tensors must match finite differences of a forward that
         # skips the adjacency system entirely
+        monkeypatch.setattr(gradcheck, "DROPOUT_CHOICES", (0.0,))
         rng = np.random.default_rng(4)
-        g, params, seed = random_instance(rng, dropout_choices=(0.0,))
+        g, params, seed = random_instance(rng)
         frozen = []
         for layer in params.layers:
             adj = dataclasses.replace(layer.adjacency,
@@ -149,9 +151,10 @@ class TestBackward:
                   - bypass_loss({**tensors, key: minus})) / (2 * eps)
             assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_asymmetric_input_adjacency_rejected(self):
+    def test_asymmetric_input_adjacency_rejected(self, monkeypatch):
         # the graph cannot be built, so no trace of it reaches `backward`
-        g, _, _ = random_instance(np.random.default_rng(7), dropout_choices=(0.0,))
+        monkeypatch.setattr(gradcheck, "DROPOUT_CHOICES", (0.0,))
+        g, _, _ = random_instance(np.random.default_rng(7))
         a = g.adjacency.copy()
         a[0, 1] += 0.5
         with pytest.raises(ValueError, match="symmetric"):
