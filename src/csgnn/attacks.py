@@ -65,7 +65,7 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     out = np.array(g.adjacency)
     out[iu[chosen], ju[chosen]] = 1.0
     out[ju[chosen], iu[chosen]] = 1.0
-    return g.replace(adjacency=out)
+    return dataclasses.replace(g, adjacency=out)
 
 
 def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
@@ -75,7 +75,7 @@ def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
         return g
     direction = rng.standard_normal(g.features.shape)
     direction *= spec.feat_eps * (1.0 - 1e-9) / np.linalg.norm(direction)
-    return g.replace(features=g.features + direction)
+    return dataclasses.replace(g, features=g.features + direction)
 
 
 def apply_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:

@@ -72,7 +72,8 @@ def _finite_nonnegative(x) -> bool:
     return bool(np.isfinite(x)) and x >= 0
 
 
-def _float_list(settings: dict, key: str) -> list:
+def _budget_list(settings: dict, key: str) -> list:
+    """The budgets `key` lists; a budget listed twice (0 and 0.0 are one) is a usage error."""
     raw = settings[key]
     try:
         items = [float(tok) for tok in raw.split(",") if tok != ""]
@@ -81,6 +82,9 @@ def _float_list(settings: dict, key: str) -> list:
     if items is None or not all(map(_finite_nonnegative, items)):
         raise ValueError(f"config key {key!r} must be a comma-separated list of finite "
                          f"nonnegative numbers, got {raw!r}")
+    for i, budget in enumerate(items):
+        if budget in items[:i]:
+            raise SystemExit2(f"config key {key!r} lists the budget {budget:g} twice")
     return items
 
 
@@ -128,16 +132,18 @@ def cmd_attack_sweep(args) -> int:
             raise SystemExit2(f"unknown model {name!r}")
         if name in models[:i]:
             raise SystemExit2(f"model {name!r} is named twice")
-    g = load_graph(settings["graph"])
-    tc = TrainConfig(**{key: settings[key] for key in TRAIN_CONFIG})
-    ratios = _float_list(settings, "edge_ratios")
-    feat_epss = _float_list(settings, "feat_eps_list")
-    seed0 = settings["seed"]
-    specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
-    specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
+    ratios = _budget_list(settings, "edge_ratios")
+    feat_epss = _budget_list(settings, "feat_eps_list")
+    if not ratios and not feat_epss:
+        raise SystemExit2("attack-sweep needs a budget: edge_ratios and feat_eps_list are both empty")
     # a tuple of seeds holds at most sys.maxsize of them
     _check(settings, "n_seeds", lambda k: 1 <= k <= sys.maxsize,
            f"an integer from 1 to {sys.maxsize}")
+    g = load_graph(settings["graph"])
+    tc = TrainConfig(**{key: settings[key] for key in TRAIN_CONFIG})
+    seed0 = settings["seed"]
+    specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
+    specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
     rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(settings["n_seeds"])))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)

@@ -10,7 +10,8 @@ permutation-equivariant and symmetry preserving:
 
 Only k2..k9 are free: k1 is derived as k1 = alpha - sum_i |k_i| for a fixed
 margin alpha <= 0, which makes the Euler step nonexpansive in the vectorized
-l1 norm whenever h <= 2 / (2*sum_i |k_i| - alpha).
+l1 norm whenever h <= 2 / (2*sum_i |k_i| - alpha). There is one step,
+`adjacency_step`, and its `AdjacencyStepConfig` refuses an h past that bound.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def _sums(a: np.ndarray, assume_symmetric: bool = False) -> tuple:
     return d, row, col, a.sum(axis=(-2, -1)), d.sum(axis=-1)
 
 
-def _check_square(a: np.ndarray) -> None:
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
 def _broadcast_coeffs(coeffs: EquivariantCoeffs) -> tuple:
     """k1..k9 shaped for where M uses them: k1 against whole matrices
     (..., 1, 1), k2-k4 and k9 against rows (..., 1), k5-k8 against totals and
@@ -132,7 +128,8 @@ def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs,
     `_sums`); the result is the same to the bit.
     """
     a = np.asarray(a, dtype=float)
-    _check_square(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[-1]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = _broadcast_coeffs(coeffs)
     d, row, col, tot, tr = _sums(a, assume_symmetric)
@@ -266,9 +263,10 @@ def slope_uniform_margin(coeffs: EquivariantCoeffs, leaky_slope: float) -> float
     return float(leaky_slope * (-coeffs.alpha) - (1.0 - leaky_slope) * np.abs(coeffs.k).sum())
 
 
-def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
-                             leaky_slope: float = 0.1, assume_symmetric: bool = False) -> np.ndarray:
-    """Euler step without the step-size guard; for diagnostics and fault injection.
+def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,
+                   assume_symmetric: bool = False) -> np.ndarray:
+    """One explicit Euler step A + h*sigma(M(A)), at a step the config has
+    checked against the nonexpansive bound.
 
     `a` may be a stack of shape (..., n, n); each matrix takes its own step,
     with stacked coefficients and an array `h` giving one per matrix.
@@ -276,20 +274,12 @@ def adjacency_step_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,
     steps to an exactly symmetric state, so it holds for every state of a
     trajectory that starts from one.
     """
-    a = np.asarray(a, dtype=float)
-    _check_square(a)
     # a + h*sigma(M(A)) formed in the activation's own buffer: the same bits
     # (+ and * commute) without temporaries for h*sigma and for the sum
-    step = leaky_relu(equivariant_linear(a, coeffs, assume_symmetric), leaky_slope)
-    step *= per_matrix(h)
+    step = leaky_relu(equivariant_linear(a, cfg.coeffs, assume_symmetric), cfg.leaky_slope)
+    step *= per_matrix(cfg.h)
     step += a
     return step
-
-
-def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,
-                   assume_symmetric: bool = False) -> np.ndarray:
-    """One explicit Euler step A + h*sigma(M(A))."""
-    return adjacency_step_unchecked(a, cfg.coeffs, cfg.h, cfg.leaky_slope, assume_symmetric)
 
 
 def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarray) -> tuple:
@@ -313,10 +303,13 @@ def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: flo
                                 leaky_slope: float = 0.1) -> float:
     """Finite-difference l1 operator norm of the Euler step's Jacobian at `a`.
 
-    Central differences with step FD_STEP on every vec(A) coordinate, with no
-    step-size guard on h. The point must be smooth: probes where some
-    pre-activation entry of M(A) has magnitude below KINK_TOL are rejected.
+    Central differences with step FD_STEP on every vec(A) coordinate, taken
+    through `adjacency_step`, so h must pass its guard (the name is the one
+    `perfbench/tracing.py` binds). The point must be smooth: probes where
+    some pre-activation entry of M(A) has magnitude below KINK_TOL are
+    rejected.
     """
+    cfg = AdjacencyStepConfig(coeffs=coeffs, h=h, leaky_slope=leaky_slope)
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     m = n * n
@@ -331,8 +324,7 @@ def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: flo
     j = np.arange(m)
     shifted[j, j] += FD_STEP
     shifted[m + j, j] -= FD_STEP
-    stepped = adjacency_step_unchecked(shifted.reshape(2 * m, n, n).transpose(0, 2, 1),
-                                       coeffs, h, leaky_slope)
+    stepped = adjacency_step(shifted.reshape(2 * m, n, n).transpose(0, 2, 1), cfg)
     diff = (stepped[:m] - stepped[m:]) / (2 * FD_STEP)
     cols = np.ascontiguousarray(diff.transpose(0, 2, 1).reshape(m, m).T)
     return operator_l1_norm(cols)

@@ -9,7 +9,6 @@ norm.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import warnings
 from dataclasses import dataclass
@@ -24,9 +23,9 @@ from .stacks import all_symmetric, any_of, freeze, scalar_or_stack
 class Graph:
     """Immutable dense undirected graph with features, labels and split masks.
 
-    Construction (and so `replace`) raises ValueError on an adjacency that
-    is not exactly symmetric, or on a non-finite adjacency or feature entry:
-    everything downstream relies on that.
+    Construction (`dataclasses.replace` included) raises ValueError on an
+    adjacency that is not exactly symmetric, or on a non-finite adjacency or
+    feature entry: everything downstream relies on that.
     """
 
     adjacency: np.ndarray
@@ -77,9 +76,6 @@ class Graph:
     def num_undirected_edges(self) -> int:
         """Count of off-diagonal undirected edges (nonzero entries above the diagonal)."""
         return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
-
-    def replace(self, **changes) -> "Graph":
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)

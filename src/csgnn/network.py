@@ -271,29 +271,29 @@ def certificate(f0: np.ndarray, a0: np.ndarray, layers, budget: PerturbationBudg
 
 # Checkpoint format (version 1): the magic bytes b"CSGNNCKPT", a little-endian
 # uint32 version, a uint64 length-prefixed JSON header, then the raw
-# little-endian float64 buffers of every array in the header's "arrays" order:
-# encoder, classifier_w, classifier_b, then per layer K and the eight free
-# adjacency coefficients. Each layer's header still carries the fields of
-# `_FIXED_LAYER_FIELDS`, which once told the parameterizations apart, so
-# checkpoints keep their bytes; one whose fields differ is refused.
+# little-endian float64 buffers of the arrays `_body_layout` lists, in its
+# order; the header's "arrays" names each with its shape. Each layer's header
+# still carries the fields of `_FIXED_LAYER_FIELDS`, which once told the
+# parameterizations apart, so checkpoints keep their bytes; one whose fields
+# differ is refused.
 
 _MAGIC = b"CSGNNCKPT"
 _VERSION = 1
 _FIXED_LAYER_FIELDS = {"has_K": True, "has_W": False, "parameterization": "learn_k"}
 
 
-def _params_arrays(params: NetworkParams) -> list:
-    arrays = [("encoder", params.encoder),
-              ("classifier_w", params.classifier_w),
-              ("classifier_b", params.classifier_b)]
-    for l, layer in enumerate(params.layers):
-        arrays.append((f"layer{l}.K", layer.feature.K))
-        arrays.append((f"layer{l}.k", layer.adjacency.coeffs.k))
-    return arrays
+def _body_layout(depth: int) -> list:
+    """(name, number of axes) of each body array, in body order: the encoder
+    and classifier, then each layer's channel mixer K and its eight free
+    adjacency coefficients k. A checkpoint never holds stacked parameters."""
+    return [("encoder", 2), ("classifier_w", 2), ("classifier_b", 1),
+            *((f"layer{l}.{key}", axes) for l in range(depth) for key, axes in (("K", 2), ("k", 1)))]
 
 
 def save_checkpoint(params: NetworkParams, path) -> None:
-    arrays = _params_arrays(params)
+    arrays = [params.encoder, params.classifier_w, params.classifier_b]
+    for layer in params.layers:
+        arrays += [layer.feature.K, layer.adjacency.coeffs.k]
     header = {
         "dropout_p": params.dropout_p,
         "share_weights": params.share_weights,
@@ -308,7 +308,8 @@ def save_checkpoint(params: NetworkParams, path) -> None:
             }
             for layer in params.layers
         ],
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "arrays": [{"name": name, "shape": list(arr.shape)}
+                   for (name, _), arr in zip(_body_layout(len(params.layers)), arrays)],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
@@ -316,14 +317,13 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, arr in arrays:
+        for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 _HEADER_KEYS = ("arrays", "dropout_p", "layers", "share_weights")
-_LAYER_KEYS = ("adjacency_slope", "alpha", "feature_slope", "h_adjacency", "h_feature",
-               *_FIXED_LAYER_FIELDS)
 _LAYER_NUMBERS = ("h_feature", "feature_slope", "h_adjacency", "adjacency_slope", "alpha")
+_LAYER_KEYS = (*_LAYER_NUMBERS, *_FIXED_LAYER_FIELDS)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -346,21 +346,18 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _checked_header(header) -> dict:
-    """Validate a checkpoint header; returns {array name: shape} in body order.
+def _checked_header(header) -> list:
+    """Validate a checkpoint header; returns (array name, shape) in body order.
 
-    Every key must be present, numbers finite, flags boolean and shapes lists
-    of non-negative integers, and the arrays must be exactly the ones the
-    layers name: none missing, repeated or unused.
+    Every key must be present, numbers finite, flags boolean, the arrays
+    exactly those `_body_layout` lists for the header's layers, in its order,
+    and each shape a list of that many non-negative integers.
     """
     _require_keys(header, _HEADER_KEYS, "header")
     _require(_is_finite_number(header["dropout_p"]), "dropout_p must be a finite number")
     _require(isinstance(header["share_weights"], bool), "share_weights must be a boolean")
     _require(isinstance(header["layers"], list), "layers must be a list")
     _require(isinstance(header["arrays"], list), "arrays must be a list")
-    # array name -> its number of axes: the product functions also take
-    # stacked parameters, which a checkpoint never holds
-    expected = {"encoder": 2, "classifier_w": 2, "classifier_b": 1}
     for l, meta in enumerate(header["layers"]):
         _require_keys(meta, _LAYER_KEYS, f"layer {l}")
         for key in _LAYER_NUMBERS:
@@ -371,25 +368,19 @@ def _checked_header(header) -> dict:
         _require(not got, f"layer {l} must be learn_k with a K array and without a W array, "
                  f"got {' and '.join(got)}: the learn_w parameterization was removed, as was "
                  "the identity K")
-        expected.update({f"layer{l}.K": 2, f"layer{l}.k": 1})
-    shapes = {}
     for spec in header["arrays"]:
         _require_keys(spec, ("name", "shape"), "array entry")
-        name, shape = spec["name"], spec["shape"]
-        _require(isinstance(name, str), f"array name {name!r} is not a string")
-        _require(name not in shapes, f"array {name!r} appears twice")
-        _require(isinstance(shape, list)
+    layout = _body_layout(len(header["layers"]))
+    expected = [name for name, _ in layout]
+    found = [spec["name"] for spec in header["arrays"]]
+    _require(found == expected, f"arrays must be {expected}, in this order; got {found}")
+    for (name, axes), spec in zip(layout, header["arrays"]):
+        shape = spec["shape"]
+        _require(isinstance(shape, list) and len(shape) == axes
                  and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape),
-                 f"array {name!r} has shape {shape!r}; expected non-negative integers")
-        shapes[name] = tuple(shape)
-    missing = sorted(expected - shapes.keys())
-    _require(not missing, f"lacks array(s) {', '.join(missing)}")
-    unused = sorted(shapes.keys() - expected)
-    _require(not unused, f"array(s) {', '.join(unused)} are not used by any layer")
-    for name, shape in shapes.items():
-        _require(len(shape) == expected[name],
-                 f"array {name!r} has shape {list(shape)}; expected {expected[name]} axes")
-    return shapes
+                 f"array {name!r} has shape {shape!r}; expected {axes} axes of non-negative "
+                 "integers")
+    return [(name, tuple(spec["shape"])) for name, spec in zip(expected, header["arrays"])]
 
 
 def load_checkpoint(path) -> NetworkParams:
@@ -413,7 +404,7 @@ def load_checkpoint(path) -> NetworkParams:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = json.loads(bytes(take(hlen)).decode())
     data = {}
-    for name, shape in _checked_header(header).items():
+    for name, shape in _checked_header(header):
         arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
         _require(np.isfinite(arr).all(), f"array {name!r} has non-finite entries")
         data[name] = arr

@@ -195,24 +195,23 @@ def check_permutation_composition(rng, trials: int) -> CheckResult:
     return _verdict("graph_permutation_composition", values, 0.0, 0.0)
 
 
+def _at_max_step(k: np.ndarray, alpha: np.ndarray) -> AdjacencyStepConfig:
+    coeffs = EquivariantCoeffs(k=k, alpha=alpha)
+    return AdjacencyStepConfig(coeffs=coeffs, h=equivariant.max_step_adjacency(coeffs))
+
+
 def check_adjacency_l1_contraction(rng, trials: int) -> CheckResult:
     def draw():
         n = int(rng.integers(3, 9))
         return (n, *_coeff_draw(rng), rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
     def evaluate(k, alpha, a, b):
-        coeffs = EquivariantCoeffs(k=k, alpha=alpha)
-        h = equivariant.max_step_adjacency(coeffs)
-        d_out = graph.l1_vec_distance(equivariant.adjacency_step_unchecked(a, coeffs, h),
-                                      equivariant.adjacency_step_unchecked(b, coeffs, h))
+        cfg = _at_max_step(k, alpha)
+        d_out = graph.l1_vec_distance(equivariant.adjacency_step(a, cfg),
+                                      equivariant.adjacency_step(b, cfg))
         return d_out - graph.l1_vec_distance(a, b)
 
     return _stacked_check("adjacency_l1_contraction", trials, draw, evaluate, -np.inf, 1e-9)
-
-
-def _at_max_step(k: np.ndarray, alpha: np.ndarray) -> AdjacencyStepConfig:
-    coeffs = EquivariantCoeffs(k=k, alpha=alpha)
-    return AdjacencyStepConfig(coeffs=coeffs, h=equivariant.max_step_adjacency(coeffs))
 
 
 def check_adjacency_equivariance(rng, trials: int) -> CheckResult:

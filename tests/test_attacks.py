@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -147,7 +148,7 @@ class TestGCNBaseline:
     def test_an_empty_validation_split_is_refused(self):
         # every epoch's validation accuracy was NaN, so the initial draw was returned
         g = small_graph(np.random.default_rng(9))
-        g = g.replace(val_mask=np.zeros(g.n, bool), test_mask=g.test_mask | g.val_mask)
+        g = dataclasses.replace(g, val_mask=np.zeros(g.n, bool), test_mask=g.test_mask | g.val_mask)
         with pytest.raises(ValueError, match="nonempty train and validation masks"):
             train_gcn(g, TrainConfig(seed=3, hidden_dim=4, epochs=20))
 
@@ -236,7 +237,6 @@ class TestEvaluateRobustness:
                                    ["csgnn"], cfg, seeds=(0,))
         from csgnn.training import train
         from csgnn.network import forward
-        import dataclasses
         params, _ = train(clean, dataclasses.replace(cfg, seed=0))
         logits, _ = forward(clean, params, mode="eval")
         assert rows[0].mean_acc == pytest.approx(

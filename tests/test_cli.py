@@ -12,6 +12,7 @@ import pytest
 import csgnn
 from csgnn import config as cfgmod
 from csgnn.cli import main
+from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, max_step_adjacency
 from csgnn.graph import load_graph
 from csgnn.network import NetworkParams, certificate, load_checkpoint, save_checkpoint
 from csgnn.graph import PerturbationBudget
@@ -398,6 +399,35 @@ class TestAttackSweep:
         assert capsys.readouterr().err == "usage error: model 'gcn' is named twice\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, budget", [
+        ("edge_ratios", "0,0.0", "0"), ("feat_eps_list", "0.5,1,0.50", "0.5"),
+    ])
+    def test_a_repeated_budget_is_usage_error(self, tmp_path, capsys, key, value, budget):
+        # a repeated edge ratio used to be trained twice and written as two identical rows;
+        # the graph does not exist, so the refusal comes before anything is loaded
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"),
+                    "--set", f"graph={tmp_path}/nope", "--set", f"{key}={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == (f"usage error: config key {key!r} lists the budget "
+                                           f"{budget} twice\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_budget_is_usage_error(self, tmp_path, capsys):
+        # it used to write a header-only results.csv and exit 0
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"),
+                    "--set", f"graph={tmp_path}/nope", "--set", "edge_ratios="])
+        assert code == 2
+        assert capsys.readouterr().err == ("usage error: attack-sweep needs a budget: edge_ratios"
+                                           " and feat_eps_list are both empty\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_unknown_model_is_usage_error(self, tmp_path, capsys):
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"),
+                    "--set", f"graph={tmp_path}/nope", "--set", "models=csgnn,mlp"])
+        assert code == 2
+        assert capsys.readouterr().err == "usage error: unknown model 'mlp'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", "n_seeds=0", "--set", "epochs=2"])
@@ -481,6 +511,43 @@ class TestCertifyCommand:
         warning = [line for line in lines if "h_feat above h_feat_safe" in line]
         assert warning == [lines[-2]]
         assert warning[0].startswith("warning: layers " + ",".join(map(str, over)) + " ")
+
+    def test_warns_when_a_layer_leaves_the_slope_uniform_regime(self, sbm_dir, trained_dir,
+                                                                 tmp_path, capsys):
+        # the last layer's adjacency step feeds nothing, so only its margin changes
+        params = load_checkpoint(trained_dir / "model.ckpt")
+        last = params.layers[-1].adjacency
+        coeffs = EquivariantCoeffs(k=np.ones(8), alpha=last.coeffs.alpha)
+        assert last.leaky_slope * -coeffs.alpha < (1 - last.leaky_slope) * np.abs(coeffs.k).sum()
+        adjacency = AdjacencyStepConfig(coeffs=coeffs, h=max_step_adjacency(coeffs),
+                                        leaky_slope=last.leaky_slope)
+        layers = (*params.layers[:-1], dataclasses.replace(params.layers[-1], adjacency=adjacency))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(dataclasses.replace(params, layers=layers), bad)
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert code == 0
+        assert lines[-2] == (f"warning: layers {len(layers)} have negative slope-uniform margin;"
+                             " the l1 nonexpansiveness of their adjacency step is not certified"
+                             " for all activation patterns")
+        assert lines[-1] == "certified output-distance bound = 0"
+        assert sum(line.startswith("warning") for line in lines) == 1
+
+    def test_an_array_list_out_of_body_order_names_the_expected_list(self, sbm_dir, trained_dir,
+                                                                       tmp_path, capsys):
+        raw = (trained_dir / "model.ckpt").read_bytes()
+        old, new = b'"name":"layer1.K"', b'"name":"layer9.K"'
+        assert old in raw
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(old, new))  # same length: the header length still holds
+        code = run(["certify", "--set", f"checkpoint={bad}", "--set", f"graph={sbm_dir}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "error: checkpoint arrays must be ['encoder', 'classifier_w', 'classifier_b',"
+            " 'layer0.K', 'layer0.k', 'layer1.K', 'layer1.k'], in this order; got ['encoder',"
+            " 'classifier_w', 'classifier_b', 'layer0.K', 'layer0.k', 'layer9.K', 'layer1.k']\n")
+        assert captured.out == ""
 
     def test_bound_matches_in_process_recomputation(self, sbm_dir, trained_dir, capsys):
         code = run(["certify",

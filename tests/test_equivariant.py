@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from csgnn import equivariant
 from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, EquivariantCoeffs,
-                               adjacency_step, adjacency_step_unchecked, adjacency_step_vjp,
+                               adjacency_step, adjacency_step_vjp,
                                build_T, build_T_raw, coeff_gradients, equivariant_linear,
                                equivariant_linear_adjoint, jacobian_l1_probe_unchecked,
                                leaky_relu, max_step_adjacency,
@@ -65,12 +66,22 @@ def kron_T_raw(k_full, n):
     return t
 
 
+@pytest.fixture
+def guard_at_ten_bounds(monkeypatch):
+    """The step guard admits up to ten times the nonexpansive bound, so a
+    probe can step past it; this module's own `max_step_adjacency` still
+    gives the true bound."""
+    bound = equivariant.max_step_adjacency
+    monkeypatch.setattr(equivariant, "max_step_adjacency", lambda coeffs: bound(coeffs) * 10.0)
+
+
 def looped_probe(a, coeffs, h, leaky_slope=0.1):
     """Reference Jacobian probe: one pair of perturbed steps per vec(A) coordinate."""
     n = a.shape[0]
     pre = equivariant_linear(a, coeffs)
     if np.any(coeffs.full() != 0.0) and np.any(np.abs(pre) < KINK_TOL):
         raise ValueError("non-smooth point: pre-activation magnitude below tolerance")
+    cfg = AdjacencyStepConfig(coeffs=coeffs, h=h, leaky_slope=leaky_slope)
     cols = np.empty((n * n, n * n))
     base = vec(a)
     for j in range(n * n):
@@ -78,8 +89,8 @@ def looped_probe(a, coeffs, h, leaky_slope=0.1):
         minus = base.copy()
         plus[j] += FD_STEP
         minus[j] -= FD_STEP
-        step_plus = adjacency_step_unchecked(unvec(plus, n), coeffs, h, leaky_slope)
-        step_minus = adjacency_step_unchecked(unvec(minus, n), coeffs, h, leaky_slope)
+        step_plus = adjacency_step(unvec(plus, n), cfg)
+        step_minus = adjacency_step(unvec(minus, n), cfg)
         cols[:, j] = (vec(step_plus) - vec(step_minus)) / (2 * FD_STEP)
     return operator_l1_norm(cols)
 
@@ -254,11 +265,10 @@ class TestAdjacencyStep:
         for _ in range(1000):
             n = int(rng.integers(3, 9))
             c = random_coeffs(rng)
-            h = max_step_adjacency(c)
+            cfg = AdjacencyStepConfig(coeffs=c, h=max_step_adjacency(c))
             a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
             d_in = l1_vec_distance(a, b)
-            d_out = l1_vec_distance(adjacency_step_unchecked(a, c, h),
-                                    adjacency_step_unchecked(b, c, h))
+            d_out = l1_vec_distance(adjacency_step(a, cfg), adjacency_step(b, cfg))
             assert d_out <= d_in + 1e-9
 
 
@@ -334,7 +344,13 @@ class TestJacobianProbe:
         with pytest.raises(ValueError, match="non-smooth"):
             jacobian_l1_probe_unchecked(a, c, 1.0)
 
-    def test_batched_probe_equals_column_loop(self):
+    def test_refuses_a_step_past_the_bound(self):
+        c = EquivariantCoeffs(k=np.full(8, 0.1), alpha=-1.0)
+        a = np.random.default_rng(0).standard_normal((3, 3))
+        with pytest.raises(ValueError, match="exceeds the nonexpansive bound"):
+            jacobian_l1_probe_unchecked(a, c, 1.01 * max_step_adjacency(c))
+
+    def test_batched_probe_equals_column_loop(self, guard_at_ten_bounds):
         rng = np.random.default_rng(12)
         done = 0
         while done < 250:
@@ -372,7 +388,7 @@ class TestJacobianProbe:
             done += 1
             assert val <= 1.0 + 1e-6
 
-    def test_oversized_step_violates_bound_somewhere(self):
+    def test_oversized_step_violates_bound_somewhere(self, guard_at_ten_bounds):
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(50):
@@ -389,13 +405,12 @@ class TestJacobianProbe:
         # A dead diagonal coordinate with active neighbours expands the l1
         # distance even at the nominal step bound; slope_uniform_margin flags it.
         c = coeffs_with(k3=1.0)
-        h = max_step_adjacency(c)
+        cfg = AdjacencyStepConfig(coeffs=c, h=max_step_adjacency(c), leaky_slope=0.1)
         assert slope_uniform_margin(c, 0.1) < 0
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
         b = a.copy()
         b[0, 0] += 1e-5
-        d_out = l1_vec_distance(adjacency_step_unchecked(a, c, h, 0.1),
-                                adjacency_step_unchecked(b, c, h, 0.1))
+        d_out = l1_vec_distance(adjacency_step(a, cfg), adjacency_step(b, cfg))
         assert d_out > l1_vec_distance(a, b) * 1.4
 
 

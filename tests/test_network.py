@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 from fractions import Fraction
 
@@ -410,6 +411,15 @@ class TestCertificate:
         assert len(calls) == 1
 
 
+# the arrays of a depth-2 checkpoint's body, in body order
+BODY_2 = ["encoder", "classifier_w", "classifier_b", "layer0.K", "layer0.k", "layer1.K", "layer1.k"]
+
+
+def _arrays_refused(found):
+    """The refusal of a depth-2 header whose arrays are `found`."""
+    return re.escape(f"arrays must be {BODY_2}, in this order; got {found}")
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -430,17 +440,65 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("depth, share_weights", [(1, False), (3, False), (3, True)])
+    def test_every_depth_round_trips_in_body_order(self, tmp_path, depth, share_weights):
+        params = random_params(np.random.default_rng(depth), 3, 4, 2, depth=depth)
+        if share_weights:
+            params = dataclasses.replace(params, layers=(params.layers[0],) * depth,
+                                         share_weights=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        header, _ = _checkpoint_parts(path)
+        assert [spec["name"] for spec in header["arrays"]] == [
+            "encoder", "classifier_w", "classifier_b",
+            *(f"layer{l}.{key}" for l in range(depth) for key in ("K", "k"))]
+        loaded = load_checkpoint(path)
+        assert loaded.share_weights == share_weights
+        for name in ("encoder", "classifier_w", "classifier_b"):
+            assert np.array_equal(getattr(loaded, name), getattr(params, name))
+        for a, b in zip(loaded.layers, params.layers, strict=True):
+            assert np.array_equal(a.feature.K, b.feature.K)
+            assert np.array_equal(a.adjacency.coeffs.k, b.adjacency.coeffs.k)
+            assert (a.feature.h, a.feature.leaky_slope) == (b.feature.h, b.feature.leaky_slope)
+            assert (a.adjacency.h, a.adjacency.leaky_slope, a.adjacency.coeffs.alpha) == (
+                b.adjacency.h, b.adjacency.leaky_slope, b.adjacency.coeffs.alpha)
+
+    def test_another_version_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        raw = path.read_bytes()
+        start = len(network._MAGIC)
+        path.write_bytes(raw[:start] + struct.pack("<I", 2) + raw[start + 4:])
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 2$"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(random_params(np.random.default_rng(8), 3, 4, 2), path)
+        path.write_bytes(path.read_bytes() + struct.pack("<d", 0.0))
+        with pytest.raises(ValueError, match="^trailing bytes in checkpoint$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("mutate, match", [
         (lambda h, arrays: h.pop("dropout_p"), "header lacks key"),
         (lambda h, arrays: h["layers"][1].pop("has_K"), "layer 1 lacks key"),
         (lambda h, arrays: h["arrays"][0].pop("shape"), "array entry lacks key"),
-        (lambda h, arrays: _drop_array(h, arrays, "layer0.K"), r"lacks array\(s\) layer0.K"),
+        # these ids name the case (a missing, repeated, unknown or moved array);
+        # the one comparison of the array list refuses all four
+        pytest.param(lambda h, arrays: _drop_array(h, arrays, "layer0.K"),
+                     _arrays_refused([name for name in BODY_2 if name != "layer0.K"]),
+                     id=r"<lambda>-lacks array\(s\) layer0.K"),
         (lambda h, arrays: h["layers"][0].update(has_W=True), "learn_w parameterization was removed"),
         (lambda h, arrays: h["layers"][1].update(parameterization="learn_w"),
          "layer 1 must be learn_k"),
         (lambda h, arrays: h["layers"][0].update(has_W="no"), "layer 0 must be learn_k"),
-        (lambda h, arrays: _append_array(h, arrays, "encoder"), "'encoder' appears twice"),
-        (lambda h, arrays: _append_array(h, arrays, "layer5.K"), "layer5.K are not used"),
+        pytest.param(lambda h, arrays: _append_array(h, arrays, "encoder"),
+                     _arrays_refused(BODY_2 + ["encoder"]), id="<lambda>-'encoder' appears twice"),
+        pytest.param(lambda h, arrays: _append_array(h, arrays, "layer5.K"),
+                     _arrays_refused(BODY_2 + ["layer5.K"]), id="<lambda>-layer5.K are not used"),
+        pytest.param(lambda h, arrays: _swap_arrays(h, arrays, 1, 2),
+                     _arrays_refused(["encoder", "classifier_b", "classifier_w", *BODY_2[3:]]),
+                     id="arrays out of body order"),
         (lambda h, arrays: h["layers"][0].update(has_K=False), "identity K"),
         (lambda h, arrays: h["layers"][1].update(has_K=1), "layer 1 must be learn_k.*got has_K 1"),
         (lambda h, arrays: h["arrays"][2].update(shape=[-2]), "shape"),
@@ -535,6 +593,12 @@ def _write_checkpoint_parts(path, header, arrays):
 def _drop_array(header, arrays, name):
     i = [spec["name"] for spec in header["arrays"]].index(name)
     del header["arrays"][i], arrays[i]
+
+
+def _swap_arrays(header, arrays, i, j):
+    specs = header["arrays"]
+    specs[i], specs[j] = specs[j], specs[i]
+    arrays[i], arrays[j] = arrays[j], arrays[i]
 
 
 def _append_array(header, arrays, name):

@@ -73,14 +73,12 @@ def test_adjacency_functions_match_per_matrix_calls(n, zero_some, symmetric):
     assert _same(h, [equivariant.max_step_adjacency(c) for c in sets])
     if zero_some:  # set 1 bounds no step; an infinite step would turn 0 * inf into NaN
         assert np.isinf(h[1]) and np.isfinite(np.delete(h, 1)).all()
-        h = rng.random(M)
-    assert _same(equivariant.adjacency_step_unchecked(a, coeffs, h, 0.3),
-                 [equivariant.adjacency_step_unchecked(a[i], sets[i], h[i], 0.3) for i in range(M)])
-    if not zero_some:
-        cfg = AdjacencyStepConfig(coeffs=coeffs, h=h)
-        assert _same(equivariant.adjacency_step(a, cfg),
-                     [equivariant.adjacency_step(a[i], AdjacencyStepConfig(coeffs=sets[i], h=h[i]))
-                      for i in range(M)])
+        h = np.minimum(rng.random(M), h)
+    cfg = AdjacencyStepConfig(coeffs=coeffs, h=h, leaky_slope=0.3)
+    assert _same(equivariant.adjacency_step(a, cfg),
+                 [equivariant.adjacency_step(a[i], AdjacencyStepConfig(coeffs=sets[i], h=h[i],
+                                                                       leaky_slope=0.3))
+                  for i in range(M)])
 
 
 def test_stacked_step_config_checks_every_step():

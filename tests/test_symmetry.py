@@ -8,6 +8,8 @@ symmetric in any memory layout, and M's row-sum shortcut for symmetric input
 gives the bits of its general form.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ class TestGraphSymmetric:
         with pytest.raises(ValueError, match="symmetric"):
             self._graph(a)
         with pytest.raises(ValueError, match="symmetric"):
-            g.replace(adjacency=a)
+            dataclasses.replace(g, adjacency=a)
 
 
 def _asymmetric_instance():

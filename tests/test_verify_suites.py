@@ -32,13 +32,12 @@ def loop_adjacency_l1_contraction(rng, trials):
     for _ in range(trials):
         n = int(rng.integers(3, 9))
         coeffs = _random_coeffs(rng)
-        h = equivariant.max_step_adjacency(coeffs)
+        cfg = AdjacencyStepConfig(coeffs=coeffs, h=equivariant.max_step_adjacency(coeffs))
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
         d_in = graph.l1_vec_distance(a, b)
-        d_out = graph.l1_vec_distance(
-            equivariant.adjacency_step_unchecked(a, coeffs, h),
-            equivariant.adjacency_step_unchecked(b, coeffs, h))
+        d_out = graph.l1_vec_distance(equivariant.adjacency_step(a, cfg),
+                                      equivariant.adjacency_step(b, cfg))
         yield d_out - d_in
 
 
