@@ -40,8 +40,15 @@ class AttackSpec:
                 raise ValueError(f"attack budgets must be finite and nonnegative, got {budget}")
 
     def budget_token(self) -> str:
-        budget = self.edge_ratio if self.kind == AttackKind.RANDOM_EDGES else self.feat_eps
-        return f"{budget:g}"
+        return format_budget(self.edge_ratio if self.kind == AttackKind.RANDOM_EDGES
+                             else self.feat_eps)
+
+
+def format_budget(budget: float) -> str:
+    """`budget` as `:g` prints it where that reads back as the same float, and
+    as its repr otherwise, so two distinct budgets never print alike."""
+    short = f"{budget:g}"
+    return short if float(short) == budget else repr(float(budget))
 
 
 def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
@@ -122,9 +129,9 @@ def gcn_baseline_forward(g: Graph, weights: GCNWeights) -> np.ndarray:
 def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     """Train the baseline on the (possibly attacked) graph as the coupled model
     is trained: the same initialization, Adam step and checkpoint selection,
-    with `config`'s seed, epochs, patience, `hidden_dim` and node-group
-    learning rate and weight decay. An Adam step that leaves a non-finite
-    weight or logit stops training at the best checkpoint so far."""
+    with `config`'s seed, epochs, patience, `hidden_dim`, learning rate and
+    weight decay. An Adam step that leaves a non-finite weight or logit stops
+    training at the best checkpoint so far."""
     require_train_and_val(g)
     rng = np.random.default_rng(config.seed)
     w = {"w1": _uniform_init(rng, g.feat_dim, config.hidden_dim),
@@ -140,7 +147,7 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
             gl = cross_entropy_logit_grad(logits, g.labels, g.train_mask)
             grads = {"w1": a_hat_f.T @ ((pre > 0) * ((a_hat @ gl) @ w["w2"].T)),
                      "w2": prop.T @ gl}
-            w, _ = adam_step(w, grads, state, config)
+            w = adam_step(w, grads, state, config)
             logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
         if not all(np.isfinite(t).all() for t in (*w.values(), logits)):
             return None

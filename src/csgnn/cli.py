@@ -16,7 +16,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import verify as verifymod
-from .attacks import MODELS, AttackKind, AttackSpec, evaluate_robustness, results_to_csv
+from .attacks import (MODELS, AttackKind, AttackSpec, evaluate_robustness, format_budget,
+                      results_to_csv)
 from .equivariant import slope_uniform_margin
 from .graph import PerturbationBudget, load_graph, save_graph
 from .network import certificate, forward, load_checkpoint, save_checkpoint
@@ -73,10 +74,11 @@ def _finite_nonnegative(x) -> bool:
 
 
 def _budget_list(settings: dict, key: str) -> list:
-    """The budgets `key` lists; a budget listed twice (0 and 0.0 are one) is a usage error."""
+    """The budgets `key` lists, none for an empty list; an empty entry is a
+    runtime error, and a budget listed twice (0 and 0.0 are one) a usage error."""
     raw = settings[key]
     try:
-        items = [float(tok) for tok in raw.split(",") if tok != ""]
+        items = [float(tok) for tok in raw.split(",")] if raw else []
     except ValueError:
         items = None
     if items is None or not all(map(_finite_nonnegative, items)):
@@ -84,7 +86,7 @@ def _budget_list(settings: dict, key: str) -> list:
                          f"nonnegative numbers, got {raw!r}")
     for i, budget in enumerate(items):
         if budget in items[:i]:
-            raise SystemExit2(f"config key {key!r} lists the budget {budget:g} twice")
+            raise SystemExit2(f"config key {key!r} lists the budget {format_budget(budget)} twice")
     return items
 
 

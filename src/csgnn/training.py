@@ -24,23 +24,16 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-GROUP_EMBED = "embed"
-GROUP_NODE = "node"
-GROUP_ADJ = "adj"
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameter surface: per-group learning rates and weight decay,
-    dropout, architecture knobs, and the step-size / contractivity margin."""
+    """Hyperparameter surface: one Adam learning rate and one decoupled weight
+    decay for every trainable tensor, dropout, architecture knobs, and the
+    step-size / contractivity margin."""
 
     epochs: int = 200
-    lr_embed: float = 1e-2
-    lr_node: float = 1e-2
-    lr_adj: float = 1e-2
-    wd_embed: float = 5e-4
-    wd_node: float = 5e-4
-    wd_adj: float = 5e-4
+    lr: float = 1e-2
+    weight_decay: float = 5e-4
     dropout_p: float = 0.0
     hidden_dim: int = 16
     num_layers: int = 2
@@ -62,7 +55,7 @@ class TrainConfig:
         for name in ("hidden_dim", "num_layers", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("lr_embed", "lr_node", "lr_adj", "wd_embed", "wd_node", "wd_adj"):
+        for name in ("lr", "weight_decay"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
@@ -75,12 +68,6 @@ class TrainConfig:
         if self.parameterization != "learn_k":
             raise ValueError(f"parameterization must be 'learn_k', got {self.parameterization!r}:"
                              " the learn_w parameterization was removed")
-
-    def group_lr(self, group: str) -> float:
-        return {GROUP_EMBED: self.lr_embed, GROUP_NODE: self.lr_node, GROUP_ADJ: self.lr_adj}[group]
-
-    def group_wd(self, group: str) -> float:
-        return {GROUP_EMBED: self.wd_embed, GROUP_NODE: self.wd_node, GROUP_ADJ: self.wd_adj}[group]
 
 
 def _masked_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> tuple:
@@ -187,16 +174,6 @@ def params_to_tensors(params: NetworkParams) -> dict:
     return out
 
 
-def tensor_group(key: str) -> str:
-    """The parameter group of a tensor key; any key not named here (the GCN
-    baseline's weights among them) is in the node group."""
-    if key in ("encoder", "classifier_w", "classifier_b"):
-        return GROUP_EMBED
-    if key.endswith(".k"):
-        return GROUP_ADJ
-    return GROUP_NODE
-
-
 def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = None,
                    g: Graph = None) -> NetworkParams:
     """New NetworkParams with updated tensors and re-clamped step sizes.
@@ -252,26 +229,26 @@ class AdamState:
                    v={k: np.zeros_like(v) for k, v in tensors.items()})
 
 
-def adam_step(tensors: dict, grads: dict, state: AdamState, config: TrainConfig):
-    """Bias-corrected Adam update with decoupled per-group weight decay.
+def adam_step(tensors: dict, grads: dict, state: AdamState, config: TrainConfig) -> dict:
+    """Bias-corrected Adam update with decoupled weight decay, at `config`'s one
+    learning rate and decay for every tensor.
 
-    Returns (new_tensors, state); the state is updated in place.
+    Returns the new tensors; the state is updated in place.
     """
     state.t += 1
     t = state.t
+    lr, wd = config.lr, config.weight_decay
     out = {}
     for key, p in tensors.items():
         grad = np.asarray(grads[key], dtype=float)
         if grad.shape != np.shape(p):
             raise ValueError(f"gradient shape mismatch for {key}")
-        lr = config.group_lr(tensor_group(key))
-        wd = config.group_wd(tensor_group(key))
         state.m[key] = BETA1 * state.m[key] + (1 - BETA1) * grad
         state.v[key] = BETA2 * state.v[key] + (1 - BETA2) * grad * grad
         m_hat = state.m[key] / (1 - BETA1 ** t)
         v_hat = state.v[key] / (1 - BETA2 ** t)
         out[key] = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)) - lr * wd * p
-    return out, state
+    return out
 
 
 def select_checkpoint(initial, epochs: int, patience: int, epoch_step):
@@ -385,9 +362,7 @@ def train(g_attacked: Graph, config: TrainConfig):
             seed_grad = cross_entropy_logit_grad(logits, g_attacked.labels, g_attacked.train_mask)
             grads = backward(trace, g_attacked, params, seed_grad)
             del trace  # one trace alive at a time
-            # a step that overflows to inf or nan stops training just below
-            with np.errstate(over="ignore", invalid="ignore"):
-                tensors, _ = adam_step(params_to_tensors(params), grads, state, config)
+            tensors = adam_step(params_to_tensors(params), grads, state, config)
             if not all(np.isfinite(t).all() for t in tensors.values()):
                 return None
             params = rebuild_params(params, tensors, config, g_attacked)
@@ -400,7 +375,10 @@ def train(g_attacked: Graph, config: TrainConfig):
                                    val_acc=val_acc, test_acc=test_acc))
         return params, val_acc
 
-    return select_checkpoint(params, config.epochs, config.patience, epoch_step), history
+    # a value that overflows to inf or nan anywhere in an epoch stops training
+    # at the check that finds it, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return select_checkpoint(params, config.epochs, config.patience, epoch_step), history
 
 
 def history_to_csv(history: list) -> str:

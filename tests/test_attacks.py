@@ -160,7 +160,7 @@ class TestGCNBaseline:
         for seed in (0, 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                w = train_gcn(g, TrainConfig(seed=seed, epochs=30, lr_node=1e30))
+                w = train_gcn(g, TrainConfig(seed=seed, epochs=30, lr=1e30))
             assert np.isfinite(w.w1).all() and np.isfinite(w.w2).all()
             assert np.isfinite(gcn_baseline_forward(g, w)).all()
 
@@ -192,6 +192,15 @@ class TestEvaluateRobustness:
         assert {(r.model, r.budget) for r in rows} == {
             ("csgnn", "0"), ("csgnn", "0.5"), ("gcn", "0"), ("gcn", "0.5")}
         assert all(r.seed_count == 2 for r in rows)
+
+    def test_close_budgets_get_distinct_cells(self):
+        # both used to print as 0.123457 and so wrote two rows with one budget cell
+        specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r) for r in (0.1234567, 0.1234568)]
+        specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e) for e in (0.0, 0.5, 1.0, 1e-300)]
+        cfg = TrainConfig(epochs=1, hidden_dim=4)
+        rows = evaluate_robustness(self._clean(), specs, ["gcn"], cfg, seeds=(0,))
+        assert [r.budget for r in rows] == ["0.1234567", "0.1234568", "0", "0.5", "1", "1e-300"]
+        assert [float(r.budget) for r in rows] == [0.1234567, 0.1234568, 0.0, 0.5, 1.0, 1e-300]
 
     def test_empty_seeds_rejected(self):
         spec = AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.0)

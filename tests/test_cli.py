@@ -145,12 +145,15 @@ def test_an_oversized_value_is_runtime_error(sbm_dir, tmp_path, capsys, command,
     ("attack-sweep", ["--set", "edge_ratios=0,abc"], "edge_ratios"),
     ("attack-sweep", ["--set", "edge_ratios=0,-1"], "edge_ratios"),
     ("attack-sweep", ["--set", "feat_eps_list=0.5,inf"], "feat_eps_list"),
+    ("attack-sweep", ["--set", "edge_ratios=0,,1,"], "edge_ratios"),
+    ("attack-sweep", ["--set", "feat_eps_list=0.5,"], "feat_eps_list"),
     ("certify", ["--set", "eps_feat=-1"], "eps_feat"),
     ("certify", ["--set", "eps_adj=-0.5"], "eps_adj"),
 ], ids=["negative-trials-scale", "zero-trials-scale", "nan-trials-scale",
         "verify-negative-seed",
         "train-negative-seed", "non-numeric-edge-ratio", "negative-edge-ratio",
-        "infinite-feature-budget", "negative-eps-feat", "negative-eps-adj"])
+        "infinite-feature-budget", "empty-edge-ratio-entry", "empty-feature-budget-entry",
+        "negative-eps-feat", "negative-eps-adj"])
 def test_a_bad_run_option_is_runtime_error_naming_its_key(sbm_dir, trained_dir, tmp_path, capsys,
                                                            command, args, key):
     argv = [command, "--out", str(tmp_path / "out"), *args]
@@ -296,8 +299,8 @@ class TestTrainCommand:
         assert "pateince" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("override", ["hidden_dim=0", "h=nan", "epochs=-3", "lr_node=nan",
-                                          "dropout_p=1"])
+    @pytest.mark.parametrize("override", ["hidden_dim=0", "h=nan", "epochs=-3", "lr=nan",
+                                          "weight_decay=-1", "dropout_p=1"])
     def test_bad_hyperparameter_is_runtime_error(self, sbm_dir, tmp_path, capsys, override):
         code = run(["train", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
                     "--set", override])
@@ -316,11 +319,12 @@ class TestTrainCommand:
         assert err.startswith(f"error: {override.split('=')[0]} must")
         assert not (tmp_path / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("override", ["lr_node=1e30", "lr_adj=1e30"])
+    @pytest.mark.parametrize("override", ["lr=1e30", "weight_decay=1e30"])
     def test_non_finite_adam_step_stops_training(self, readme_graph, tmp_path, capsys, override):
-        # at such a rate an Adam step overflows a tensor after a few epochs
-        # (it used to exit 3 from the step-bound code that read it); training
-        # stops there and keeps the best checkpoint before it
+        # at such a rate or decay an Adam step overflows a tensor after a few epochs
+        # (it used to exit 3 from the step-bound code that read it, and the
+        # forward pass after the step warned of the overflow); training stops
+        # there and keeps the best checkpoint before it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run(["train", "--out", str(tmp_path), "--seed", "0",
@@ -401,6 +405,7 @@ class TestAttackSweep:
 
     @pytest.mark.parametrize("key, value, budget", [
         ("edge_ratios", "0,0.0", "0"), ("feat_eps_list", "0.5,1,0.50", "0.5"),
+        ("edge_ratios", "0.1234567,1,0.12345670", "0.1234567"),
     ])
     def test_a_repeated_budget_is_usage_error(self, tmp_path, capsys, key, value, budget):
         # a repeated edge ratio used to be trained twice and written as two identical rows;
@@ -427,6 +432,30 @@ class TestAttackSweep:
         assert code == 2
         assert capsys.readouterr().err == "usage error: unknown model 'mlp'\n"
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_adam_step_stops_training(self, readme_graph, tmp_path, capsys):
+        # every fit stops where a step overflows, without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["attack-sweep", "--out", str(tmp_path), "--seed", "0",
+                        "--set", f"graph={readme_graph}", "--set", "models=csgnn",
+                        "--set", "lr=1e30", "--set", "edge_ratios=0,0.5", "--set", "n_seeds=2"])
+        assert code == 0, capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        rows = [line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["csgnn", "random_edges", "0"],
+                                             ["csgnn", "random_edges", "0.5"]]
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in rows)
+
+    def test_close_budgets_get_distinct_cells(self, sbm_dir, tmp_path):
+        # both used to be written as 0.123457; an empty feat_eps_list still means no
+        # feature budgets
+        code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", "models=gcn", "--set", "edge_ratios=0.1234567,0.1234568",
+                    "--set", "feat_eps_list=", "--set", "n_seeds=1", "--set", "epochs=1"])
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.1234567", "0.1234568"]
 
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
@@ -697,6 +726,25 @@ def test_each_command_rejects_a_key_it_does_not_read(tmp_path, capsys, command, 
     assert run([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, source", [("train", "override"),
+                                             ("attack-sweep", "config-line")])
+@pytest.mark.parametrize("key", ["lr_embed", "lr_node", "lr_adj", "wd_embed", "wd_node", "wd_adj"])
+def test_a_removed_per_group_key_is_usage_error(tmp_path, capsys, command, source, key):
+    # the three Adam groups merged into one lr and one weight_decay; the graph
+    # does not exist, so the refusal comes before anything is loaded
+    if source == "override":
+        argv = ["--set", f"{key}=0.01"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = 3\n{key} = 0.01\n")
+        argv = ["--config", str(config)]
+    assert run([command, "--out", str(tmp_path / "out"), "--set", f"graph={tmp_path}/nope",
+                *argv]) == 2
+    assert capsys.readouterr().err == (f"usage error: {command} does not read the config "
+                                       f"key(s) {key}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -201,17 +202,42 @@ class TestAdam:
         tensors = {"encoder": np.array([[1.0, -2.0]])}
         grads = {"encoder": np.array([[0.5, -3.0]])}
         state = AdamState.init(tensors)
-        cfg = TrainConfig(lr_embed=0.01, wd_embed=0.0)
-        out, _ = adam_step(tensors, grads, state, cfg)
+        cfg = TrainConfig(lr=0.01, weight_decay=0.0)
+        out = adam_step(tensors, grads, state, cfg)
         delta = out["encoder"] - tensors["encoder"]
         assert np.abs(delta - (-0.01 * np.sign(grads["encoder"]))).max() <= 1e-6
 
     def test_zero_gradient_keeps_parameters(self):
         tensors = {"layer0.K": np.array([[0.3]])}
         grads = {"layer0.K": np.zeros((1, 1))}
-        cfg = TrainConfig(wd_node=0.0)
-        out, _ = adam_step(tensors, grads, AdamState.init(tensors), cfg)
+        cfg = TrainConfig(weight_decay=0.0)
+        out = adam_step(tensors, grads, AdamState.init(tensors), cfg)
         assert np.array_equal(out["layer0.K"], tensors["layer0.K"])
+
+    def test_matches_a_hand_written_update_to_the_bit(self):
+        # one rate and one decay for every tensor, the GCN baseline's w1 included:
+        # each element follows the bias-corrected Adam update with decoupled
+        # weight decay, written out on Python floats
+        rng = np.random.default_rng(11)
+        shapes = {"encoder": (3, 2), "layer0.K": (2, 2), "layer0.k": (8,), "w1": (2, 4)}
+        tensors = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+        cfg = TrainConfig(lr=0.03, weight_decay=0.07)
+        state = AdamState.init(tensors)
+        expected = {key: [[float(x), 0.0, 0.0] for x in p.ravel()] for key, p in tensors.items()}
+        for t in (1, 2, 3):
+            grads = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+            tensors = adam_step(tensors, grads, state, cfg)
+            for key, elements in expected.items():
+                for elem, g in zip(elements, grads[key].ravel().tolist()):
+                    p, m, v = elem
+                    m = 0.9 * m + (1 - 0.9) * g
+                    v = 0.999 * v + (1 - 0.999) * g * g
+                    m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+                    elem[:] = [p - 0.03 * (m_hat / (math.sqrt(v_hat) + 1e-8)) - 0.03 * 0.07 * p,
+                               m, v]
+            assert state.t == t
+            for key, elements in expected.items():
+                assert tensors[key].ravel().tolist() == [elem[0] for elem in elements], key
 
     def test_alpha_stays_nonpositive_and_h_clamped(self):
         rng = np.random.default_rng(6)
@@ -276,8 +302,8 @@ class TestTrainConfigValidation:
         ("h", 0.0), ("h", -0.5), ("h", np.nan), ("h", np.inf),
         ("epochs", -3),
         ("hidden_dim", 0), ("num_layers", 0), ("patience", 0),
-        ("lr_embed", np.nan), ("lr_node", -1e-3), ("lr_adj", np.inf),
-        ("wd_embed", -1.0), ("wd_node", np.nan), ("wd_adj", np.inf),
+        ("lr", np.nan), ("lr", -1e-3), ("lr", np.inf),
+        ("weight_decay", -1.0), ("weight_decay", np.nan), ("weight_decay", np.inf),
         ("dropout_p", 1.0), ("dropout_p", -0.1), ("dropout_p", np.nan),
     ])
     def test_rejects_out_of_range_field(self, field, value):
@@ -300,8 +326,7 @@ class TestTrainConfigValidation:
 
     def test_boundary_values_accepted(self):
         TrainConfig(epochs=0, hidden_dim=1, num_layers=1, patience=1, dropout_p=0.0,
-                    lr_embed=0.0, lr_node=0.0, lr_adj=0.0, wd_embed=0.0, wd_node=0.0,
-                    wd_adj=0.0, h=1e-9)
+                    lr=0.0, weight_decay=0.0, h=1e-9)
 
 
 class TestTrain:
