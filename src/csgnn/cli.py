@@ -75,10 +75,12 @@ def _finite_nonnegative(x) -> bool:
 
 def _budget_list(settings: dict, key: str) -> list:
     """The budgets `key` lists, none for an empty list; an empty entry is a
-    runtime error, and a budget listed twice (0 and 0.0 are one) a usage error."""
+    runtime error, and a budget listed twice (0, 0.0 and -0 are one) a usage
+    error. A -0 reads as 0."""
     raw = settings[key]
     try:
-        items = [float(tok) for tok in raw.split(",")] if raw else []
+        # + 0.0 turns -0.0 into +0.0 and leaves every other float as it is
+        items = [float(tok) + 0.0 for tok in raw.split(",")] if raw else []
     except ValueError:
         items = None
     if items is None or not all(map(_finite_nonnegative, items)):

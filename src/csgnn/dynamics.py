@@ -122,13 +122,14 @@ def feature_field(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarr
 
 
 def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
-                      x_bar: np.ndarray) -> tuple:
+                      x_bar: np.ndarray, need_a_bar: bool = True) -> tuple:
     """Reverse of `feature_field`.
 
     Pulls a cotangent `x_bar` on X(F, A) back to (f_bar, a_bar, K_bar), the
     last the gradient of K. a_bar matches the edge form
     along symmetric directions, the only ones an adjacency trajectory started
-    from a symmetric A takes.
+    from a symmetric A takes. With `need_a_bar` false, a_bar, the one n x n
+    output, is not formed and None stands in its place.
     """
     scale = 1.0 + params.leaky_slope
     b = a * a
@@ -136,9 +137,18 @@ def feature_field_vjp(f: np.ndarray, a: np.ndarray, params: LayerParams,
     p_bar = -(x_bar @ symmetrized(params.K))
     u_bar = scale * p_bar
     f_bar = _laplacian_apply(b, u_bar)
-    b_bar = (u_bar * f).sum(axis=1)[:, None] - u_bar @ f.T
+    del b
     k_tilde_bar = -v.T @ x_bar
-    return f_bar, 2.0 * a * b_bar, 0.5 * (k_tilde_bar + k_tilde_bar.T)
+    k_bar = 0.5 * (k_tilde_bar + k_tilde_bar.T)
+    if not need_a_bar:
+        return f_bar, None, k_bar
+    # 2 a o b_bar, b_bar = (u_bar o F) 1 1^T - u_bar F^T, in u_bar F^T's buffer;
+    # doubling is exact, so (2 b_bar) a rounds as (2 a) b_bar
+    a_bar = u_bar @ f.T
+    np.subtract((u_bar * f).sum(axis=1)[:, None], a_bar, out=a_bar)
+    a_bar *= 2.0
+    a_bar *= a
+    return f_bar, a_bar, k_bar
 
 
 def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarray:

@@ -39,11 +39,6 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(x, y, out=y)
 
 
-def leaky_relu_prime(x: np.ndarray, slope: float) -> np.ndarray:
-    # Subgradient at the kink is resolved to the negative-side slope.
-    return np.where(x > 0, 1.0, slope)
-
-
 @dataclass(frozen=True)
 class EquivariantCoeffs:
     """Free coefficients k2..k9 plus the contractivity margin alpha <= 0.
@@ -141,11 +136,13 @@ def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs,
     return out
 
 
-def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs) -> np.ndarray:
-    """Adjoint of A -> M(A): pulls a cotangent on M(A) back to a cotangent on A."""
+def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs,
+                               m_sums: tuple = None) -> np.ndarray:
+    """Adjoint of A -> M(A): pulls a cotangent on M(A) back to a cotangent on A
+    (`m_sums`: `_sums(m_bar)`, if the caller has it)."""
     n = m_bar.shape[0]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
-    d, row, col, tot, tr = _sums(m_bar)
+    d, row, col, tot, tr = _sums(m_bar) if m_sums is None else m_sums
     out = (k3 / (2 * n) * row + k4 * d)[:, None] + (k3 / (2 * n) * col)[None, :]
     out += k5 / n**2 * tot + k6 / n * tr
     out += k1 * m_bar
@@ -153,14 +150,16 @@ def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs) -> 
     return out
 
 
-def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, assume_symmetric: bool = False) -> np.ndarray:
+def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, assume_symmetric: bool = False,
+                    m_sums: tuple = None) -> np.ndarray:
     """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients.
 
-    `assume_symmetric` promises that `a` (not `m_bar`) is exactly symmetric.
+    `assume_symmetric` promises that `a` (not `m_bar`) is exactly symmetric;
+    `m_sums` is `_sums(m_bar)`, if the caller has it.
     """
     n = a.shape[0]
     d, row, col, tot, tr = _sums(a, assume_symmetric)
-    md, mrow, mcol, mtot, mtr = _sums(m_bar)
+    md, mrow, mcol, mtot, mtr = _sums(m_bar) if m_sums is None else m_sums
     return np.array([
         float((m_bar * a).sum()),
         float(md @ d),
@@ -282,21 +281,31 @@ def adjacency_step(a: np.ndarray, cfg: AdjacencyStepConfig,
     return step
 
 
-def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarray) -> tuple:
+def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarray,
+                       need_a_bar: bool = True) -> tuple:
     """Pull a cotangent `a_bar` on A + h*sigma(M(A)) back through the step.
 
     Returns (the cotangent on A, the gradient of the free coefficients
-    k2..k9). `a` must be exactly symmetric, as every state of a trajectory
-    from a symmetric A_0 is. The derived k1 = alpha - sum |k_i| feeds each
-    k_i's gradient through -sign(k_i); the subgradient of |k_i| at zero is
-    taken as 0 (np.sign breaks the tie to 0).
+    k2..k9); with `need_a_bar` false the cotangent on A is not formed and
+    None stands in its place. `a` must be exactly symmetric, as every state
+    of a trajectory from a symmetric A_0 is. The derived k1 = alpha - sum |k_i|
+    feeds each k_i's gradient through -sign(k_i); the subgradient of |k_i| at
+    zero is taken as 0 (np.sign breaks the tie to 0).
     """
-    pre = equivariant_linear(a, cfg.coeffs, assume_symmetric=True)
-    m_bar = cfg.h * leaky_relu_prime(pre, cfg.leaky_slope) * a_bar
-    del pre
-    raw_k = coeff_gradients(a, m_bar, assume_symmetric=True)
-    a_bar = a_bar + equivariant_linear_adjoint(m_bar, cfg.coeffs)
-    return a_bar, raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)
+    # h*sigma'(M(A)) is h or h*slope by the sign of M(A), the kink resolved to
+    # the slope; M(A) is freed before the n x n product with a_bar is formed
+    positive = equivariant_linear(a, cfg.coeffs, assume_symmetric=True) > 0
+    m_bar = np.where(positive, cfg.h, cfg.h * cfg.leaky_slope)
+    del positive
+    m_bar *= a_bar
+    m_sums = _sums(m_bar)  # one transposed copy of m_bar serves both pullbacks
+    raw_k = coeff_gradients(a, m_bar, assume_symmetric=True, m_sums=m_sums)
+    k_grad = raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)
+    if not need_a_bar:
+        return None, k_grad
+    out = equivariant_linear_adjoint(m_bar, cfg.coeffs, m_sums)
+    out += a_bar  # a_bar + M^T(m_bar), in the adjoint's buffer
+    return out, k_grad
 
 
 def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: float,

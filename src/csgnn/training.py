@@ -114,6 +114,10 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     not compute it, its adjacency step is not pulled back and its share of
     the "k" gradient is zero. `g`, the graph `forward` ran on, is not read:
     the trace holds every adjacency state the pass needs.
+
+    The pullbacks form the n x n cotangent on a layer's input adjacency only
+    on request. Nothing reads the one on A_0, so layer 0 does not ask for it;
+    above layer 0 the two pullbacks' cotangents are summed in place.
     """
     L = params.depth
     if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
@@ -125,24 +129,27 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     f_bar = logit_grad @ params.classifier_w.T
     if trace.final_mask is not None:
         f_bar = f_bar * trace.final_mask
-    a_bar = np.zeros_like(trace.adjacency_states[-1])
+    a_bar = 0.0  # the unread A_L's cotangent; 0.0 + x turns a -0.0 into +0.0
     per_layer = [None] * L
 
     for l in range(L - 1, -1, -1):
         layer = params.layers[l]
         a_prev = trace.adjacency_states[l]
+        # nothing reads the cotangent on A_0, so layer 0's pullbacks skip it
+        need_a_bar = l > 0
         # adjacency step A_next = A + h*sigma(M(A))
         if l == L - 1:
             k_grad = np.zeros(8)
         else:
-            a_bar, k_grad = adjacency_step_vjp(a_prev, layer.adjacency, a_bar)
+            a_bar, k_grad = adjacency_step_vjp(a_prev, layer.adjacency, a_bar, need_a_bar)
 
         # feature step F_next = F_d + h*X(F_d, A)
         f_d_bar, a_field_bar, K_grad = feature_field_vjp(
-            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar)
-        a_bar = a_bar + a_field_bar
+            trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar, need_a_bar)
+        if need_a_bar:
+            a_bar = np.add(a_bar, a_field_bar, out=a_field_bar)
         per_layer[l] = {"K": K_grad, "k": k_grad}
-        f_d_bar = f_d_bar + f_bar
+        f_d_bar += f_bar
 
         mask = trace.layer_masks[l]
         f_bar = f_d_bar if mask is None else f_d_bar * mask

@@ -406,6 +406,8 @@ class TestAttackSweep:
     @pytest.mark.parametrize("key, value, budget", [
         ("edge_ratios", "0,0.0", "0"), ("feat_eps_list", "0.5,1,0.50", "0.5"),
         ("edge_ratios", "0.1234567,1,0.12345670", "0.1234567"),
+        # a negative zero is the budget 0, and is named so
+        ("edge_ratios", "0,-0", "0"), ("feat_eps_list", "-0.0,1,0", "0"),
     ])
     def test_a_repeated_budget_is_usage_error(self, tmp_path, capsys, key, value, budget):
         # a repeated edge ratio used to be trained twice and written as two identical rows;
@@ -456,6 +458,16 @@ class TestAttackSweep:
         assert code == 0
         rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["0.1234567", "0.1234568"]
+
+    def test_negative_zero_budget_reads_as_zero(self, sbm_dir, tmp_path):
+        # `-0` used to pass the nonnegative check and be written as the budget cell -0
+        code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
+                    "--set", "models=gcn", "--set", "edge_ratios=-0", "--set", "feat_eps_list=-0.0",
+                    "--set", "n_seeds=1", "--set", "epochs=1"])
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["random_edges", "0"],
+                                                         ["feature_noise", "0"]]
 
     def test_no_seeds_is_runtime_error(self, sbm_dir, tmp_path, capsys):
         code = run(["attack-sweep", "--out", str(tmp_path), "--set", f"graph={sbm_dir}",
