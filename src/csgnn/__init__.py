@@ -6,8 +6,8 @@ that keep each system nonexpansive, plus the attack generators, training
 engine, property suites, and certificates around it.
 """
 
-from .graph import (Graph, Permutation, PerturbationBudget, frobenius_distance,
-                    l0_distance, l1_vec_distance, load_graph, permute_graph, save_graph)
+from .graph import (Graph, PerturbationBudget, frobenius_distance, l0_distance,
+                    l1_vec_distance, load_graph, save_graph)
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                           build_T, equivariant_linear, max_step_adjacency, operator_l1_norm)
 from .dynamics import LayerParams, energy, feature_step, max_feature_step

@@ -60,15 +60,15 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
         raise ValueError("random edge attack requires a binary graph")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     m = g.num_undirected_edges()
-    n_add = int(np.floor(spec.edge_ratio * m))
+    n_add = np.floor(spec.edge_ratio * m)  # inf for a huge ratio: refused below
     if n_add == 0:
         return g
     iu, ju = np.triu_indices(g.n, k=1)
     free = g.adjacency[iu, ju] == 0.0
     candidates = np.flatnonzero(free)
     if n_add > candidates.size:
-        raise ValueError(f"not enough non-edges: need {n_add}, have {candidates.size}")
-    chosen = rng.choice(candidates, size=n_add, replace=False)
+        raise ValueError(f"not enough non-edges: need {n_add:.0f}, have {candidates.size}")
+    chosen = rng.choice(candidates, size=int(n_add), replace=False)
     out = np.array(g.adjacency)
     out[iu[chosen], ju[chosen]] = 1.0
     out[ju[chosen], iu[chosen]] = 1.0

@@ -137,12 +137,12 @@ def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs,
 
 
 def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs,
-                               m_sums: tuple = None) -> np.ndarray:
-    """Adjoint of A -> M(A): pulls a cotangent on M(A) back to a cotangent on A
-    (`m_sums`: `_sums(m_bar)`, if the caller has it)."""
+                               m_sums: tuple) -> np.ndarray:
+    """Adjoint of A -> M(A): pulls a cotangent on M(A) back to a cotangent on A,
+    given `m_sums` = `_sums(m_bar)`."""
     n = m_bar.shape[0]
     k1, k2, k3, k4, k5, k6, k7, k8, k9 = coeffs.full()
-    d, row, col, tot, tr = _sums(m_bar) if m_sums is None else m_sums
+    d, row, col, tot, tr = m_sums
     out = (k3 / (2 * n) * row + k4 * d)[:, None] + (k3 / (2 * n) * col)[None, :]
     out += k5 / n**2 * tot + k6 / n * tr
     out += k1 * m_bar
@@ -150,16 +150,15 @@ def equivariant_linear_adjoint(m_bar: np.ndarray, coeffs: EquivariantCoeffs,
     return out
 
 
-def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, assume_symmetric: bool = False,
-                    m_sums: tuple = None) -> np.ndarray:
-    """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients.
-
-    `assume_symmetric` promises that `a` (not `m_bar`) is exactly symmetric;
-    `m_sums` is `_sums(m_bar)`, if the caller has it.
+def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, m_sums: tuple) -> np.ndarray:
+    """Gradient of <m_bar, M(A)> with respect to the nine raw coefficients,
+    given `m_sums` = `_sums(m_bar)`. `a` must be exactly symmetric, as every
+    state of a trajectory from a symmetric A_0 is: its row sums serve as its
+    column sums.
     """
     n = a.shape[0]
-    d, row, col, tot, tr = _sums(a, assume_symmetric)
-    md, mrow, mcol, mtot, mtr = _sums(m_bar) if m_sums is None else m_sums
+    d, row, col, tot, tr = _sums(a, assume_symmetric=True)
+    md, mrow, mcol, mtot, mtr = m_sums
     return np.array([
         float((m_bar * a).sum()),
         float(md @ d),
@@ -176,10 +175,6 @@ def coeff_gradients(a: np.ndarray, m_bar: np.ndarray, assume_symmetric: bool = F
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking flattener (column-major order)."""
     return np.asarray(a).flatten(order="F")
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v).reshape((n, n), order="F")
 
 
 def build_T_raw(k_full: np.ndarray, n: int) -> np.ndarray:
@@ -299,7 +294,7 @@ def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarra
     del positive
     m_bar *= a_bar
     m_sums = _sums(m_bar)  # one transposed copy of m_bar serves both pullbacks
-    raw_k = coeff_gradients(a, m_bar, assume_symmetric=True, m_sums=m_sums)
+    raw_k = coeff_gradients(a, m_bar, m_sums)
     k_grad = raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)
     if not need_a_bar:
         return None, k_grad
@@ -327,8 +322,8 @@ def jacobian_l1_probe_unchecked(a: np.ndarray, coeffs: EquivariantCoeffs, h: flo
         raise ValueError("non-smooth point: pre-activation magnitude below tolerance")
     # Rows 0..m-1 of `shifted` are vec(A) + FD_STEP e_j, rows m..2m-1 are
     # vec(A) - FD_STEP e_j. Every matrix of the stack keeps the column-major
-    # layout `unvec` gives it, and `cols` is C-ordered, so the sums inside M
-    # and inside the norm round as they would one column at a time.
+    # layout of vec(A) reshaped in order "F", and `cols` is C-ordered, so the
+    # sums inside M and inside the norm round as they would one column at a time.
     shifted = np.tile(vec(a), (2 * m, 1))
     j = np.arange(m)
     shifted[j, j] += FD_STEP

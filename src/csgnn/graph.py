@@ -1,4 +1,4 @@
-"""Graph containers, node permutations, and perturbation metrics.
+"""Graph containers, perturbation metrics, and the on-disk graph format.
 
 A graph is undirected and held densely: an exactly symmetric n x n real
 adjacency matrix plus an n x c_in feature matrix, integer class labels (-1
@@ -79,38 +79,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection on node indices {0..n-1}."""
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        p = freeze(self, "perm", int)
-        n = p.shape[0]
-        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(n)):
-            raise ValueError("perm must contain each index in {0..n-1} exactly once")
-
-    @property
-    def n(self) -> int:
-        return self.perm.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Permutation matrix P with (P x)[i] = x[perm[i]]."""
-        P = np.zeros((self.n, self.n))
-        P[np.arange(self.n), self.perm] = 1.0
-        return P
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """Composition self o other: applying `other` first, then `self`.
-
-        Matches matrix composition: (self.after(other)).matrix() == self.matrix() @ other.matrix().
-        """
-        if self.n != other.n:
-            raise ValueError("permutation length mismatch")
-        return Permutation(other.perm[self.perm])
-
-
-@dataclass(frozen=True)
 class PerturbationBudget:
     """Attack budget: Frobenius bound on feature noise, vectorized-l1 bound on adjacency edits."""
 
@@ -153,21 +121,6 @@ def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
     f_star = np.asarray(f_star, dtype=float)
     _check_same_shape(f, f_star)
     return scalar_or_stack(np.sqrt(((f - f_star) ** 2).sum(axis=(-2, -1))))
-
-
-def permute_graph(g: Graph, p: Permutation) -> Graph:
-    """Relabel nodes: adjacency becomes P A P^T, features/labels/masks are row-permuted."""
-    if p.n != g.n:
-        raise ValueError(f"permutation length {p.n} does not match graph size {g.n}")
-    idx = p.perm
-    return Graph(
-        adjacency=g.adjacency[np.ix_(idx, idx)],
-        features=g.features[idx],
-        labels=g.labels[idx],
-        train_mask=g.train_mask[idx],
-        val_mask=g.val_mask[idx],
-        test_mask=g.test_mask[idx],
-    )
 
 
 # On-disk layout: edges.txt ("i j" per undirected edge, 0-indexed), features.csv

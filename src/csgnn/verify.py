@@ -24,7 +24,7 @@ import numpy as np
 from . import dynamics, equivariant, graph, network, training
 from .dynamics import LayerParams
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs
-from .graph import Graph, PerturbationBudget
+from .graph import PerturbationBudget
 from .network import CoupledLayer, NetworkParams
 from .stacks import transposed
 
@@ -180,18 +180,21 @@ def check_metric_l1_lower_bound(rng, trials: int) -> CheckResult:
 
 
 def check_permutation_composition(rng, trials: int) -> CheckResult:
+    """The relabelling the equivariance suites trust: relabelling by p, then
+    by q, is relabelling by p[q], for `_relabelled` on a symmetric adjacency
+    and `_rows_relabelled` on features and labels, and `_relabelled(a, p)` is
+    P A P^T for the permutation matrix P = I[p]."""
     values = []
     for _ in range(trials):
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n))
-        g = Graph(adjacency=a + a.T, features=rng.standard_normal((n, 2)),
-                  labels=rng.integers(0, 3, n))
-        p = graph.Permutation(rng.permutation(n))
-        q = graph.Permutation(rng.permutation(n))
-        lhs = graph.permute_graph(graph.permute_graph(g, p), q)
-        rhs = graph.permute_graph(g, q.after(p))
-        values.append(np.max([np.abs(lhs.adjacency - rhs.adjacency).max(),
-                              np.abs(lhs.features - rhs.features).max()]))
+        features, labels = rng.standard_normal((n, 2)), rng.integers(0, 3, n)[:, None]
+        p, q = rng.permutation(n), rng.permutation(n)
+        pm = np.eye(n)[p]
+        gaps = [np.abs(relabel(relabel(x, p), q) - relabel(x, p[q])).max()
+                for relabel, x in ((_relabelled, a + a.T), (_rows_relabelled, features),
+                                   (_rows_relabelled, labels))]
+        values.append(max(gaps + [np.abs(_relabelled(a, p) - pm @ a @ pm.T).max()]))
     return _verdict("graph_permutation_composition", values, 0.0, 0.0)
 
 

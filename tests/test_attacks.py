@@ -66,6 +66,15 @@ class TestRandomEdgeAttack:
         with pytest.raises(ValueError, match="non-edges"):
             random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5))
 
+    def test_a_ratio_past_the_float_range_is_too_many_edges(self):
+        # edge_ratio * m overflowed to inf, and int() of it raised OverflowError;
+        # a finite need still prints as the integer it is
+        g = small_graph(np.random.default_rng(0))
+        m = g.num_undirected_edges()
+        for ratio, need in ((1e308, "inf"), (1e20, str(int(1e20 * m)))):
+            with pytest.raises(ValueError, match=f"^not enough non-edges: need {need}, have "):
+                random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=ratio))
+
     def test_requires_binary_symmetric(self):
         for adjacency in ([[0.0, 0.5], [0.5, 0.0]], [[0.0, 2.0], [2.0, 0.0]]):
             g = Graph(adjacency=adjacency, features=np.zeros((2, 1)))

@@ -476,6 +476,17 @@ class TestAttackSweep:
         assert "config key 'n_seeds' must" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
+    def test_an_edge_ratio_past_the_float_range_is_too_many_edges(self, readme_graph, tmp_path,
+                                                                   capsys):
+        # edge_ratio * m overflowed to inf, and int() of it exited with "cannot
+        # convert float infinity to integer"
+        code = run(["attack-sweep", "--out", str(tmp_path / "out"), "--seed", "0",
+                    "--set", f"graph={readme_graph}", "--set", "edge_ratios=1e308",
+                    "--set", "epochs=1", "--set", "n_seeds=1"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: not enough non-edges: need inf, have 4664\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, Equivaria
                                build_T, build_T_raw, coeff_gradients, equivariant_linear,
                                equivariant_linear_adjoint, jacobian_l1_probe_unchecked,
                                leaky_relu, max_step_adjacency,
-                               operator_l1_norm, slope_uniform_margin, unvec, vec)
+                               operator_l1_norm, slope_uniform_margin, vec)
 from csgnn.graph import l1_vec_distance
 
 TINY = np.finfo(float).tiny           # smallest normal
@@ -89,8 +89,8 @@ def looped_probe(a, coeffs, h, leaky_slope=0.1):
         minus = base.copy()
         plus[j] += FD_STEP
         minus[j] -= FD_STEP
-        step_plus = adjacency_step(unvec(plus, n), cfg)
-        step_minus = adjacency_step(unvec(minus, n), cfg)
+        step_plus = adjacency_step(plus.reshape((n, n), order="F"), cfg)
+        step_minus = adjacency_step(minus.reshape((n, n), order="F"), cfg)
         cols[:, j] = (vec(step_plus) - vec(step_minus)) / (2 * FD_STEP)
     return operator_l1_norm(cols)
 
@@ -164,11 +164,13 @@ class TestTMatrix:
             for _ in range(20):
                 c = random_coeffs(rng)
                 a = rng.standard_normal((n, n))
+                a += a.T  # coeff_gradients reads a symmetric A
                 m = rng.standard_normal((n, n))
-                adjoint = unvec(build_T(c, n).T @ vec(m), n)
-                assert np.abs(equivariant_linear_adjoint(m, c) - adjoint).max() <= 1e-10
+                m_sums = equivariant._sums(m)
+                adjoint = (build_T(c, n).T @ vec(m)).reshape((n, n), order="F")
+                assert np.abs(equivariant_linear_adjoint(m, c, m_sums) - adjoint).max() <= 1e-10
                 basis = [build_T_raw(np.eye(9)[i], n) @ vec(a) for i in range(9)]
-                assert np.allclose(coeff_gradients(a, m), [vec(m) @ t for t in basis],
+                assert np.allclose(coeff_gradients(a, m, m_sums), [vec(m) @ t for t in basis],
                                    rtol=0, atol=1e-10)
 
     def test_index_patterns_equal_kron_reference(self):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgnn.graph import (Graph, Permutation, PerturbationBudget, frobenius_distance,
-                         l0_distance, l1_vec_distance, load_graph, permute_graph,
-                         save_graph)
+from csgnn.graph import (Graph, PerturbationBudget, frobenius_distance, l0_distance,
+                         l1_vec_distance, load_graph, save_graph)
 
 
 class TestMetrics:
@@ -82,57 +81,6 @@ def _random_graph(rng, n):
         val_mask=masks == 1,
         test_mask=masks == 2,
     )
-
-
-class TestPermutation:
-    def test_identity_leaves_graph_unchanged(self):
-        g = _random_graph(np.random.default_rng(0), 5)
-        out = permute_graph(g, Permutation(np.arange(5)))
-        assert np.array_equal(out.adjacency, g.adjacency)
-        assert np.array_equal(out.features, g.features)
-        assert np.array_equal(out.labels, g.labels)
-
-    def test_swap_fixes_symmetric_two_node_graph(self):
-        g = Graph(adjacency=[[0.0, 1.0], [1.0, 0.0]], features=np.zeros((2, 1)))
-        out = permute_graph(g, Permutation([1, 0]))
-        assert np.array_equal(out.adjacency, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_swap_hand_case(self):
-        g = Graph(adjacency=[[1.0, 2.0], [2.0, 4.0]], features=np.zeros((2, 1)))
-        out = permute_graph(g, Permutation([1, 0]))
-        assert np.array_equal(out.adjacency, [[4.0, 2.0], [2.0, 1.0]])
-
-    def test_matches_matrix_conjugation(self):
-        rng = np.random.default_rng(1)
-        g = _random_graph(rng, 6)
-        p = Permutation(rng.permutation(6))
-        pm = p.matrix()
-        out = permute_graph(g, p)
-        assert np.allclose(out.adjacency, pm @ g.adjacency @ pm.T)
-        assert np.allclose(out.features, pm @ g.features)
-
-    def test_composition_exact(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            g = _random_graph(rng, n)
-            p = Permutation(rng.permutation(n))
-            q = Permutation(rng.permutation(n))
-            lhs = permute_graph(permute_graph(g, p), q)
-            rhs = permute_graph(g, q.after(p))
-            assert np.array_equal(lhs.adjacency, rhs.adjacency)
-            assert np.array_equal(lhs.features, rhs.features)
-            assert np.array_equal(lhs.labels, rhs.labels)
-            assert np.array_equal(lhs.train_mask, rhs.train_mask)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation([0, 0, 1])
-
-    def test_length_mismatch(self):
-        g = _random_graph(np.random.default_rng(3), 4)
-        with pytest.raises(ValueError, match="length"):
-            permute_graph(g, Permutation([0, 1, 2]))
 
 
 class TestGraphValidation:

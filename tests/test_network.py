@@ -14,6 +14,8 @@ from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
 from csgnn import network
 from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, forward,
                            lipschitz_upper, load_checkpoint, save_checkpoint, weighted_distance)
+from csgnn.sbm import gen_sbm
+from csgnn.training import TrainConfig, train
 
 
 def zero_dynamics_layer(c, h=0.5):
@@ -409,6 +411,35 @@ class TestCertificate:
         certificate(rng.standard_normal((6, 4)), a0 + a0.T, params.layers,
                     PerturbationBudget(eps_feat=0.3, eps_adj=0.7))
         assert len(calls) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: training leaves Ktilde indefinite, so a trained "
+                          "model expands features past its certified bound")
+def test_a_trained_model_keeps_its_feature_certificate():
+    # the README graph and seed 0: at norm 0.5 the worst input direction moves
+    # the output by 1.1408 (gain 2.2816), against a certified 0.5
+    g = gen_sbm(100, 2, 0.1, 0.02, 8, 1.3, seed=0)
+    params, _ = train(g, TrainConfig(seed=0))
+    f0 = g.features @ params.encoder
+    states = network.adjacency_states(g.adjacency, params.layers)
+
+    def steps(x, order):
+        for l in order:
+            x = feature_step(x, states[l], params.layers[l].feature)
+        return x
+
+    # F0 -> F_L is linear, and each step is self-adjoint on a symmetric
+    # trajectory, so its adjoint takes the same steps in reverse order
+    v = np.random.default_rng(0).standard_normal(f0.shape)
+    for _ in range(200):
+        v = steps(steps(v, range(len(states))), reversed(range(len(states))))
+        v /= np.linalg.norm(v)
+    dv = 0.5 * v
+    moved = np.linalg.norm(evolve(f0 + dv, g.adjacency, params.layers)[0][-1]
+                           - evolve(f0, g.adjacency, params.layers)[0][-1])
+    budget = PerturbationBudget(eps_feat=0.5, eps_adj=0.0)
+    assert moved <= certificate(f0, g.adjacency, params.layers, budget)["bound"]
 
 
 # the arrays of a depth-2 checkpoint's body, in body order

@@ -10,7 +10,7 @@ import pytest
 
 from csgnn import training
 from csgnn.dynamics import _laplacian_apply, feature_field_vjp, symmetrized
-from csgnn.equivariant import (adjacency_step_vjp, coeff_gradients, equivariant_linear,
+from csgnn.equivariant import (_sums, adjacency_step_vjp, coeff_gradients, equivariant_linear,
                                equivariant_linear_adjoint)
 from csgnn.gradcheck import random_instance
 from csgnn.network import forward
@@ -36,8 +36,8 @@ def oracle_feature_field_vjp(f, a, params, x_bar):
 def oracle_adjacency_step_vjp(a, cfg, a_bar):
     pre = equivariant_linear(a, cfg.coeffs, assume_symmetric=True)
     m_bar = cfg.h * np.where(pre > 0, 1.0, cfg.leaky_slope) * a_bar
-    raw_k = coeff_gradients(a, m_bar, assume_symmetric=True)
-    a_bar = a_bar + equivariant_linear_adjoint(m_bar, cfg.coeffs)
+    raw_k = coeff_gradients(a, m_bar, _sums(m_bar))
+    a_bar = a_bar + equivariant_linear_adjoint(m_bar, cfg.coeffs, _sums(m_bar))
     return a_bar, raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)
 
 

@@ -16,7 +16,7 @@ import pytest
 from csgnn import dynamics, equivariant, graph, network, stacks, training
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
-                               coeff_gradients, equivariant_linear, max_step_adjacency)
+                               equivariant_linear, max_step_adjacency)
 from csgnn.graph import Graph, PerturbationBudget
 from csgnn.network import CoupledLayer, NetworkParams, certificate, evolve, forward
 from csgnn.sbm import gen_sbm
@@ -63,14 +63,6 @@ def test_adjacency_kernels_told_symmetric_match_the_check(shape, layout):
     # M sums the rows of a row-major copy, so a column-major matrix's rows
     # and columns sum to the same bits and its image stays exactly symmetric
     assert all_symmetric(image) and all_symmetric(stepped)
-
-
-@pytest.mark.parametrize("layout", [np.ascontiguousarray, _column_major])
-def test_coefficient_gradients_told_symmetric_match_the_check(layout):
-    rng = np.random.default_rng(1)
-    a = layout(_symmetric(rng, (40, 40)))
-    m_bar = rng.standard_normal((40, 40))  # not symmetric: its sums stay checked
-    assert _same(coeff_gradients(a, m_bar, assume_symmetric=True), coeff_gradients(a, m_bar))
 
 
 class TestGraphSymmetric:

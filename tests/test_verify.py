@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from csgnn import gradcheck, network
+from csgnn import gradcheck, network, verify
 from csgnn.verify import (FAIL, PASS, REPORT, all_passed, check_expansivity_bound,
-                          check_gradient_finite_difference, render_report, run_all)
+                          check_gradient_finite_difference, check_permutation_composition,
+                          render_report, run_all)
 
 
 def test_quick_run_all_passes_asserted_suites():
@@ -54,6 +55,16 @@ def test_an_unsound_certificate_fails_the_expansivity_suite(monkeypatch):
 
     monkeypatch.setattr(network, "trajectory_bound", without_adjacency_term)
     result = check_expansivity_bound(np.random.default_rng(0), 200)
+    assert result.status == FAIL
+    assert result.worst > 0
+
+
+def test_an_identity_relabelling_fails_the_permutation_suite(monkeypatch):
+    # the equivariance suites relabel with `_relabelled`; one that returned
+    # its input would pass them, and this suite must catch it
+    assert check_permutation_composition(np.random.default_rng(0), 20).status == PASS
+    monkeypatch.setattr(verify, "_relabelled", lambda a, perm: a)
+    result = check_permutation_composition(np.random.default_rng(0), 20)
     assert result.status == FAIL
     assert result.worst > 0
 
