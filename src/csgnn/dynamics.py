@@ -221,13 +221,17 @@ def _lanczos_lam_max(op, n: int) -> float:
     lies within that residual of theta, and theta never exceeds lam_max, so
     theta + residual is returned: it bounds lam_max from above whenever theta
     has converged to the top of the spectrum, which a random start vector
-    ensures with probability one.
+    ensures with probability one. The basis starts at min(n, 64) rows and
+    doubles when full, so a run that converges in a few dozen steps never
+    allocates the n x n one.
     """
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
-    basis = np.empty((n, n))  # rows are touched only as the Krylov space grows
+    basis = np.empty((min(n, 64), n))
     alphas, betas = [], []
     for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
         basis[k] = q
         v = op(q)
         alphas.append(float(q @ v))

@@ -24,6 +24,9 @@ from .stacks import any_of, freeze, per_matrix, transposed
 
 T_SIZE_GUARD = 64
 
+# M adds k1*A a block of this many rows at a time, so no n x n temporary forms
+_ROW_BLOCK = 64
+
 # Probe points closer than this to an activation kink are rejected.
 KINK_TOL = 1e-6
 FD_STEP = 1e-5
@@ -130,7 +133,8 @@ def equivariant_linear(a: np.ndarray, coeffs: EquivariantCoeffs,
     d, row, col, tot, tr = _sums(a, assume_symmetric)
     out = (k3 * row + k9 * d)[..., :, None] / (2 * n) + (k3 * col + k9 * d)[..., None, :] / (2 * n)
     out += ((k5 * tot + k7 * tr) / n**2)[..., None, None]
-    out += k1 * a
+    for i in range(0, n, _ROW_BLOCK):
+        out[..., i:i + _ROW_BLOCK, :] += k1 * a[..., i:i + _ROW_BLOCK, :]
     diag = np.arange(n)
     out[..., diag, diag] += k2 * d + k4 * row + ((k6 * tot + k8 * tr) / n)[..., None]
     return out
@@ -282,17 +286,21 @@ def adjacency_step_vjp(a: np.ndarray, cfg: AdjacencyStepConfig, a_bar: np.ndarra
 
     Returns (the cotangent on A, the gradient of the free coefficients
     k2..k9); with `need_a_bar` false the cotangent on A is not formed and
-    None stands in its place. `a` must be exactly symmetric, as every state
-    of a trajectory from a symmetric A_0 is. The derived k1 = alpha - sum |k_i|
-    feeds each k_i's gradient through -sign(k_i); the subgradient of |k_i| at
-    zero is taken as 0 (np.sign breaks the tie to 0).
+    None stands in its place, and `a_bar` is spent: the pullback overwrites
+    it with its own n x n temporary. `a` must be exactly symmetric, as every
+    state of a trajectory from a symmetric A_0 is. The derived k1 = alpha -
+    sum |k_i| feeds each k_i's gradient through -sign(k_i); the subgradient of
+    |k_i| at zero is taken as 0 (np.sign breaks the tie to 0).
     """
-    # h*sigma'(M(A)) is h or h*slope by the sign of M(A), the kink resolved to
-    # the slope; M(A) is freed before the n x n product with a_bar is formed
+    # m_bar = h*sigma'(M(A)) * a_bar: h or h*slope by the sign of M(A), the kink
+    # resolved to the slope; M(A) is freed before the product is formed, in
+    # a_bar's own buffer when the cotangent on A is not asked for
     positive = equivariant_linear(a, cfg.coeffs, assume_symmetric=True) > 0
-    m_bar = np.where(positive, cfg.h, cfg.h * cfg.leaky_slope)
+    m_bar = np.empty(positive.shape) if need_a_bar else a_bar
+    np.multiply(a_bar, cfg.h, out=m_bar, where=positive)
+    np.multiply(a_bar, cfg.h * cfg.leaky_slope, out=m_bar,
+                where=np.logical_not(positive, out=positive))
     del positive
-    m_bar *= a_bar
     m_sums = _sums(m_bar)  # one transposed copy of m_bar serves both pullbacks
     raw_k = coeff_gradients(a, m_bar, m_sums)
     k_grad = raw_k[1:] - raw_k[0] * np.sign(cfg.coeffs.k)

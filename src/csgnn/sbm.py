@@ -14,21 +14,40 @@ from .graph import Graph
 
 TRAIN_FRACTION = 0.1
 VAL_FRACTION = 0.1
+# the uniform draws are taken this many rows at a time
+_ROW_BLOCK = 64
 
 
 def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
             signal: float, seed: int) -> Graph:
+    """Seeded SBM graph; node i is in class i % classes.
+
+    Edge (i, j), i < j, is present when the (i, j) entry of one n x n uniform
+    draw falls below its class pair's probability. That draw is taken a block
+    of rows at a time from the same generator, so it is the same stream and
+    no n x n temporary forms beside the adjacency. Every class must get a
+    train, a validation and a test node, so n // classes must be at least 3.
+    """
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError("need 0 <= p_out < p_in <= 1")
-    if n < classes or classes < 2 or feat_dim < 1:
+    if classes < 2 or feat_dim < 1:
         raise ValueError("degenerate size parameters")
+    if n // classes < 3:
+        raise ValueError(f"n={n} and classes={classes} leave a class without a train, a"
+                         " validation and a test node: n // classes must be at least 3")
+    if not np.isfinite(signal):
+        raise ValueError(f"signal must be finite, got {signal}")
     rng = np.random.default_rng(seed)
 
     labels = np.arange(n) % classes
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    adjacency = (upper | upper.T).astype(float)
+    adjacency = np.zeros((n, n))  # allocated before any draw: an oversized n fails at once
+    for i in range(0, n, _ROW_BLOCK):
+        block = slice(i, i + _ROW_BLOCK)
+        prob = np.where(labels[block, None] == labels[None, :], p_in, p_out)
+        # rows i.. of the uniform draw, kept above the diagonal, and mirrored
+        upper = np.triu(rng.random(prob.shape) < prob, k=i + 1)[:, i:]
+        adjacency[block, i:] = upper
+        adjacency[i:, block] += upper.T
 
     means = np.zeros((classes, feat_dim))
     for k in range(classes):

@@ -116,8 +116,13 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
     the trace holds every adjacency state the pass needs.
 
     The pullbacks form the n x n cotangent on a layer's input adjacency only
-    on request. Nothing reads the one on A_0, so layer 0 does not ask for it;
-    above layer 0 the two pullbacks' cotangents are summed in place.
+    on request. Nothing reads the one on A_0, so layer 0 does not ask for it
+    and its adjacency pullback spends the cotangent on A_1 in place; above
+    layer 0 the two pullbacks' cotangents are summed in place.
+
+    The trace is spent: each layer's input adjacency is taken off
+    `trace.adjacency_states` as that layer is pulled back, so the list is
+    empty on return and A_l is freed before the layers below it run.
     """
     L = params.depth
     if len(trace.adjacency_states) != L or len(trace.layer_dropped) != L:
@@ -134,7 +139,7 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
 
     for l in range(L - 1, -1, -1):
         layer = params.layers[l]
-        a_prev = trace.adjacency_states[l]
+        a_prev = trace.adjacency_states.pop()  # A_l, the last one left
         # nothing reads the cotangent on A_0, so layer 0's pullbacks skip it
         need_a_bar = l > 0
         # adjacency step A_next = A + h*sigma(M(A))
@@ -148,6 +153,7 @@ def backward(trace: ForwardTrace, g: Graph, params: NetworkParams,
             trace.layer_dropped[l], a_prev, layer.feature, layer.feature.h * f_bar, need_a_bar)
         if need_a_bar:
             a_bar = np.add(a_bar, a_field_bar, out=a_field_bar)
+            del a_field_bar  # a_bar alone holds the buffer, which layer 0 spends
         per_layer[l] = {"K": K_grad, "k": k_grad}
         f_d_bar += f_bar
 

@@ -215,6 +215,37 @@ class TestGenSbm:
         assert run(["gen-sbm", "--out", str(tmp_path), "--set", "p_in=0.1",
                     "--set", "p_out=0.5"]) == 3
 
+    @pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
+    def test_a_non_finite_signal_is_named(self, tmp_path, capsys, signal):
+        # it used to reach Graph, whose error blamed the generated entries
+        assert run(["gen-sbm", "--out", str(tmp_path / "out"), "--set", f"signal={signal}"]) == 3
+        assert capsys.readouterr().err == f"error: signal must be finite, got {float(signal)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, classes", [(3, 3), (4, 2), (5, 2), (8, 3), (1, 2)])
+    def test_a_class_without_a_train_a_validation_and_a_test_node_is_refused(
+            self, tmp_path, capsys, n, classes):
+        # n=3, classes=3 wrote an empty validation split, which train refused;
+        # n=4, classes=2 wrote no test node, and train printed test_acc = nan
+        assert run(["gen-sbm", "--out", str(tmp_path / "out"), "--set", f"n={n}",
+                    "--set", f"classes={classes}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: n={n} and classes={classes} leave a class without a train, a validation"
+            " and a test node: n // classes must be at least 3\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, classes", [(9, 3), (7, 2)])
+    def test_the_smallest_sizes_allowed_train_with_every_split_filled(self, tmp_path, capsys,
+                                                                        n, classes):
+        assert run(["gen-sbm", "--out", str(tmp_path / "graph"), "--set", f"n={n}",
+                    "--set", f"classes={classes}", "--set", "p_in=0.5"]) == 0
+        g = load_graph(tmp_path / "graph")
+        for mask in (g.train_mask, g.val_mask, g.test_mask):
+            assert set(g.labels[mask]) == set(range(classes))
+        assert run(["train", "--out", str(tmp_path / "run"), "--set", f"graph={tmp_path}/graph",
+                    "--set", "epochs=2"]) == 0
+        assert "test_acc = nan" not in capsys.readouterr().out
+
 
 class TestTrainCommand:
     def test_writes_expected_artifacts(self, trained_dir):
