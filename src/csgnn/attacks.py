@@ -72,6 +72,7 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     out = np.array(g.adjacency)
     out[iu[chosen], ju[chosen]] = 1.0
     out[ju[chosen], iu[chosen]] = 1.0
+    out.setflags(write=False)  # so that Graph keeps it without a copy
     return dataclasses.replace(g, adjacency=out)
 
 

@@ -254,7 +254,14 @@ def _lanczos_lam_max(op, n: int) -> float:
 
 
 def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0) -> float:
-    """Step bound h_safe = 1/(lam_est + eps) for the layer's linearized field.
+    """Step bound h_safe for the layer on adjacency `a`: `feature_step_bound`
+    of the graph term ||G(A)||_2^2. Stacks give one bound per matrix."""
+    return feature_step_bound(gradient_operator_sq_norm(a), params, l1_radius)
+
+
+def feature_step_bound(s2, params: LayerParams, l1_radius: float = 0.0) -> float:
+    """Step bound h_safe = 1/(lam_est + eps) for the layer's linearized field,
+    from the graph term s2 = ||G(A)||_2^2 of `gradient_operator_sq_norm`.
 
     For positive definite Ktilde the estimate folds in the conditioning
     lam_max^2/lam_min so that h <= h_safe guarantees energy descent and
@@ -262,16 +269,15 @@ def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0)
     operator-norm estimate, a stability clamp only.
 
     A positive `l1_radius` makes the bound hold uniformly over every adjacency
-    matrix within that vectorized-l1 distance of `a` (the gradient operator is
+    matrix within that vectorized-l1 distance of A (the gradient operator is
     linear in A with ||G(dA)||_2 <= 2 ||vec(dA)||_1).
 
-    For a stack of adjacency matrices and a stacked `params` (and optionally
+    For one s2 per matrix of a stack and a stacked `params` (and optionally
     one radius per matrix), one bound per matrix. Squares are taken with
     `np.float_power`, the libm `pow` a float's `** 2` calls; an array's `** 2`
     rounds as x * x, which differs in the last bit on about one value in a
     thousand.
     """
-    s2 = gradient_operator_sq_norm(a)
     if any_of(l1_radius > 0.0):
         s2 = np.where(l1_radius > 0.0, np.float_power(np.sqrt(s2) + 2.0 * l1_radius, 2), s2)
     eigs = np.linalg.eigvalsh(symmetrized(params.K))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dynamics
 from .stacks import all_symmetric, any_of, freeze, scalar_or_stack
 
 
@@ -73,9 +74,16 @@ class Graph:
         """Whether every adjacency entry is 0 or 1; checked on first use only."""
         return bool(np.all((self.adjacency == 0.0) | (self.adjacency == 1.0)))
 
+    @functools.cached_property
+    def gradient_operator_sq_norm(self) -> float:
+        """||G(A)||_2^2 of the adjacency, the graph term of every step bound on
+        it; computed on first use only. One float: a Graph caches no n x n array."""
+        return dynamics.gradient_operator_sq_norm(self.adjacency)
+
     def num_undirected_edges(self) -> int:
         """Count of off-diagonal undirected edges (nonzero entries above the diagonal)."""
-        return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
+        a = self.adjacency
+        return int((np.count_nonzero(a) - np.count_nonzero(np.diagonal(a))) // 2)
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,8 @@ def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
 # masks.csv (header train,val,test then 0/1 rows). Loader symmetrizes edges.
 
 _FLOAT_FMT = "%.17g"
+# edges.txt is written this many adjacency rows at a time
+_ROW_BLOCK = 64
 
 
 def save_graph(g: Graph, out_dir) -> None:
@@ -135,10 +145,11 @@ def save_graph(g: Graph, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if not g.binary:
         raise ValueError("edge-list format only stores binary adjacency matrices")
-    rows, cols = np.nonzero(np.triu(g.adjacency))
     with open(out / "edges.txt", "w", newline="\n") as fh:
-        for i, j in zip(rows, cols):
-            fh.write(f"{i} {j}\n")
+        for i in range(0, g.n, _ROW_BLOCK):
+            # the nonzeros on and above the diagonal of rows i.., in row-major order
+            rows, cols = np.nonzero(np.triu(g.adjacency[i:i + _ROW_BLOCK], k=i))
+            fh.write("".join(f"{r} {c}\n" for r, c in zip((rows + i).tolist(), cols.tolist())))
     np.savetxt(out / "features.csv", g.features, fmt=_FLOAT_FMT, delimiter=",", newline="\n")
     np.savetxt(out / "labels.csv", g.labels[:, None], fmt="%d", newline="\n")
     masks = np.stack([g.train_mask, g.val_mask, g.test_mask], axis=1).astype(int)
@@ -171,6 +182,7 @@ def load_graph(in_dir) -> Graph:
             raise ValueError("edge index exceeds node count implied by features.csv")
         adjacency[edges[:, 0], edges[:, 1]] = 1.0
         adjacency[edges[:, 1], edges[:, 0]] = 1.0
+    adjacency.setflags(write=False)  # so that Graph keeps it without a copy
     labels = _load_table(src / "labels.csv", dtype=int, ndmin=1)
     masks = _load_table(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
     if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():

@@ -43,11 +43,14 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
     adjacency = np.zeros((n, n))  # allocated before any draw: an oversized n fails at once
     for i in range(0, n, _ROW_BLOCK):
         block = slice(i, i + _ROW_BLOCK)
-        prob = np.where(labels[block, None] == labels[None, :], p_in, p_out)
-        # rows i.. of the uniform draw, kept above the diagonal, and mirrored
-        upper = np.triu(rng.random(prob.shape) < prob, k=i + 1)[:, i:]
+        same = labels[block, None] == labels[None, :]
+        u = rng.random(same.shape)
+        # rows i.. of the uniform draw below their class pair's probability,
+        # kept above the diagonal, and mirrored
+        upper = np.triu(np.where(same, u < p_in, u < p_out), k=i + 1)[:, i:]
+        del u, same  # before the next block's are drawn
         adjacency[block, i:] = upper
-        adjacency[i:, block] += upper.T
+        np.copyto(adjacency[i:, block], 1.0, where=upper.T)  # `+=` would cast a float copy
 
     means = np.zeros((classes, feat_dim))
     for k in range(classes):
@@ -65,5 +68,6 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
         val[idx[n_train:n_train + n_val]] = True
         test[idx[n_train + n_val:]] = True
 
+    adjacency.setflags(write=False)  # so that Graph keeps it without a copy
     return Graph(adjacency=adjacency, features=features, labels=labels,
                  train_mask=train, val_mask=val, test_mask=test)

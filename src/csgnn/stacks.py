@@ -4,7 +4,7 @@ A stack has shape (..., n, m). A per-matrix quantity (a step size, a
 coefficient, a distance, a bound) is a scalar for one matrix and an array
 over the stack's leading axes for a stack. Each matrix of a stack gets the
 bits a call on that matrix alone gives. `freeze` is how every frozen
-container stores its arrays: as read-only copies.
+container stores its arrays: read-only, and copied unless already safe to keep.
 """
 
 from __future__ import annotations
@@ -39,10 +39,18 @@ def all_symmetric(a: np.ndarray) -> bool:
 
 
 def freeze(obj, name: str, dtype=float, default=None) -> np.ndarray:
-    """Set field `name` of the frozen dataclass `obj` to a read-only copy, as
-    `dtype`, of its value (of `default` where that is None); returns the copy."""
+    """Set field `name` of the frozen dataclass `obj` to a read-only array, as
+    `dtype`, of its value (of `default` where that is None); returns the array.
+
+    An ndarray that is read-only, owns its data and has that dtype is kept as
+    it is; any other value is copied, a writable array or a view of one too.
+    """
     value = getattr(obj, name)
-    arr = np.array(default if value is None else value, dtype=dtype)
+    if value is None:
+        value = default
+    keep = (type(value) is np.ndarray and value.dtype == dtype
+            and not value.flags.writeable and value.flags.owndata)
+    arr = value if keep else np.array(value, dtype=dtype)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr

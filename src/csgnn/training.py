@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LayerParams, feature_field_vjp, max_feature_step
+from .dynamics import (LayerParams, feature_field_vjp, feature_step_bound,
+                       gradient_operator_sq_norm)
 from .equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step_vjp,
                           max_step_adjacency)
 from .graph import Graph
@@ -195,7 +196,8 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     coefficients. Given the graph `g`, each feature step is clamped to
     min(configured h, max_feature_step(A_l, layer)) against the new K and
     the layer's own adjacency state A_l, stepped from g's adjacency with the
-    new coefficients. The clamp is a projection: no gradient flows through it.
+    new coefficients; layer 0's graph term is the one `g` caches. The clamp
+    is a projection: no gradient flows through it.
     Without `config` the stored step sizes are the starting point, and without
     `g` the feature steps stay as stored; one of `tensors` may then be a stack
     (see `NetworkParams`), which gets one adjacency clamp per member.
@@ -213,9 +215,12 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
                                         h=fp.h if config is None else config.h),
             adjacency=dataclasses.replace(layer.adjacency, coeffs=coeffs, h=h_adj)))
     if g is not None:
+        # layer 0 reads g's own adjacency, whose graph term g computes once
+        s2 = [g.gradient_operator_sq_norm] + [
+            gradient_operator_sq_norm(a) for a in adjacency_states(g.adjacency, layers)[1:]]
         layers = [dataclasses.replace(layer, feature=dataclasses.replace(
-                      layer.feature, h=min(layer.feature.h, max_feature_step(a, layer.feature))))
-                  for layer, a in zip(layers, adjacency_states(g.adjacency, layers))]
+                      layer.feature, h=min(layer.feature.h, feature_step_bound(s, layer.feature))))
+                  for layer, s in zip(layers, s2)]
     return NetworkParams(
         encoder=tensors["encoder"],
         layers=tuple(layers),
@@ -341,7 +346,7 @@ def require_train_and_val(g: Graph) -> None:
         raise ValueError("training requires nonempty train and validation masks")
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochRecord:
     epoch: int
     train_loss: float

@@ -61,6 +61,15 @@ class TestRandomEdgeAttack:
         assert np.array_equal(out.val_mask, g.val_mask)
         assert np.array_equal(out.test_mask, g.test_mask)
 
+    def test_an_edge_attack_shares_the_clean_graphs_other_arrays(self):
+        # Graph kept read-only copies of every array it was handed, so each
+        # attacked graph held a copy of the clean features
+        g = gen_sbm(n=60, classes=2, p_in=0.2, p_out=0.05, feat_dim=3, signal=1.0, seed=0)
+        out = random_edge_attack(g, AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=0.5))
+        for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+            assert getattr(out, name) is getattr(g, name)
+        assert not np.shares_memory(out.adjacency, g.adjacency)
+
     def test_runs_out_of_non_edges(self):
         g = Graph(adjacency=(np.ones((4, 4)) - np.eye(4)), features=np.zeros((4, 1)))
         with pytest.raises(ValueError, match="non-edges"):

@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csgnn import dynamics
 from csgnn.graph import (Graph, PerturbationBudget, frobenius_distance, l0_distance,
                          l1_vec_distance, load_graph, save_graph)
 
@@ -83,6 +85,11 @@ def _random_graph(rng, n):
     )
 
 
+def _random_binary_graph(rng, n, p=0.1, self_loops=False):
+    upper = np.triu(rng.random((n, n)) < p, k=0 if self_loops else 1)
+    return Graph(adjacency=(upper | upper.T).astype(float), features=rng.standard_normal((n, 2)))
+
+
 class TestGraphValidation:
     def test_rejects_non_square_adjacency(self):
         with pytest.raises(ValueError, match="square"):
@@ -113,6 +120,38 @@ class TestGraphValidation:
         assert "binary" not in vars(g)
         assert g.binary is False and vars(g)["binary"] is False
         assert Graph(adjacency=[[0.0, 1.0], [1.0, 1.0]], features=np.zeros((2, 1))).binary is True
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_undirected_edges_counted_without_an_upper_triangle_copy(self, self_loops):
+        # the count used to read np.triu's n x n copy; it must stay a Python
+        # int, since a numpy one makes random_edge_attack's overflowing need
+        # raise numpy's overflow warning instead of its refusal
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 9, 70):
+            upper = np.triu(rng.random((n, n)) < 0.3, k=0 if self_loops else 1)
+            a = (upper | upper.T) * rng.choice([-2.0, 0.5, 1.0], (n, n))
+            a = np.triu(a) + np.triu(a, k=1).T
+            g = Graph(adjacency=a, features=np.zeros((n, 1)))
+            count = g.num_undirected_edges()
+            assert type(count) is int
+            assert count == np.count_nonzero(np.triu(a, k=1))
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_graph_term_cached_with_the_bits_of_a_fresh_call(self, n):
+        # n = 40 takes the dense eigvalsh path, n = 300 the Lanczos one
+        g = _random_binary_graph(np.random.default_rng(n), n)
+        assert "gradient_operator_sq_norm" not in vars(g)
+        fresh = dynamics.gradient_operator_sq_norm(np.array(g.adjacency))
+        assert g.gradient_operator_sq_norm == fresh
+        assert vars(g)["gradient_operator_sq_norm"] == fresh and type(fresh) is float
+
+    def test_a_replaced_adjacency_gets_its_own_graph_term(self):
+        g = _random_binary_graph(np.random.default_rng(8), 30)
+        before = g.gradient_operator_sq_norm
+        h = dataclasses.replace(g, adjacency=2.0 * g.adjacency)
+        assert h.gradient_operator_sq_norm == dynamics.gradient_operator_sq_norm(h.adjacency)
+        assert h.gradient_operator_sq_norm != before
+        assert g.gradient_operator_sq_norm == before
 
     def test_budget_nonnegative(self):
         with pytest.raises(ValueError):
@@ -160,6 +199,17 @@ class TestGraphIO:
         g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="binary"):
             save_graph(g, tmp_path)
+
+    @pytest.mark.parametrize("n, self_loops", [(150, True), (150, False), (5, False)])
+    def test_edge_list_bytes_match_a_per_edge_oracle(self, tmp_path, n, self_loops):
+        # the writer used to loop over the edges; n = 150 spans three row blocks
+        rng = np.random.default_rng(n)
+        g = _random_binary_graph(rng, n, p=0.0 if n == 5 else 0.1, self_loops=self_loops)
+        save_graph(g, tmp_path)
+        rows, cols = np.nonzero(np.triu(g.adjacency))
+        oracle = "".join(f"{i} {j}\n" for i, j in zip(rows, cols)).encode()
+        assert (tmp_path / "edges.txt").read_bytes() == oracle
+        assert self_loops == bool(np.any(rows == cols))
 
     @pytest.mark.parametrize("name, text", [
         ("edges.txt", "0.5 1\n"),

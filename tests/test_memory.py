@@ -1,13 +1,15 @@
 """tracemalloc peaks at n=300, in units of one n x n float64 array, of the
 phases that hold adjacency-sized arrays: one training epoch, the SBM
-generator and the Lanczos step bound. Each phase runs once before it is
-measured, so one-time allocations (lazy imports, caches) are not counted."""
+generator, the graph loader and the Lanczos step bound. Each phase runs once
+before it is measured, so one-time allocations (lazy imports, caches) are not
+counted."""
 
 import tracemalloc
 
 import numpy as np
 
 from csgnn import dynamics
+from csgnn.graph import load_graph, save_graph
 from csgnn.sbm import gen_sbm
 from csgnn.training import TrainConfig, train
 
@@ -38,11 +40,19 @@ def test_a_training_epoch_holds_about_two_adjacency_sized_arrays():
     assert peak <= 2.75, peak
 
 
-def test_gen_sbm_holds_about_two_adjacency_sized_arrays():
-    # the adjacency and Graph's read-only copy of it, plus one block of rows
-    # of the draw; the one-shot n x n draw read 3.58
+def test_gen_sbm_holds_about_one_adjacency_sized_array():
+    # the adjacency, which Graph keeps as it is, plus one block of rows of
+    # the draw; Graph's read-only copy read 2.50, the one-shot n x n draw 3.58
     peak = peak_in_adjacency_arrays(readme_like_graph)
-    assert peak <= 2.6, peak
+    assert peak <= 1.4, peak
+
+
+def test_load_graph_holds_about_one_adjacency_sized_array(tmp_path):
+    # the adjacency, which Graph keeps as it is, plus the symmetry check's
+    # boolean matrix; Graph's read-only copy read 2.38
+    save_graph(readme_like_graph(), tmp_path)
+    peak = peak_in_adjacency_arrays(lambda: load_graph(tmp_path))
+    assert peak <= 1.4, peak
 
 
 def test_the_lanczos_step_bound_holds_about_one_adjacency_sized_array():

@@ -215,3 +215,27 @@ def test_network_takes_one_stacked_tensor(key, mode):
     losses = [masked_cross_entropy(x, g.labels, g.train_mask) for x in want]
     assert all(type(x) is float for x in losses)
     assert _same(masked_cross_entropy(np.array(want), g.labels, g.train_mask), losses)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def test_freeze_keeps_only_a_read_only_array_that_owns_its_data():
+    base = np.arange(9.0).reshape(3, 3)
+    cases = [
+        (_read_only(base.copy()), True),
+        (base, False),  # writable
+        (_read_only(base[:]), False),  # a read-only view of a writable array
+        (_read_only(base.astype(np.float32)), False),  # another dtype
+        (base.tolist(), False),
+    ]
+    for value, kept in cases:
+        k = LayerParams(h=0.5, K=value).K
+        assert (k is value) == kept
+        assert not k.flags.writeable and k.dtype == float
+        assert np.array_equal(k, base)
+        if not kept and isinstance(value, np.ndarray):
+            assert not np.shares_memory(k, base)
+

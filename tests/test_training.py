@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -368,6 +369,24 @@ class TestTrain:
             assert layer.adjacency.coeffs.alpha <= 0.0
             assert layer.adjacency.h <= max_step_adjacency(layer.adjacency.coeffs) * (1 + 1e-12)
             assert layer.feature.h <= max_feature_step(a, layer.feature) * (1 + 1e-12)
+
+    def test_training_computes_layer_0s_graph_term_once(self, monkeypatch):
+        # rebuild_params recomputed ||G(A_0)||^2 after every Adam step, so
+        # three epochs evaluated it four times
+        g = self._graph()
+        on_a0, fn = [], dynamics.gradient_operator_sq_norm
+
+        def counting(a):
+            on_a0.append(a is g.adjacency)
+            return fn(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("csgnn") and getattr(module, "gradient_operator_sq_norm", None) is fn:
+                monkeypatch.setattr(module, "gradient_operator_sq_norm", counting)
+        _, history = train(g, TrainConfig(epochs=3, seed=0, hidden_dim=4, num_layers=2))
+        assert len(history) == 3
+        assert sum(on_a0) == 1
+        assert len(on_a0) == 5  # and A_1's term, once per rebuild
 
     def test_step_bounds_hold_on_the_lanczos_path(self):
         g = gen_sbm(n=300, classes=2, p_in=0.1, p_out=0.02, feat_dim=4, signal=1.3, seed=0)
