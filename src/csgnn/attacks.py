@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, edge_array
 from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
                        cross_entropy_logit_grad, require_train_and_val, select_checkpoint, train)
 from .network import forward
@@ -55,6 +55,8 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     """Add floor(edge_ratio * m) distinct undirected non-edges, chosen uniformly.
 
     Never removes edges, never adds self-loops; labels and masks are untouched.
+    The pairs i < j are numbered row by row, and the draw picks positions
+    among the non-edges in that order, in O(m log m) time and memory.
     """
     if not g.binary:
         raise ValueError("random edge attack requires a binary graph")
@@ -63,17 +65,23 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     n_add = np.floor(spec.edge_ratio * m)  # inf for a huge ratio: refused below
     if n_add == 0:
         return g
-    iu, ju = np.triu_indices(g.n, k=1)
-    free = g.adjacency[iu, ju] == 0.0
-    candidates = np.flatnonzero(free)
-    if n_add > candidates.size:
-        raise ValueError(f"not enough non-edges: need {n_add:.0f}, have {candidates.size}")
-    chosen = rng.choice(candidates, size=int(n_add), replace=False)
-    out = np.array(g.adjacency)
-    out[iu[chosen], ju[chosen]] = 1.0
-    out[ju[chosen], iu[chosen]] = 1.0
-    out.setflags(write=False)  # so that Graph keeps it without a copy
-    return dataclasses.replace(g, adjacency=out)
+    n = g.n
+    # pair (i, i+1), the first of row i, has number row_start[i]
+    row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    i, j = g.edges[g.edges[:, 0] < g.edges[:, 1]].T
+    taken = row_start[i] + j - i - 1  # the edges' numbers, increasing
+    free = n * (n - 1) // 2 - taken.size
+    if n_add > free:
+        raise ValueError(f"not enough non-edges: need {n_add:.0f}, have {free}")
+    pick = rng.choice(free, size=int(n_add), replace=False)
+    # the k-th non-edge is pair k + (the number of edges with at most k
+    # non-edges before them)
+    pair = pick + np.searchsorted(taken - np.arange(taken.size), pick, side="right")
+    rows = np.searchsorted(row_start, pair, side="right") - 1
+    cols = pair - row_start[rows] + rows + 1
+    edges = edge_array(n, np.concatenate([g.edges[:, 0], rows]),
+                       np.concatenate([g.edges[:, 1], cols]))
+    return dataclasses.replace(g, edges=edges, weights=np.ones(len(edges)))
 
 
 def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:

@@ -1,10 +1,10 @@
 """Graph containers, perturbation metrics, and the on-disk graph format.
 
-A graph is undirected and held densely: an exactly symmetric n x n real
-adjacency matrix plus an n x c_in feature matrix, integer class labels (-1
-marks unlabeled nodes) and three disjoint boolean split masks. Attack budgets
-are measured with the l0 edit count, the vectorized l1 norm, and the Frobenius
-norm.
+A graph is undirected and held by its m edges, the upper triangle of an
+exactly symmetric n x n real adjacency, plus an n x c_in feature matrix,
+integer class labels (-1 marks unlabeled nodes) and three disjoint boolean
+split masks. Attack budgets are measured with the l0 edit count, the
+vectorized l1 norm, and the Frobenius norm.
 """
 
 from __future__ import annotations
@@ -20,35 +20,61 @@ from . import dynamics
 from .stacks import all_symmetric, any_of, freeze, scalar_or_stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable dense undirected graph with features, labels and split masks.
+    """Immutable undirected graph with features, labels and split masks.
 
-    Construction (`dataclasses.replace` included) raises ValueError on an
-    adjacency that is not exactly symmetric, or on a non-finite adjacency or
-    feature entry: everything downstream relies on that.
+    `edges` is an (m, 2) integer array of the pairs (i, j), 0 <= i <= j < n,
+    that carry a nonzero adjacency entry, each once and in row-major order,
+    and `weights` holds their m entries (all ones where not given). Symmetry
+    holds by construction, and `adjacency` builds the dense matrix afresh on
+    each access: a Graph keeps no n x n array.
+
+    A dense `adjacency` is converted once, after the checks that it is square
+    and exactly symmetric; it replaces any `edges` given beside it, so
+    `dataclasses.replace(g, adjacency=a)` gives a graph on `a`. Its zero
+    entries, -0.0 included, carry no edge, so the rebuilt matrix holds +0.0
+    there. Construction (`dataclasses.replace` included) raises ValueError on
+    a dense adjacency that is not exactly symmetric, on edges out of their
+    form, or on a non-finite adjacency or feature entry: everything
+    downstream relies on that.
     """
 
-    adjacency: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
     features: np.ndarray
-    labels: np.ndarray = None
-    train_mask: np.ndarray = None
-    val_mask: np.ndarray = None
-    test_mask: np.ndarray = None
+    labels: np.ndarray
+    train_mask: np.ndarray
+    val_mask: np.ndarray
+    test_mask: np.ndarray
 
-    def __post_init__(self):
-        adj = freeze(self, "adjacency")
+    def __init__(self, adjacency=None, features=None, labels=None, train_mask=None,
+                 val_mask=None, test_mask=None, *, edges=None, weights=None):
+        n = None
+        if adjacency is not None:
+            edges, weights, n = _upper_triangle(adjacency)
+        # the raw values, which `freeze` reads and replaces: the class is frozen
+        vars(self).update(edges=edges, weights=weights, features=features, labels=labels,
+                          train_mask=train_mask, val_mask=val_mask, test_mask=test_mask)
         feat = freeze(self, "features")
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if not all_symmetric(adj):
-            # NaN equals nothing, so this also rejects any NaN entry
-            raise ValueError("adjacency must be exactly symmetric (an undirected graph), without NaN")
-        if np.isinf(adj).any() or not np.isfinite(feat).all():
+        edges = freeze(self, "edges", int, default=np.empty((0, 2), dtype=int))
+        weights = freeze(self, "weights", default=np.ones(len(edges)))
+        if not (np.isfinite(weights).all() and np.isfinite(feat).all()):
             raise ValueError("adjacency and feature entries must be finite")
-        n = adj.shape[0]
-        if feat.ndim != 2 or feat.shape[0] != n:
-            raise ValueError(f"features must have {n} rows, got shape {feat.shape}")
+        if feat.ndim != 2 or n not in (None, feat.shape[0]):
+            raise ValueError(f"features must be an n x c matrix, one row per node,"
+                             f" got shape {feat.shape}")
+        n = feat.shape[0]
+        if edges.ndim != 2 or edges.shape[1] != 2 or weights.shape != edges.shape[:1]:
+            raise ValueError("edges must be an (m, 2) integer array, with one weight per row")
+        if edges.size:
+            i, j = edges.T
+            keys = i * n + j
+            if i.min() < 0 or j.max() >= n or np.any(i > j) or np.any(keys[1:] <= keys[:-1]):
+                raise ValueError("edges must hold pairs (i, j), 0 <= i <= j < n,"
+                                 " each once and in row-major order")
+            if not weights.all():
+                raise ValueError("edge weights must be nonzero")
         labels = freeze(self, "labels", int, default=-np.ones(n, dtype=int))
         if labels.shape != (n,):
             raise ValueError("labels must be a length-n integer vector")
@@ -63,16 +89,26 @@ class Graph:
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @property
     def feat_dim(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense n x n adjacency, read-only, built afresh on each access."""
+        a = np.zeros((self.n, self.n))
+        i, j = self.edges.T
+        a[i, j] = self.weights
+        a[j, i] = self.weights
+        a.setflags(write=False)
+        return a
+
     @functools.cached_property
     def binary(self) -> bool:
         """Whether every adjacency entry is 0 or 1; checked on first use only."""
-        return bool(np.all((self.adjacency == 0.0) | (self.adjacency == 1.0)))
+        return bool(np.all(self.weights == 1.0))
 
     @functools.cached_property
     def gradient_operator_sq_norm(self) -> float:
@@ -81,9 +117,32 @@ class Graph:
         return dynamics.gradient_operator_sq_norm(self.adjacency)
 
     def num_undirected_edges(self) -> int:
-        """Count of off-diagonal undirected edges (nonzero entries above the diagonal)."""
-        a = self.adjacency
-        return int((np.count_nonzero(a) - np.count_nonzero(np.diagonal(a))) // 2)
+        """Count of off-diagonal undirected edges."""
+        return int(np.count_nonzero(self.edges[:, 0] != self.edges[:, 1]))
+
+
+def _upper_triangle(adjacency) -> tuple:
+    """(edges, weights, n) of a dense adjacency, which must be square and
+    exactly symmetric."""
+    a = np.asarray(adjacency, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    if not all_symmetric(a):
+        # NaN equals nothing, so this also rejects any NaN entry
+        raise ValueError("adjacency must be exactly symmetric (an undirected graph), without NaN")
+    i, j = np.nonzero(a)  # row-major order
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    return np.stack([i, j], axis=1), a[i, j], a.shape[0]
+
+
+def edge_array(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The distinct unordered pairs {i_k, j_k} of nodes 0..n-1 as `Graph.edges`
+    reads them, read-only, so that a Graph keeps the array without a copy."""
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    edges.setflags(write=False)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -136,8 +195,8 @@ def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
 # masks.csv (header train,val,test then 0/1 rows). Loader symmetrizes edges.
 
 _FLOAT_FMT = "%.17g"
-# edges.txt is written this many adjacency rows at a time
-_ROW_BLOCK = 64
+# edges.txt is written this many edges at a time
+_EDGE_BLOCK = 4096
 
 
 def save_graph(g: Graph, out_dir) -> None:
@@ -146,10 +205,8 @@ def save_graph(g: Graph, out_dir) -> None:
     if not g.binary:
         raise ValueError("edge-list format only stores binary adjacency matrices")
     with open(out / "edges.txt", "w", newline="\n") as fh:
-        for i in range(0, g.n, _ROW_BLOCK):
-            # the nonzeros on and above the diagonal of rows i.., in row-major order
-            rows, cols = np.nonzero(np.triu(g.adjacency[i:i + _ROW_BLOCK], k=i))
-            fh.write("".join(f"{r} {c}\n" for r, c in zip((rows + i).tolist(), cols.tolist())))
+        for k in range(0, len(g.edges), _EDGE_BLOCK):
+            fh.write("".join(f"{i} {j}\n" for i, j in g.edges[k:k + _EDGE_BLOCK].tolist()))
     np.savetxt(out / "features.csv", g.features, fmt=_FLOAT_FMT, delimiter=",", newline="\n")
     np.savetxt(out / "labels.csv", g.labels[:, None], fmt="%d", newline="\n")
     masks = np.stack([g.train_mask, g.val_mask, g.test_mask], axis=1).astype(int)
@@ -169,20 +226,16 @@ def load_graph(in_dir) -> Graph:
     src = Path(in_dir)
     features = _load_table(src / "features.csv", delimiter=",", ndmin=2)
     n = features.shape[0]
-    adjacency = np.zeros((n, n))
     with warnings.catch_warnings():  # an edgeless graph's empty edges.txt is zero edges
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        edges = _load_table(src / "edges.txt", dtype=int, ndmin=2)
-    if edges.size:
-        if edges.shape[1] != 2:
-            raise ValueError(f"edges.txt must hold two columns (i j) per row, got {edges.shape[1]}")
-        if edges.min() < 0:
+        pairs = _load_table(src / "edges.txt", dtype=int, ndmin=2)
+    if pairs.size:
+        if pairs.shape[1] != 2:
+            raise ValueError(f"edges.txt must hold two columns (i j) per row, got {pairs.shape[1]}")
+        if pairs.min() < 0:
             raise ValueError("negative edge index in edges.txt")
-        if edges.max() >= n:
+        if pairs.max() >= n:
             raise ValueError("edge index exceeds node count implied by features.csv")
-        adjacency[edges[:, 0], edges[:, 1]] = 1.0
-        adjacency[edges[:, 1], edges[:, 0]] = 1.0
-    adjacency.setflags(write=False)  # so that Graph keeps it without a copy
     labels = _load_table(src / "labels.csv", dtype=int, ndmin=1)
     masks = _load_table(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
     if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():
@@ -191,7 +244,7 @@ def load_graph(in_dir) -> Graph:
         if rows != n:
             raise ValueError(f"{name} has {rows} rows, but features.csv has {n}")
     return Graph(
-        adjacency=adjacency,
+        edges=edge_array(n, pairs[:, 0], pairs[:, 1]) if pairs.size else None,
         features=features,
         labels=labels,
         train_mask=masks[:, 0] == 1,

@@ -124,12 +124,14 @@ def _feature_states(f: np.ndarray, states: list, layers, masks) -> list:
     return fs + [f]
 
 
-def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
+def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None, states=None):
     """Run the network; returns (logits, trace).
 
     `mode` is "train" (dropout active; `rng` draws the masks, the input's
     first, then one per layer, then the classifier's) or "eval" (dropout is
-    the identity).
+    the identity). `states`, where given, must be `adjacency_states` of g's
+    adjacency under `params.layers`, so that a caller who has stepped them
+    does not step them again; the trace takes the list over.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -146,7 +148,8 @@ def forward(g: Graph, params: NetworkParams, mode: str = "eval", rng=None):
     f_in = g.features if input_mask is None else g.features * input_mask
     f = f_in @ params.encoder
     _check_finite(f, "encoded features")
-    states = adjacency_states(g.adjacency, params.layers)
+    if states is None:
+        states = adjacency_states(g.adjacency, params.layers)
     *layer_dropped, f = _feature_states(f, states, params.layers, layer_masks)
     f_out = f if final_mask is None else f * final_mask
     logits = f_out @ params.classifier_w + params.classifier_b[..., None, :]

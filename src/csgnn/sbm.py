@@ -3,7 +3,8 @@
 Balanced communities with intra-class edge probability p_in and inter-class
 probability p_out; node features are Gaussian with a class-dependent mean shift
 of magnitude `signal` along per-class coordinate directions. Nodes are split
-10/10/80 into train/val/test, stratified by class.
+10/10/80 into train/val/test, stratified by class. The edges are drawn
+straight into `Graph`'s edge form: no n x n array forms.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
 
     Edge (i, j), i < j, is present when the (i, j) entry of one n x n uniform
     draw falls below its class pair's probability. That draw is taken a block
-    of rows at a time from the same generator, so it is the same stream and
-    no n x n temporary forms beside the adjacency. Every class must get a
-    train, a validation and a test node, so n // classes must be at least 3.
+    of rows at a time from the same generator, so it is the same stream, and
+    each block's hits above the diagonal become edges at once: no n x n
+    array forms, and memory grows with the edges and one block. Every class
+    must get a train, a validation and a test node, so n // classes must be
+    at least 3.
     """
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError("need 0 <= p_out < p_in <= 1")
@@ -40,17 +43,18 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
     rng = np.random.default_rng(seed)
 
     labels = np.arange(n) % classes
-    adjacency = np.zeros((n, n))  # allocated before any draw: an oversized n fails at once
+    rows, cols = [], []
     for i in range(0, n, _ROW_BLOCK):
-        block = slice(i, i + _ROW_BLOCK)
-        same = labels[block, None] == labels[None, :]
+        same = labels[i:i + _ROW_BLOCK, None] == labels[None, :]
         u = rng.random(same.shape)
         # rows i.. of the uniform draw below their class pair's probability,
-        # kept above the diagonal, and mirrored
-        upper = np.triu(np.where(same, u < p_in, u < p_out), k=i + 1)[:, i:]
+        # from column i on; the hits above the diagonal, in row-major order
+        r, c = np.nonzero(np.where(same[:, i:], u[:, i:] < p_in, u[:, i:] < p_out))
         del u, same  # before the next block's are drawn
-        adjacency[block, i:] = upper
-        np.copyto(adjacency[i:, block], 1.0, where=upper.T)  # `+=` would cast a float copy
+        above = c > r
+        rows.append(r[above] + i)
+        cols.append(c[above] + i)
+    edges = np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
 
     means = np.zeros((classes, feat_dim))
     for k in range(classes):
@@ -68,6 +72,6 @@ def gen_sbm(n: int, classes: int, p_in: float, p_out: float, feat_dim: int,
         val[idx[n_train:n_train + n_val]] = True
         test[idx[n_train + n_val:]] = True
 
-    adjacency.setflags(write=False)  # so that Graph keeps it without a copy
-    return Graph(adjacency=adjacency, features=features, labels=labels,
+    edges.setflags(write=False)  # so that Graph keeps it without a copy
+    return Graph(edges=edges, features=features, labels=labels,
                  train_mask=train, val_mask=val, test_mask=test)

@@ -189,7 +189,7 @@ def params_to_tensors(params: NetworkParams) -> dict:
 
 
 def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = None,
-                   g: Graph = None) -> NetworkParams:
+                   g: Graph = None):
     """New NetworkParams with updated tensors and re-clamped step sizes.
 
     The adjacency step is clamped to its nonexpansive bound for the new
@@ -201,6 +201,8 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
     Without `config` the stored step sizes are the starting point, and without
     `g` the feature steps stay as stored; one of `tensors` may then be a stack
     (see `NetworkParams`), which gets one adjacency clamp per member.
+    Given `g` it returns (params, [A_0..A_{L-1}]), the adjacency states it
+    stepped, which `forward` accepts for these params.
     """
     layers = []
     for l, layer in enumerate(params.layers):
@@ -215,13 +217,17 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
                                         h=fp.h if config is None else config.h),
             adjacency=dataclasses.replace(layer.adjacency, coeffs=coeffs, h=h_adj)))
     if g is not None:
-        # layer 0 reads g's own adjacency, whose graph term g computes once
-        s2 = [g.gradient_operator_sq_norm] + [
-            gradient_operator_sq_norm(a) for a in adjacency_states(g.adjacency, layers)[1:]]
+        # layer 0 reads g's own adjacency, whose graph term g computes once,
+        # here before any state is stepped, so its n x n temporaries do not
+        # meet theirs; the feature clamp changes no adjacency step, so these
+        # are the new params' states
+        s2 = [g.gradient_operator_sq_norm]
+        states = adjacency_states(g.adjacency, layers)
+        s2 += [gradient_operator_sq_norm(a) for a in states[1:]]
         layers = [dataclasses.replace(layer, feature=dataclasses.replace(
                       layer.feature, h=min(layer.feature.h, feature_step_bound(s, layer.feature))))
                   for layer, s in zip(layers, s2)]
-    return NetworkParams(
+    params = NetworkParams(
         encoder=tensors["encoder"],
         layers=tuple(layers),
         classifier_w=tensors["classifier_w"],
@@ -229,6 +235,7 @@ def rebuild_params(params: NetworkParams, tensors: dict, config: TrainConfig = N
         dropout_p=params.dropout_p,
         share_weights=params.share_weights,
     )
+    return params if g is None else (params, states)
 
 
 # --- Adam --------------------------------------------------------------------
@@ -366,14 +373,23 @@ def train(g_attacked: Graph, config: TrainConfig):
     c_out = int(g_attacked.labels.max()) + 1
     params = init_params(g_attacked.feat_dim, c_out, g_attacked.n, config, rng)
 
-    params = rebuild_params(params, params_to_tensors(params), config, g_attacked)
+    params, states = rebuild_params(params, params_to_tensors(params), config, g_attacked)
+    # each parameter set's adjacency states are stepped once, by
+    # rebuild_params, and handed on to its forwards; at dropout_p == 0 the
+    # train-mode forward draws no mask, so one epoch's eval forward serves as
+    # the next epoch's train-mode forward (`ahead`)
+    ahead = None
 
     state = AdamState.init(params_to_tensors(params))
     history = []
 
     def epoch_step(epoch, params):
+        nonlocal states, ahead
         try:
-            logits, trace = forward(g_attacked, params, mode="train", rng=rng)
+            if ahead is None:
+                ahead = forward(g_attacked, params, mode="train", rng=rng, states=states)
+            logits, trace = ahead
+            ahead = states = None  # the trace holds them now
             loss = masked_cross_entropy(logits, g_attacked.labels, g_attacked.train_mask)
             if not np.isfinite(loss):
                 return None
@@ -383,8 +399,11 @@ def train(g_attacked: Graph, config: TrainConfig):
             tensors = adam_step(params_to_tensors(params), grads, state, config)
             if not all(np.isfinite(t).all() for t in tensors.values()):
                 return None
-            params = rebuild_params(params, tensors, config, g_attacked)
-            eval_logits = forward(g_attacked, params, mode="eval")[0]
+            params, states = rebuild_params(params, tensors, config, g_attacked)
+            eval_logits, trace = forward(g_attacked, params, mode="eval", states=states)
+            if params.dropout_p == 0.0:
+                ahead = eval_logits, trace
+            del trace
         except FloatingPointError:
             return None
         val_acc = accuracy(eval_logits, g_attacked.labels, g_attacked.val_mask)

@@ -98,6 +98,42 @@ class TestRandomEdgeAttack:
         assert np.array_equal(a.adjacency, b.adjacency)
 
 
+def triu_random_edge_attack(g, spec, rng):
+    """The attack as it was written on the dense adjacency: every pair i < j
+    in np.triu_indices order, the free ones drawn by rng.choice."""
+    a = np.array(g.adjacency)
+    m = int(np.count_nonzero(np.triu(a, k=1)))
+    n_add = int(np.floor(spec.edge_ratio * m))
+    if n_add == 0:
+        return a
+    iu, ju = np.triu_indices(g.n, k=1)
+    candidates = np.flatnonzero(a[iu, ju] == 0.0)
+    chosen = rng.choice(candidates, size=n_add, replace=False)
+    a[iu[chosen], ju[chosen]] = 1.0
+    a[ju[chosen], iu[chosen]] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("n, p", [(7, 0.3), (100, 0.05), (333, 0.02)])
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_the_edge_form_draws_the_triu_oracles_non_edges(n, p, self_loops):
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        upper = np.triu(rng.random((n, n)) < p, k=0 if self_loops else 1)
+        g = Graph(adjacency=(upper | upper.T).astype(float), features=np.zeros((n, 1)))
+        assert self_loops == bool(np.any(g.edges[:, 0] == g.edges[:, 1]))
+        for ratio in (0.3, 1.0, 2.5):
+            spec = AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=ratio, seed=seed)
+            try:
+                oracle = triu_random_edge_attack(g, spec, np.random.default_rng([seed, 1]))
+            except ValueError:  # more edges asked for than there are non-edges
+                with pytest.raises(ValueError, match="not enough non-edges"):
+                    random_edge_attack(g, spec, np.random.default_rng([seed, 1]))
+                continue
+            out = random_edge_attack(g, spec, np.random.default_rng([seed, 1]))
+            assert out.adjacency.tobytes() == oracle.tobytes()
+
+
 class TestFeatureNoiseAttack:
     def test_zero_eps_unchanged(self):
         g = small_graph(np.random.default_rng(4))

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from csgnn import dynamics
 from csgnn.graph import (Graph, PerturbationBudget, frobenius_distance, l0_distance,
                          l1_vec_distance, load_graph, save_graph)
+from csgnn.sbm import gen_sbm
 
 
 class TestMetrics:
@@ -168,6 +170,75 @@ class TestGraphValidation:
             g.adjacency[0, 0] = 7.0
 
 
+class TestEdgeForm:
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_a_dense_adjacency_round_trips_to_its_bytes(self, n):
+        # weighted entries of both signs, self-loops on the diagonal
+        rng = np.random.default_rng(n)
+        upper = np.where(np.triu(rng.random((n, n)) < 0.4),
+                         rng.choice([-2.0, 0.5, 1.0, 3.25], (n, n)), 0.0)
+        a = upper + np.triu(upper, k=1).T
+        g = Graph(adjacency=a, features=np.zeros((n, 1)))
+        assert g.adjacency.tobytes() == a.tobytes()
+        assert np.array_equal(g.edges, np.argwhere(upper != 0))
+        assert np.array_equal(g.weights, upper[upper != 0])
+        same = Graph(edges=g.edges, weights=g.weights, features=np.zeros((n, 1)))
+        assert same.adjacency.tobytes() == a.tobytes()
+
+    def test_minus_zero_is_no_edge_and_reads_back_as_plus_zero(self):
+        a = np.array([[-0.0, 1.0, -0.0], [1.0, 0.0, 0.5], [-0.0, 0.5, -0.0]])
+        g = Graph(adjacency=a, features=np.zeros((3, 1)))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert np.array_equal(g.adjacency, a)
+        assert np.signbit(a).any() and not np.signbit(g.adjacency).any()
+
+    def test_weights_default_to_one(self):
+        g = Graph(edges=[[0, 1], [1, 1]], features=np.zeros((3, 1)))
+        assert g.binary and g.num_undirected_edges() == 1
+        assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 1, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("edges, weights, match", [
+        ([[1, 0]], None, "row-major"),
+        ([[0, 1], [0, 1]], None, "row-major"),
+        ([[0, 2], [0, 1]], None, "row-major"),
+        ([[0, 3]], None, "row-major"),
+        ([[-1, 0]], None, "row-major"),
+        ([0, 1], None, r"\(m, 2\)"),
+        ([[0, 1]], [1.0, 1.0], "one weight per row"),
+        ([[0, 1]], [0.0], "nonzero"),
+        ([[0, 1]], [np.inf], "finite"),
+        ([[0, 1]], [np.nan], "finite"),
+    ])
+    def test_rejects_edges_out_of_form(self, edges, weights, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(edges=edges, weights=weights, features=np.zeros((3, 1)))
+
+    def test_a_dense_adjacency_replaces_the_edges(self):
+        g = Graph(edges=[[0, 1]], features=np.zeros((2, 1)))
+        h = dataclasses.replace(g, adjacency=np.eye(2))
+        assert h.edges.tolist() == [[0, 0], [1, 1]]
+
+    def test_no_attribute_holds_an_adjacency_sized_array(self):
+        g = gen_sbm(n=400, classes=2, p_in=0.1, p_out=0.02, feat_dim=4, signal=1.3, seed=0)
+        assert g.binary and g.gradient_operator_sq_norm > 0.0 and g.adjacency.shape == (400, 400)
+        held = {name: getattr(value, "nbytes", 0) for name, value in vars(g).items()}
+        assert {"edges", "weights", "binary", "gradient_operator_sq_norm"} <= set(held)
+        assert max(held.values()) < g.n * g.n, held
+
+    def test_replacing_the_features_allocates_no_adjacency_sized_array(self):
+        g = gen_sbm(n=1000, classes=2, p_in=0.02, p_out=0.005, feat_dim=4, signal=1.3, seed=0)
+        features = g.features + 1.0
+        tracemalloc.start()
+        try:
+            h = dataclasses.replace(g, features=features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n * g.n, peak  # one n x n boolean array would reach it
+        assert h.edges is g.edges and h.weights is g.weights
+        assert np.array_equal(h.features, features)
+
+
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -242,6 +313,18 @@ class TestGraphIO:
         back = load_graph(tmp_path)
         assert np.array_equal(back.adjacency, np.zeros((3, 3)))
         assert np.array_equal(back.features, g.features)
+
+    def test_the_loader_symmetrizes_and_sorts_any_edge_list(self, tmp_path):
+        g = Graph(adjacency=np.zeros((5, 5)), features=np.zeros((5, 2)))
+        save_graph(g, tmp_path)
+        pairs = [(3, 1), (0, 4), (1, 3), (2, 2), (4, 0), (0, 1), (0, 1)]
+        (tmp_path / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in pairs))
+        oracle = np.zeros((5, 5))
+        for i, j in pairs:
+            oracle[i, j] = oracle[j, i] = 1.0
+        back = load_graph(tmp_path)
+        assert back.adjacency.tobytes() == oracle.tobytes()
+        assert back.edges.tolist() == [[0, 1], [0, 4], [1, 3], [2, 2]]
 
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):

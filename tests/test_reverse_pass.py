@@ -98,7 +98,7 @@ def sbm_instance(n, num_layers, dropout_p, share_weights=False):
     cfg = TrainConfig(seed=0, num_layers=num_layers, dropout_p=dropout_p,
                       share_weights=share_weights)
     params = init_params(g.feat_dim, 2, g.n, cfg, np.random.default_rng(0))
-    return g, rebuild_params(params, params_to_tensors(params), cfg, g)
+    return g, rebuild_params(params, params_to_tensors(params), cfg, g)[0]
 
 
 # --- every gradient keeps its bits -------------------------------------------

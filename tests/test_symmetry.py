@@ -1,8 +1,9 @@
 """Undirected by contract.
 
-`Graph` rejects an asymmetric adjacency at construction and `evolve` rejects
-an asymmetric A_0, so the comparison runs once per graph built and once per
-trajectory started from raw arrays, and never during training. Below that
+A `Graph` built from edges is symmetric by construction, `Graph` rejects an
+asymmetric dense adjacency at construction and `evolve` rejects an asymmetric
+A_0, so the comparison runs once per graph built from a dense matrix and once
+per trajectory started from raw arrays, and never during training. Below that
 boundary the adjacency step keeps an exactly symmetric matrix exactly
 symmetric in any memory layout, and M's row-sum shortcut for symmetric input
 gives the bits of its general form.
@@ -124,11 +125,15 @@ def test_weighted_column_major_graph_trains():
     as the Laplacian form of the reverse pass needs."""
     rng = np.random.default_rng(10)
     n = 40
-    g = Graph(adjacency=_column_major(_symmetric(rng, (n, n))),
-              features=rng.standard_normal((n, 3)))
-    assert not g.adjacency.flags.c_contiguous  # stored as given
+    a = _column_major(_symmetric(rng, (n, n)))
+    g = Graph(adjacency=a, features=rng.standard_normal((n, 3)))
+    # a Graph rebuilds its adjacency row-major from its edges, so the
+    # column-major A_0 reaches the layers as states handed to forward
+    assert g.adjacency.flags.c_contiguous and np.array_equal(g.adjacency, a)
     params = init_params(3, 2, n, TrainConfig(hidden_dim=4), rng)
-    logits, trace = forward(g, params, mode="eval")
+    states = network.adjacency_states(a, params.layers)
+    assert not states[0].flags.c_contiguous
+    logits, trace = forward(g, params, mode="eval", states=states)
     assert all(all_symmetric(a) for a in trace.adjacency_states)
     backward(trace, g, params, np.ones_like(logits))
 
@@ -152,7 +157,9 @@ def test_train_compares_symmetry_once_per_graph(monkeypatch):
     g = gen_sbm(n=30, classes=2, p_in=0.4, p_out=0.05, feat_dim=4, signal=1.5, seed=0)
     _, history = train(g, TrainConfig(epochs=6, patience=6, hidden_dim=4))
     assert len(history) == 6
-    assert calls == [(30, 30)]
+    # gen_sbm builds the graph from its edges, symmetric by construction, and
+    # training compares nothing; a dense adjacency used to be compared once
+    assert calls == []
 
 
 def test_certificate_compares_symmetry_once(monkeypatch):

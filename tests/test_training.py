@@ -377,7 +377,7 @@ class TestTrain:
         on_a0, fn = [], dynamics.gradient_operator_sq_norm
 
         def counting(a):
-            on_a0.append(a is g.adjacency)
+            on_a0.append(np.array_equal(a, g.adjacency))
             return fn(a)
 
         for name, module in list(sys.modules.items()):
