@@ -17,8 +17,8 @@ import numpy as np
 
 from .graph import Graph, edge_array
 from .training import (AdamState, TrainConfig, _uniform_init, accuracy, adam_step,
-                       cross_entropy_logit_grad, require_train_and_val, select_checkpoint, train)
-from .network import forward
+                       checkpoint_accuracies, cross_entropy_logit_grad, require_train_and_val,
+                       select_checkpoint, train)
 from .stacks import freeze
 
 
@@ -58,8 +58,6 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     The pairs i < j are numbered row by row, and the draw picks positions
     among the non-edges in that order, in O(m log m) time and memory.
     """
-    if not g.binary:
-        raise ValueError("random edge attack requires a binary graph")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     m = g.num_undirected_edges()
     n_add = np.floor(spec.edge_ratio * m)  # inf for a huge ratio: refused below
@@ -81,7 +79,7 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     cols = pair - row_start[rows] + rows + 1
     edges = edge_array(n, np.concatenate([g.edges[:, 0], rows]),
                        np.concatenate([g.edges[:, 1], cols]))
-    return dataclasses.replace(g, edges=edges, weights=np.ones(len(edges)))
+    return dataclasses.replace(g, edges=edges)
 
 
 def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
@@ -182,13 +180,11 @@ MODELS = ("csgnn", "gcn")
 
 def _score(attacked: Graph, model_name: str, config: TrainConfig) -> float:
     if model_name == "csgnn":
-        params, _ = train(attacked, config)
-        logits, _ = forward(attacked, params, mode="eval")
-    elif model_name == "gcn":
-        # the config by keyword: perfbench's sweep capture wraps train_gcn(g, **kwargs)
-        logits = gcn_baseline_forward(attacked, train_gcn(attacked, config=config))
-    else:
+        return checkpoint_accuracies(attacked, *train(attacked, config))[1]
+    if model_name != "gcn":
         raise ValueError(f"unknown model {model_name!r}")
+    # the config by keyword: perfbench's sweep capture wraps train_gcn(g, **kwargs)
+    logits = gcn_baseline_forward(attacked, train_gcn(attacked, config=config))
     return accuracy(logits, attacked.labels, attacked.test_mask)
 
 

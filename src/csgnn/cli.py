@@ -20,9 +20,9 @@ from .attacks import (MODELS, AttackKind, AttackSpec, evaluate_robustness, forma
                       results_to_csv)
 from .equivariant import slope_uniform_margin
 from .graph import PerturbationBudget, load_graph, save_graph
-from .network import certificate, forward, load_checkpoint, save_checkpoint
+from .network import certificate, load_checkpoint, save_checkpoint
 from .sbm import gen_sbm
-from .training import TrainConfig, accuracy, history_to_csv, train
+from .training import TrainConfig, checkpoint_accuracies, history_to_csv, train
 
 
 def _settings(args, table: dict) -> dict:
@@ -119,10 +119,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     (out / "metrics.csv").write_text(history_to_csv(history))
     save_checkpoint(params, out / "model.ckpt")
-    logits, _ = forward(g, params, mode="eval")
+    val_acc, test_acc = checkpoint_accuracies(g, params, history)
     summary = (f"epochs_run = {len(history)}\n"
-               f"val_acc = {accuracy(logits, g.labels, g.val_mask):.10g}\n"
-               f"test_acc = {accuracy(logits, g.labels, g.test_mask):.10g}\n")
+               f"val_acc = {val_acc:.10g}\n"
+               f"test_acc = {test_acc:.10g}\n")
     (out / "summary.txt").write_text(summary)
     print(summary, end="")
     return 0

@@ -10,11 +10,11 @@ with the trained channel mixer K symmetrized, Ktilde = (K + K^T)/2, at every
 evaluation. The field acts on every node alike, so the layer is
 permutation-equivariant and independent of the node count n.
 
-The adjacency is exactly symmetric by contract: `Graph` rejects any other,
-`network.evolve` checks the A_0 it is handed, and the adjacency step keeps an
-exactly symmetric matrix exactly symmetric. On such an A the LeakyReLU cancels
-pairwise, sigma(x) - sigma(-x) = (1 + slope) x, so the field is exactly the
-weighted-Laplacian map
+The adjacency is exactly symmetric by contract: a `Graph`'s is by
+construction, `network.evolve` checks the A_0 it is handed, and the adjacency
+step keeps an exactly symmetric matrix exactly symmetric. On such an A the
+LeakyReLU cancels pairwise, sigma(x) - sigma(-x) = (1 + slope) x, so the field
+is exactly the weighted-Laplacian map
 
     X(F, A) = -(1 + slope) L(A o A) F Ktilde,   L(B) = diag(B 1) - B,
 

@@ -41,12 +41,11 @@ def random_instance(rng):
         c_in = int(rng.integers(2, 4))
         c_out = int(rng.integers(2, 4))
         upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-        adjacency = (upper | upper.T).astype(float)
         labels = rng.integers(0, c_out, n)
         mask = rng.random(n) < 0.6
         if not mask.any():
             mask[0] = True
-        g = Graph(adjacency=adjacency, features=rng.standard_normal((n, c_in)),
+        g = Graph(edges=np.argwhere(upper), features=rng.standard_normal((n, c_in)),
                   labels=labels, train_mask=mask)
         cfg = TrainConfig(
             hidden_dim=int(rng.integers(2, 5)),

@@ -1,10 +1,9 @@
 """Graph containers, perturbation metrics, and the on-disk graph format.
 
-A graph is undirected and held by its m edges, the upper triangle of an
-exactly symmetric n x n real adjacency, plus an n x c_in feature matrix,
-integer class labels (-1 marks unlabeled nodes) and three disjoint boolean
-split masks. Attack budgets are measured with the l0 edit count, the
-vectorized l1 norm, and the Frobenius norm.
+A graph is undirected and unweighted, held by its m edges, plus an n x c_in
+feature matrix, integer class labels (-1 marks unlabeled nodes) and three
+disjoint boolean split masks. Attack budgets are measured with the l0 edit
+count, the vectorized l1 norm, and the Frobenius norm.
 """
 
 from __future__ import annotations
@@ -17,74 +16,49 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .stacks import all_symmetric, any_of, freeze, scalar_or_stack
+from .stacks import any_of, freeze, scalar_or_stack
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph with features, labels and split masks.
+    """Immutable undirected graph with binary edges, features, labels and split masks.
 
     `edges` is an (m, 2) integer array of the pairs (i, j), 0 <= i <= j < n,
-    that carry a nonzero adjacency entry, each once and in row-major order,
-    and `weights` holds their m entries (all ones where not given). Symmetry
-    holds by construction, and `adjacency` builds the dense matrix afresh on
-    each access: a Graph keeps no n x n array.
-
-    A dense `adjacency` is converted once, after the checks that it is square
-    and exactly symmetric; it replaces any `edges` given beside it, so
-    `dataclasses.replace(g, adjacency=a)` gives a graph on `a`. Its zero
-    entries, -0.0 included, carry no edge, so the rebuilt matrix holds +0.0
-    there. Construction (`dataclasses.replace` included) raises ValueError on
-    a dense adjacency that is not exactly symmetric, on edges out of their
-    form, or on a non-finite adjacency or feature entry: everything
-    downstream relies on that.
+    joined by an edge, each once and in row-major order, as `edges.txt` holds
+    them. The adjacency, 1 on each edge and its mirror and 0 elsewhere, is
+    symmetric and binary by construction; `adjacency` builds it afresh on each
+    access, so a Graph keeps no n x n array. Construction (`dataclasses.replace`
+    included) raises ValueError on any field out of its form or a non-finite
+    feature: everything downstream relies on that.
     """
 
     edges: np.ndarray
-    weights: np.ndarray
     features: np.ndarray
-    labels: np.ndarray
-    train_mask: np.ndarray
-    val_mask: np.ndarray
-    test_mask: np.ndarray
+    labels: np.ndarray = None
+    train_mask: np.ndarray = None
+    val_mask: np.ndarray = None
+    test_mask: np.ndarray = None
 
-    def __init__(self, adjacency=None, features=None, labels=None, train_mask=None,
-                 val_mask=None, test_mask=None, *, edges=None, weights=None):
-        n = None
-        if adjacency is not None:
-            edges, weights, n = _upper_triangle(adjacency)
-        # the raw values, which `freeze` reads and replaces: the class is frozen
-        vars(self).update(edges=edges, weights=weights, features=features, labels=labels,
-                          train_mask=train_mask, val_mask=val_mask, test_mask=test_mask)
+    def __post_init__(self):
         feat = freeze(self, "features")
-        edges = freeze(self, "edges", int, default=np.empty((0, 2), dtype=int))
-        weights = freeze(self, "weights", default=np.ones(len(edges)))
-        if not (np.isfinite(weights).all() and np.isfinite(feat).all()):
-            raise ValueError("adjacency and feature entries must be finite")
-        if feat.ndim != 2 or n not in (None, feat.shape[0]):
-            raise ValueError(f"features must be an n x c matrix, one row per node,"
-                             f" got shape {feat.shape}")
+        edges = freeze(self, "edges", int)
+        if not np.isfinite(feat).all():
+            raise ValueError("feature entries must be finite")
+        if feat.ndim != 2:
+            raise ValueError(f"features must be an n x c matrix, got shape {feat.shape}")
         n = feat.shape[0]
-        if edges.ndim != 2 or edges.shape[1] != 2 or weights.shape != edges.shape[:1]:
-            raise ValueError("edges must be an (m, 2) integer array, with one weight per row")
-        if edges.size:
-            i, j = edges.T
-            keys = i * n + j
-            if i.min() < 0 or j.max() >= n or np.any(i > j) or np.any(keys[1:] <= keys[:-1]):
-                raise ValueError("edges must hold pairs (i, j), 0 <= i <= j < n,"
-                                 " each once and in row-major order")
-            if not weights.all():
-                raise ValueError("edge weights must be nonzero")
-        labels = freeze(self, "labels", int, default=-np.ones(n, dtype=int))
-        if labels.shape != (n,):
-            raise ValueError("labels must be a length-n integer vector")
-        masks = []
-        for name in ("train_mask", "val_mask", "test_mask"):
-            m = freeze(self, name, bool, default=np.zeros(n, dtype=bool))
-            if m.shape != (n,):
-                raise ValueError(f"{name} must be a length-n boolean vector")
-            masks.append(m)
-        if np.any(masks[0] & masks[1]) or np.any(masks[0] & masks[2]) or np.any(masks[1] & masks[2]):
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must be an (m, 2) integer array")
+        i, j = edges.T
+        if np.any(i < 0) or np.any(i > j) or np.any(j >= n) or np.any(np.diff(i * n + j) <= 0):
+            raise ValueError("edges must hold pairs (i, j), 0 <= i <= j < n,"
+                             " each once and in row-major order")
+        for name, dtype, default in (("labels", int, -1), ("train_mask", bool, False),
+                                     ("val_mask", bool, False), ("test_mask", bool, False)):
+            if freeze(self, name, dtype, default=np.full(n, default)).shape != (n,):
+                raise ValueError(f"{name} must be a length-n {dtype.__name__} vector")
+        masks = self.train_mask, self.val_mask, self.test_mask
+        if np.any(np.sum(masks, axis=0) > 1):
             raise ValueError("train/val/test masks must be pairwise disjoint")
 
     @property
@@ -97,18 +71,12 @@ class Graph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """The dense n x n adjacency, read-only, built afresh on each access."""
+        """The dense n x n 0/1 adjacency, read-only, built afresh on each access."""
         a = np.zeros((self.n, self.n))
         i, j = self.edges.T
-        a[i, j] = self.weights
-        a[j, i] = self.weights
+        a[i, j] = a[j, i] = 1.0
         a.setflags(write=False)
         return a
-
-    @functools.cached_property
-    def binary(self) -> bool:
-        """Whether every adjacency entry is 0 or 1; checked on first use only."""
-        return bool(np.all(self.weights == 1.0))
 
     @functools.cached_property
     def gradient_operator_sq_norm(self) -> float:
@@ -119,21 +87,6 @@ class Graph:
     def num_undirected_edges(self) -> int:
         """Count of off-diagonal undirected edges."""
         return int(np.count_nonzero(self.edges[:, 0] != self.edges[:, 1]))
-
-
-def _upper_triangle(adjacency) -> tuple:
-    """(edges, weights, n) of a dense adjacency, which must be square and
-    exactly symmetric."""
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not all_symmetric(a):
-        # NaN equals nothing, so this also rejects any NaN entry
-        raise ValueError("adjacency must be exactly symmetric (an undirected graph), without NaN")
-    i, j = np.nonzero(a)  # row-major order
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    return np.stack([i, j], axis=1), a[i, j], a.shape[0]
 
 
 def edge_array(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -202,8 +155,6 @@ _EDGE_BLOCK = 4096
 def save_graph(g: Graph, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not g.binary:
-        raise ValueError("edge-list format only stores binary adjacency matrices")
     with open(out / "edges.txt", "w", newline="\n") as fh:
         for k in range(0, len(g.edges), _EDGE_BLOCK):
             fh.write("".join(f"{i} {j}\n" for i, j in g.edges[k:k + _EDGE_BLOCK].tolist()))
@@ -232,10 +183,8 @@ def load_graph(in_dir) -> Graph:
     if pairs.size:
         if pairs.shape[1] != 2:
             raise ValueError(f"edges.txt must hold two columns (i j) per row, got {pairs.shape[1]}")
-        if pairs.min() < 0:
-            raise ValueError("negative edge index in edges.txt")
-        if pairs.max() >= n:
-            raise ValueError("edge index exceeds node count implied by features.csv")
+        if pairs.min() < 0 or pairs.max() >= n:
+            raise ValueError(f"edges.txt: edge index outside 0..{n - 1}, the rows of features.csv")
     labels = _load_table(src / "labels.csv", dtype=int, ndmin=1)
     masks = _load_table(src / "masks.csv", dtype=int, delimiter=",", skiprows=1, ndmin=2)
     if masks.shape[1] != 3 or not np.isin(masks, (0, 1)).all():
@@ -244,7 +193,7 @@ def load_graph(in_dir) -> Graph:
         if rows != n:
             raise ValueError(f"{name} has {rows} rows, but features.csv has {n}")
     return Graph(
-        edges=edge_array(n, pairs[:, 0], pairs[:, 1]) if pairs.size else None,
+        edges=edge_array(n, *pairs.reshape(-1, 2).T),  # an empty file's (0, 1) too
         features=features,
         labels=labels,
         train_mask=masks[:, 0] == 1,

@@ -43,14 +43,21 @@ def freeze(obj, name: str, dtype=float, default=None) -> np.ndarray:
     `dtype`, of its value (of `default` where that is None); returns the array.
 
     An ndarray that is read-only, owns its data and has that dtype is kept as
-    it is; any other value is copied, a writable array or a view of one too.
+    it is; any other value is copied, a writable array or a view of one too,
+    and refused with ValueError where an int or bool cast changes an entry.
     """
     value = getattr(obj, name)
     if value is None:
         value = default
     keep = (type(value) is np.ndarray and value.dtype == dtype
             and not value.flags.writeable and value.flags.owndata)
-    arr = value if keep else np.array(value, dtype=dtype)
+    if keep or dtype is float:
+        arr = value if keep else np.array(value, dtype=float)
+    else:
+        with np.errstate(invalid="ignore"):  # a NaN or inf cast is refused just below
+            arr = np.asarray(value).astype(dtype)
+        if not np.array_equal(arr, value):
+            raise ValueError(f"{name} must hold {dtype.__name__} values: casting would change one")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr

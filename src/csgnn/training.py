@@ -302,6 +302,19 @@ def select_checkpoint(initial, epochs: int, patience: int, epoch_step):
     return best
 
 
+def checkpoint_accuracies(g: Graph, params: NetworkParams, history: list) -> tuple:
+    """(val_acc, test_acc) of the checkpoint `params` that `train(g, ...)`
+    returned with `history`: the record of the last epoch with the highest
+    val_acc, `select_checkpoint`'s tie rule, whose eval forward scored it. With
+    no record (`epochs=0`, or a first step gone non-finite) `params` are the
+    initial ones, and one eval forward scores them."""
+    if history:
+        best = max(history, key=lambda rec: (rec.val_acc, rec.epoch))
+        return best.val_acc, best.test_acc
+    logits, _ = forward(g, params, mode="eval")
+    return accuracy(logits, g.labels, g.val_mask), accuracy(logits, g.labels, g.test_mask)
+
+
 # --- initialization and the training loop -------------------------------------
 
 def _uniform_init(rng, fan_in: int, fan_out: int) -> np.ndarray:

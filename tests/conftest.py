@@ -1,6 +1,17 @@
+import numpy as np
 import pytest
 
 from csgnn import equivariant, verify
+from csgnn.graph import Graph
+
+
+def graph_of(adjacency, features, **fields) -> Graph:
+    """The `Graph` whose adjacency is `adjacency`, a symmetric 0/1 matrix."""
+    a = np.asarray(adjacency, dtype=float)
+    assert np.array_equal(a, a.T) and np.isin(a, (0.0, 1.0)).all(), "not a symmetric 0/1 matrix"
+    g = Graph(edges=np.argwhere(np.triu(a)), features=features, **fields)
+    assert np.array_equal(g.adjacency, a)
+    return g
 
 
 @pytest.fixture

@@ -88,3 +88,20 @@ def test_each_tensor_runs_one_forward(monkeypatch):
     monkeypatch.setattr(gradcheck, "forward", counting_forward)
     fd_gradients(g, params, seed)
     assert len(calls) == len(params_to_tensors(params))
+
+
+def test_random_instances_have_the_dense_constructions_adjacency(monkeypatch):
+    # random_instance built its graph from the dense (upper | upper.T) matrix
+    # and now builds it from upper's edges; the oracle is the dense matrix,
+    # which the dense-input Graph gave back with the same bytes
+    uppers, triu = [], np.triu
+
+    def recording_triu(m, k=0):
+        uppers.append(triu(m, k))
+        return uppers[-1]
+
+    monkeypatch.setattr(gradcheck.np, "triu", recording_triu)
+    for seed in range(50):
+        g, _, _ = random_instance(np.random.default_rng(seed))
+        upper = uppers[-1]  # drawn by the last try, the one returned
+        assert g.adjacency.tobytes() == (upper | upper.T).astype(float).tobytes()

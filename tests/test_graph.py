@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import graph_of
 from csgnn import dynamics
 from csgnn.graph import (Graph, PerturbationBudget, frobenius_distance, l0_distance,
                          l1_vec_distance, load_graph, save_graph)
@@ -73,55 +74,53 @@ class TestMetrics:
             assert np.array_equal(a, b)
 
 
-def _random_graph(rng, n):
-    labels = rng.integers(0, 3, n)
-    masks = rng.integers(0, 3, n)
-    a = rng.standard_normal((n, n))
-    return Graph(
-        adjacency=a + a.T,
-        features=rng.standard_normal((n, 2)),
-        labels=labels,
-        train_mask=masks == 0,
-        val_mask=masks == 1,
-        test_mask=masks == 2,
-    )
-
-
 def _random_binary_graph(rng, n, p=0.1, self_loops=False):
     upper = np.triu(rng.random((n, n)) < p, k=0 if self_loops else 1)
-    return Graph(adjacency=(upper | upper.T).astype(float), features=rng.standard_normal((n, 2)))
+    return graph_of(upper | upper.T, features=rng.standard_normal((n, 2)))
 
 
 class TestGraphValidation:
-    def test_rejects_non_square_adjacency(self):
-        with pytest.raises(ValueError, match="square"):
-            Graph(adjacency=np.zeros((2, 3)), features=np.zeros((2, 1)))
-
     def test_rejects_nan_adjacency(self):
-        with pytest.raises(ValueError, match="NaN"):
-            Graph(adjacency=[[np.nan, 1.0], [1.0, 0.0]], features=np.zeros((2, 1)))
+        # the adjacency is given as its edge list, and NaN names no node
+        with pytest.raises(ValueError, match="^edges must hold int values"):
+            Graph(edges=[[np.nan, 1.0]], features=np.zeros((2, 1)))
 
     @pytest.mark.parametrize("adjacency, features", [
-        ([[np.inf, 1.0], [1.0, 0.0]], [[0.0], [0.0]]),
-        ([[0.0, -np.inf], [-np.inf, 0.0]], [[0.0], [0.0]]),
-        ([[0.0, 1.0], [1.0, 0.0]], [[np.nan], [0.0]]),
-        ([[0.0, 1.0], [1.0, 0.0]], [[0.0], [-np.inf]]),
+        ([[np.inf, 1.0]], [[0.0], [0.0]]),
+        ([[0.0, -np.inf]], [[0.0], [0.0]]),
+        ([[0, 1]], [[np.nan], [0.0]]),
+        ([[0, 1]], [[0.0], [-np.inf]]),
     ])
     def test_rejects_non_finite_entries(self, adjacency, features):
-        with pytest.raises(ValueError, match="finite"):
-            Graph(adjacency=adjacency, features=features)
+        # `adjacency` is the graph's edge list
+        match = "finite" if np.isfinite(adjacency).all() else "^edges must hold int values"
+        with pytest.raises(ValueError, match=match):
+            Graph(edges=adjacency, features=features)
+
+    @pytest.mark.parametrize("field, value", [
+        ("edges", [[0.5, 1]]),
+        ("labels", [0.7, 1, 0]),
+        ("train_mask", [2, 0, 0]),
+        ("test_mask", [0, 0.5, 0]),
+    ])
+    def test_a_cast_that_would_change_a_value_is_refused(self, field, value):
+        # these were cast to the pair (0, 1), the label 0 and True
+        fields = {"edges": [[0, 1]], "features": np.zeros((3, 1)), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must hold (int|bool) values"):
+            Graph(**fields)
+
+    def test_a_cast_that_keeps_every_value_is_taken(self):
+        g = Graph(edges=[[0.0, 1.0]], features=np.zeros((3, 1)), labels=[1.0, 0.0, -1.0],
+                  train_mask=[1, 0, 0], val_mask=[0.0, 1.0, 0.0])
+        assert g.edges.tolist() == [[0, 1]] and g.labels.tolist() == [1, 0, -1]
+        assert g.train_mask.tolist() == [True, False, False]
+        assert g.val_mask.tolist() == [False, True, False]
 
     def test_rejects_overlapping_masks(self):
         m = np.array([True, False])
         with pytest.raises(ValueError, match="disjoint"):
-            Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
-                  train_mask=m, val_mask=m)
-
-    def test_binary_decided_on_first_use_and_kept(self):
-        g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
-        assert "binary" not in vars(g)
-        assert g.binary is False and vars(g)["binary"] is False
-        assert Graph(adjacency=[[0.0, 1.0], [1.0, 1.0]], features=np.zeros((2, 1))).binary is True
+            graph_of(np.zeros((2, 2)), features=np.zeros((2, 1)),
+                     train_mask=m, val_mask=m)
 
     @pytest.mark.parametrize("self_loops", [False, True])
     def test_undirected_edges_counted_without_an_upper_triangle_copy(self, self_loops):
@@ -131,12 +130,10 @@ class TestGraphValidation:
         rng = np.random.default_rng(7)
         for n in (1, 2, 9, 70):
             upper = np.triu(rng.random((n, n)) < 0.3, k=0 if self_loops else 1)
-            a = (upper | upper.T) * rng.choice([-2.0, 0.5, 1.0], (n, n))
-            a = np.triu(a) + np.triu(a, k=1).T
-            g = Graph(adjacency=a, features=np.zeros((n, 1)))
+            g = graph_of(upper | upper.T, features=np.zeros((n, 1)))
             count = g.num_undirected_edges()
             assert type(count) is int
-            assert count == np.count_nonzero(np.triu(a, k=1))
+            assert count == np.count_nonzero(np.triu(upper, k=1))
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_graph_term_cached_with_the_bits_of_a_fresh_call(self, n):
@@ -150,7 +147,7 @@ class TestGraphValidation:
     def test_a_replaced_adjacency_gets_its_own_graph_term(self):
         g = _random_binary_graph(np.random.default_rng(8), 30)
         before = g.gradient_operator_sq_norm
-        h = dataclasses.replace(g, adjacency=2.0 * g.adjacency)
+        h = dataclasses.replace(g, edges=g.edges[1:])
         assert h.gradient_operator_sq_norm == dynamics.gradient_operator_sq_norm(h.adjacency)
         assert h.gradient_operator_sq_norm != before
         assert g.gradient_operator_sq_norm == before
@@ -165,64 +162,45 @@ class TestGraphValidation:
                 PerturbationBudget(eps_feat=0.0, eps_adj=eps)
 
     def test_arrays_are_readonly(self):
-        g = _random_graph(np.random.default_rng(4), 3)
-        with pytest.raises(ValueError):
-            g.adjacency[0, 0] = 7.0
+        g = _random_binary_graph(np.random.default_rng(4), 3, p=0.5)
+        for arr in (g.adjacency, g.edges, g.features, g.labels, g.train_mask):
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
 
 class TestEdgeForm:
     @pytest.mark.parametrize("n", [1, 6, 40])
     def test_a_dense_adjacency_round_trips_to_its_bytes(self, n):
-        # weighted entries of both signs, self-loops on the diagonal
-        rng = np.random.default_rng(n)
-        upper = np.where(np.triu(rng.random((n, n)) < 0.4),
-                         rng.choice([-2.0, 0.5, 1.0, 3.25], (n, n)), 0.0)
-        a = upper + np.triu(upper, k=1).T
-        g = Graph(adjacency=a, features=np.zeros((n, 1)))
+        # self-loops on the diagonal too
+        upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.4)
+        a = (upper | upper.T).astype(float)
+        g = Graph(edges=np.argwhere(upper), features=np.zeros((n, 1)))
         assert g.adjacency.tobytes() == a.tobytes()
-        assert np.array_equal(g.edges, np.argwhere(upper != 0))
-        assert np.array_equal(g.weights, upper[upper != 0])
-        same = Graph(edges=g.edges, weights=g.weights, features=np.zeros((n, 1)))
-        assert same.adjacency.tobytes() == a.tobytes()
+        assert g.num_undirected_edges() == np.count_nonzero(np.triu(a, k=1))
 
-    def test_minus_zero_is_no_edge_and_reads_back_as_plus_zero(self):
-        a = np.array([[-0.0, 1.0, -0.0], [1.0, 0.0, 0.5], [-0.0, 0.5, -0.0]])
-        g = Graph(adjacency=a, features=np.zeros((3, 1)))
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
-        assert np.array_equal(g.adjacency, a)
-        assert np.signbit(a).any() and not np.signbit(g.adjacency).any()
-
-    def test_weights_default_to_one(self):
+    def test_each_edge_is_a_one(self):
         g = Graph(edges=[[0, 1], [1, 1]], features=np.zeros((3, 1)))
-        assert g.binary and g.num_undirected_edges() == 1
+        assert g.num_undirected_edges() == 1
         assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 1, 0], [0, 0, 0]])
 
-    @pytest.mark.parametrize("edges, weights, match", [
-        ([[1, 0]], None, "row-major"),
-        ([[0, 1], [0, 1]], None, "row-major"),
-        ([[0, 2], [0, 1]], None, "row-major"),
-        ([[0, 3]], None, "row-major"),
-        ([[-1, 0]], None, "row-major"),
-        ([0, 1], None, r"\(m, 2\)"),
-        ([[0, 1]], [1.0, 1.0], "one weight per row"),
-        ([[0, 1]], [0.0], "nonzero"),
-        ([[0, 1]], [np.inf], "finite"),
-        ([[0, 1]], [np.nan], "finite"),
+    @pytest.mark.parametrize("edges, match", [
+        ([[1, 0]], "row-major"),
+        ([[0, 1], [0, 1]], "row-major"),
+        ([[0, 2], [0, 1]], "row-major"),
+        ([[0, 3]], "row-major"),
+        ([[-1, 0]], "row-major"),
+        ([0, 1], r"\(m, 2\)"),
+        ([[0.5, 1]], "int values"),
     ])
-    def test_rejects_edges_out_of_form(self, edges, weights, match):
+    def test_rejects_edges_out_of_form(self, edges, match):
         with pytest.raises(ValueError, match=match):
-            Graph(edges=edges, weights=weights, features=np.zeros((3, 1)))
-
-    def test_a_dense_adjacency_replaces_the_edges(self):
-        g = Graph(edges=[[0, 1]], features=np.zeros((2, 1)))
-        h = dataclasses.replace(g, adjacency=np.eye(2))
-        assert h.edges.tolist() == [[0, 0], [1, 1]]
+            Graph(edges=edges, features=np.zeros((3, 1)))
 
     def test_no_attribute_holds_an_adjacency_sized_array(self):
         g = gen_sbm(n=400, classes=2, p_in=0.1, p_out=0.02, feat_dim=4, signal=1.3, seed=0)
-        assert g.binary and g.gradient_operator_sq_norm > 0.0 and g.adjacency.shape == (400, 400)
+        assert g.gradient_operator_sq_norm > 0.0 and g.adjacency.shape == (400, 400)
         held = {name: getattr(value, "nbytes", 0) for name, value in vars(g).items()}
-        assert {"edges", "weights", "binary", "gradient_operator_sq_norm"} <= set(held)
+        assert {"edges", "gradient_operator_sq_norm"} <= set(held)
         assert max(held.values()) < g.n * g.n, held
 
     def test_replacing_the_features_allocates_no_adjacency_sized_array(self):
@@ -235,7 +213,7 @@ class TestEdgeForm:
         finally:
             tracemalloc.stop()
         assert peak < g.n * g.n, peak  # one n x n boolean array would reach it
-        assert h.edges is g.edges and h.weights is g.weights
+        assert h.edges is g.edges
         assert np.array_equal(h.features, features)
 
 
@@ -245,9 +223,9 @@ class TestGraphIO:
         upper = np.triu(rng.random((7, 7)) < 0.4, k=1)
         adjacency = (upper | upper.T).astype(float)
         masks = rng.integers(0, 3, 7)
-        g = Graph(adjacency=adjacency, features=rng.standard_normal((7, 3)),
-                  labels=rng.integers(0, 2, 7), train_mask=masks == 0,
-                  val_mask=masks == 1, test_mask=masks == 2)
+        g = graph_of(adjacency, features=rng.standard_normal((7, 3)),
+                     labels=rng.integers(0, 2, 7), train_mask=masks == 0,
+                     val_mask=masks == 1, test_mask=masks == 2)
         save_graph(g, tmp_path)
         back = load_graph(tmp_path)
         assert np.array_equal(back.adjacency, g.adjacency)
@@ -258,18 +236,13 @@ class TestGraphIO:
         assert np.array_equal(back.test_mask, g.test_mask)
 
     def test_writer_is_byte_deterministic(self, tmp_path):
-        g = Graph(adjacency=[[0.0, 1.0], [1.0, 0.0]],
-                  features=[[0.1, 0.2], [0.3, 0.4]], labels=[0, 1],
-                  train_mask=[True, False], val_mask=[False, True])
+        g = graph_of([[0.0, 1.0], [1.0, 0.0]],
+                     features=[[0.1, 0.2], [0.3, 0.4]], labels=[0, 1],
+                     train_mask=[True, False], val_mask=[False, True])
         save_graph(g, tmp_path / "a")
         save_graph(g, tmp_path / "b")
         for name in ("edges.txt", "features.csv", "labels.csv", "masks.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_rejects_weighted_adjacency(self, tmp_path):
-        g = Graph(adjacency=[[0.0, 0.5], [0.5, 0.0]], features=np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="binary"):
-            save_graph(g, tmp_path)
 
     @pytest.mark.parametrize("n, self_loops", [(150, True), (150, False), (5, False)])
     def test_edge_list_bytes_match_a_per_edge_oracle(self, tmp_path, n, self_loops):
@@ -289,7 +262,7 @@ class TestGraphIO:
         ("masks.csv", "train,val,test\n1,0,0\n0,x,1\n"),
     ], ids=["edges", "features", "labels", "masks"])
     def test_parse_error_names_its_file(self, tmp_path, name, text):
-        g = Graph(adjacency=[[0.0, 1.0], [1.0, 0.0]], features=np.zeros((2, 2)))
+        g = graph_of([[0.0, 1.0], [1.0, 0.0]], features=np.zeros((2, 2)))
         save_graph(g, tmp_path)
         (tmp_path / name).write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
@@ -298,7 +271,7 @@ class TestGraphIO:
     @pytest.mark.parametrize("name", ["labels.csv", "masks.csv"])
     def test_row_count_mismatch_names_the_file_and_both_counts(self, tmp_path, name):
         # it used to read "labels must be a length-n integer vector"
-        g = Graph(adjacency=np.eye(4)[[1, 0, 3, 2]], features=np.zeros((4, 2)), labels=[0, 1, 0, 1])
+        g = graph_of(np.eye(4)[[1, 0, 3, 2]], features=np.zeros((4, 2)), labels=[0, 1, 0, 1])
         save_graph(g, tmp_path)
         lines = (tmp_path / name).read_text().splitlines(keepends=True)
         (tmp_path / name).write_text("".join(lines[:-1]))  # drop the last node's row
@@ -307,7 +280,7 @@ class TestGraphIO:
 
     def test_an_edgeless_graph_loads_as_zero_edges(self, tmp_path):
         # its empty edges.txt used to raise numpy's "input contained no data" warning
-        g = Graph(adjacency=np.zeros((3, 3)), features=np.ones((3, 2)), labels=[0, 1, 0])
+        g = graph_of(np.zeros((3, 3)), features=np.ones((3, 2)), labels=[0, 1, 0])
         save_graph(g, tmp_path)
         assert (tmp_path / "edges.txt").read_bytes() == b""
         back = load_graph(tmp_path)
@@ -315,7 +288,7 @@ class TestGraphIO:
         assert np.array_equal(back.features, g.features)
 
     def test_the_loader_symmetrizes_and_sorts_any_edge_list(self, tmp_path):
-        g = Graph(adjacency=np.zeros((5, 5)), features=np.zeros((5, 2)))
+        g = graph_of(np.zeros((5, 5)), features=np.zeros((5, 2)))
         save_graph(g, tmp_path)
         pairs = [(3, 1), (0, 4), (1, 3), (2, 2), (4, 0), (0, 1), (0, 1)]
         (tmp_path / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in pairs))
@@ -328,7 +301,7 @@ class TestGraphIO:
 
     @pytest.mark.parametrize("line", ["-1 5", "3 -2", "0 7"])
     def test_rejects_out_of_range_edge_index(self, tmp_path, line):
-        g = Graph(adjacency=np.zeros((7, 7)), features=np.zeros((7, 2)))
+        g = graph_of(np.zeros((7, 7)), features=np.zeros((7, 2)))
         save_graph(g, tmp_path)
         (tmp_path / "edges.txt").write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match="edge index"):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import graph_of
 from csgnn.dynamics import LayerParams, feature_field, feature_step
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                                max_step_adjacency)
-from csgnn.graph import Graph, PerturbationBudget, l1_vec_distance
+from csgnn.graph import PerturbationBudget, l1_vec_distance
 from csgnn import network
 from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, forward,
                            lipschitz_upper, load_checkpoint, save_checkpoint, weighted_distance)
@@ -58,10 +59,10 @@ def _counted_adjacency_steps(monkeypatch) -> list:
 
 def random_graph(rng, n, c_in):
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-    return Graph(adjacency=(upper | upper.T).astype(float),
-                 features=rng.standard_normal((n, c_in)),
-                 labels=rng.integers(0, 2, n),
-                 train_mask=np.arange(n) < n // 2)
+    return graph_of((upper | upper.T).astype(float),
+                    features=rng.standard_normal((n, c_in)),
+                    labels=rng.integers(0, 2, n),
+                    train_mask=np.arange(n) < n // 2)
 
 
 class TestForward:
@@ -161,8 +162,8 @@ class TestForward:
         perm = rng.permutation(7)
         pm = np.zeros((7, 7))
         pm[np.arange(7), perm] = 1.0
-        gp = Graph(adjacency=pm @ g.adjacency @ pm.T, features=pm @ g.features,
-                   labels=g.labels[perm], train_mask=g.train_mask[perm])
+        gp = graph_of(pm @ g.adjacency @ pm.T, features=pm @ g.features,
+                      labels=g.labels[perm], train_mask=g.train_mask[perm])
         lhs, _ = forward(gp, params, mode="eval")
         rhs = pm @ forward(g, params, mode="eval")[0]
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())

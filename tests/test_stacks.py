@@ -1,13 +1,16 @@
 """Every function that takes stacks gives each matrix of a stack the bits a
 call on that matrix alone gives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from csgnn import dynamics, equivariant, graph, network
+from conftest import graph_of
+from csgnn import dynamics, equivariant, graph, network, stacks
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs
-from csgnn.graph import Graph, PerturbationBudget
+from csgnn.graph import PerturbationBudget
 from csgnn.network import CoupledLayer
 from csgnn.training import (TrainConfig, init_params, masked_cross_entropy, params_to_tensors,
                             rebuild_params)
@@ -184,8 +187,8 @@ def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
 def _small_network(rng, share_weights: bool) -> tuple:
     n = 7
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-    g = Graph(adjacency=(upper | upper.T).astype(float), features=rng.standard_normal((n, 3)),
-              labels=rng.integers(0, 3, n), train_mask=rng.random(n) < 0.7)
+    g = graph_of((upper | upper.T).astype(float), features=rng.standard_normal((n, 3)),
+                 labels=rng.integers(0, 3, n), train_mask=rng.random(n) < 0.7)
     cfg = TrainConfig(hidden_dim=4, num_layers=3, h=0.3, dropout_p=0.3, share_weights=share_weights)
     return g, init_params(3, 3, n, cfg, rng)
 
@@ -239,3 +242,24 @@ def test_freeze_keeps_only_a_read_only_array_that_owns_its_data():
         if not kept and isinstance(value, np.ndarray):
             assert not np.shares_memory(k, base)
 
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    x: object
+
+
+@pytest.mark.parametrize("dtype, value", [
+    (int, [0.5]), (int, [np.nan]), (int, [np.inf]), (int, [1e20]),
+    (bool, [2]), (bool, [0.5]), (bool, [np.nan]),
+])
+def test_freeze_refuses_a_cast_that_changes_a_value(dtype, value):
+    # freeze cast 0.5 to 0 and 2 to True without a word, and NaN, inf and
+    # 1e20 raised numpy's own errors, which name no field
+    with pytest.raises(ValueError, match=f"^x must hold {dtype.__name__} values"):
+        stacks.freeze(_Holder(value), "x", dtype)
+
+
+@pytest.mark.parametrize("dtype, value", [(int, [3.0, -1.0]), (bool, [1.0, 0, True])])
+def test_freeze_takes_a_cast_that_keeps_every_value(dtype, value):
+    arr = stacks.freeze(_Holder(value), "x", dtype)
+    assert arr.dtype == dtype and arr.tolist() == [dtype(v) for v in value]

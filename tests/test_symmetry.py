@@ -1,24 +1,22 @@
 """Undirected by contract.
 
-A `Graph` built from edges is symmetric by construction, `Graph` rejects an
-asymmetric dense adjacency at construction and `evolve` rejects an asymmetric
-A_0, so the comparison runs once per graph built from a dense matrix and once
+A `Graph` holds each edge once, so its adjacency is symmetric by
+construction, and `evolve` rejects an asymmetric A_0: the comparison runs once
 per trajectory started from raw arrays, and never during training. Below that
 boundary the adjacency step keeps an exactly symmetric matrix exactly
 symmetric in any memory layout, and M's row-sum shortcut for symmetric input
 gives the bits of its general form.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from csgnn import dynamics, equivariant, graph, network, stacks, training
+from conftest import graph_of
+from csgnn import dynamics, equivariant, network, stacks, training
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                                equivariant_linear, max_step_adjacency)
-from csgnn.graph import Graph, PerturbationBudget
+from csgnn.graph import PerturbationBudget
 from csgnn.network import CoupledLayer, NetworkParams, certificate, evolve, forward
 from csgnn.sbm import gen_sbm
 from csgnn.stacks import all_symmetric, transposed
@@ -66,27 +64,6 @@ def test_adjacency_kernels_told_symmetric_match_the_check(shape, layout):
     assert all_symmetric(image) and all_symmetric(stepped)
 
 
-class TestGraphSymmetric:
-    def _graph(self, a):
-        return Graph(adjacency=a, features=np.ones((a.shape[0], 2)))
-
-    def test_checked_once_at_construction(self, monkeypatch):
-        calls = _counted_symmetry_checks(monkeypatch)
-        g = self._graph(_symmetric(np.random.default_rng(6), (5, 5)))
-        assert calls == [(5, 5)]
-        forward(g, init_params(2, 2, 5, TrainConfig(hidden_dim=3), np.random.default_rng(0)))
-        assert calls == [(5, 5)]
-
-    def test_asymmetric_and_replaced_graphs(self):
-        a = _symmetric(np.random.default_rng(7), (5, 5))
-        g = self._graph(a)
-        a[0, 3] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            self._graph(a)
-        with pytest.raises(ValueError, match="symmetric"):
-            dataclasses.replace(g, adjacency=a)
-
-
 def _asymmetric_instance():
     """An embedded state whose adjacency misses symmetry in two entries, and
     a two-layer network for it."""
@@ -126,10 +103,9 @@ def test_weighted_column_major_graph_trains():
     rng = np.random.default_rng(10)
     n = 40
     a = _column_major(_symmetric(rng, (n, n)))
-    g = Graph(adjacency=a, features=rng.standard_normal((n, 3)))
-    # a Graph rebuilds its adjacency row-major from its edges, so the
+    g = graph_of(a != 0, features=rng.standard_normal((n, 3)))
+    # a Graph's adjacency is binary and row-major, so the weighted
     # column-major A_0 reaches the layers as states handed to forward
-    assert g.adjacency.flags.c_contiguous and np.array_equal(g.adjacency, a)
     params = init_params(3, 2, n, TrainConfig(hidden_dim=4), rng)
     states = network.adjacency_states(a, params.layers)
     assert not states[0].flags.c_contiguous
@@ -147,7 +123,7 @@ def _counted_symmetry_checks(monkeypatch) -> list:
         calls.append(np.shape(a))
         return compare(a)
 
-    for module in (stacks, graph, dynamics, equivariant, network, training):
+    for module in (stacks, dynamics, equivariant, network, training):
         monkeypatch.setattr(module, "all_symmetric", counting, raising=False)
     return calls
 

@@ -6,18 +6,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import graph_of
 from csgnn import dynamics, gradcheck
 from csgnn.dynamics import LayerParams, max_feature_step
 from csgnn.equivariant import EquivariantCoeffs, max_step_adjacency
 from csgnn.gradcheck import (analytic_gradients, fd_gradients, loss_at,
                              max_gradient_rel_error, random_instance)
-from csgnn.graph import Graph
 from csgnn.network import NetworkParams, evolve, forward
 from csgnn.sbm import gen_sbm
 from csgnn.training import (AdamState, TrainConfig, accuracy, adam_step, backward,
-                            cross_entropy_logit_grad, history_to_csv, init_params,
-                            masked_cross_entropy, params_to_tensors, rebuild_params,
-                            select_checkpoint, train)
+                            checkpoint_accuracies, cross_entropy_logit_grad, history_to_csv,
+                            init_params, masked_cross_entropy, params_to_tensors,
+                            rebuild_params, select_checkpoint, train)
 
 
 class TestMaskedCrossEntropy:
@@ -153,24 +153,15 @@ class TestBackward:
                   - bypass_loss({**tensors, key: minus})) / (2 * eps)
             assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_asymmetric_input_adjacency_rejected(self, monkeypatch):
-        # the graph cannot be built, so no trace of it reaches `backward`
-        monkeypatch.setattr(gradcheck, "DROPOUT_CHOICES", (0.0,))
-        g, _, _ = random_instance(np.random.default_rng(7))
-        a = g.adjacency.copy()
-        a[0, 1] += 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            dataclasses.replace(g, adjacency=a)
-
     @staticmethod
     def small_instance(share_weights):
         rng = np.random.default_rng(5)
         cfg = TrainConfig(hidden_dim=3, num_layers=3, share_weights=share_weights, h=0.2,
                           alpha=-1.0, dropout_p=0.2)
         params = init_params(2, 2, 5, cfg, rng)
-        g = Graph(adjacency=(np.fromfunction(lambda i, j: (i + j) % 2, (5, 5))),
-                  features=rng.standard_normal((5, 2)),
-                  labels=rng.integers(0, 2, 5), train_mask=np.ones(5, dtype=bool))
+        g = graph_of((np.fromfunction(lambda i, j: (i + j) % 2, (5, 5))),
+                     features=rng.standard_normal((5, 2)),
+                     labels=rng.integers(0, 2, 5), train_mask=np.ones(5, dtype=bool))
         return g, params
 
     @staticmethod
@@ -285,6 +276,48 @@ class TestSelectCheckpoint:
 
     def test_stop_before_any_epoch_keeps_the_initial_checkpoint(self):
         assert select_checkpoint("init", 5, 2, lambda epoch, current: None) == "init"
+
+
+class TestCheckpointAccuracies:
+    @staticmethod
+    def _graph(val_nodes):
+        g = gen_sbm(n=40, classes=2, p_in=0.3, p_out=0.05, feat_dim=4, signal=1.0, seed=0)
+        if val_nodes is None:
+            return g
+        # with two validation nodes val_acc is 0, 0.5 or 1, so epochs tie often
+        moved = np.isin(np.arange(g.n), np.flatnonzero(g.val_mask)[val_nodes:])
+        return dataclasses.replace(g, val_mask=g.val_mask & ~moved, test_mask=g.test_mask | moved)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    @pytest.mark.parametrize("val_nodes", [2, None])
+    @pytest.mark.parametrize("epochs, patience, lr", [
+        (0, 1, 1e-2),     # no epoch runs
+        (15, 15, 1e-2),
+        (15, 3, 1e-2),    # patience stops the run
+        (15, 15, 1e30),   # a later step goes non-finite
+        (15, 15, 1e200),  # the first step goes non-finite
+    ])
+    def test_they_are_the_returned_checkpoints_eval_accuracies(self, dropout_p, val_nodes,
+                                                               epochs, patience, lr):
+        g = self._graph(val_nodes)
+        config = TrainConfig(epochs=epochs, patience=patience, lr=lr, dropout_p=dropout_p,
+                             hidden_dim=4, seed=1)
+        params, history = train(g, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _ = forward(g, params, mode="eval")
+        expected = accuracy(logits, g.labels, g.val_mask), accuracy(logits, g.labels, g.test_mask)
+        assert checkpoint_accuracies(g, params, history) == expected
+        assert (len(history) == 0) == (epochs == 0 or lr == 1e200)
+
+    def test_a_tie_is_read_from_the_last_tied_epoch(self):
+        # the tied epochs score the test split differently, so reading the
+        # first of them would give another test accuracy
+        g = self._graph(2)
+        params, history = train(g, TrainConfig(epochs=15, patience=15, hidden_dim=4, seed=1))
+        best = max(rec.val_acc for rec in history)
+        tied = [rec.test_acc for rec in history if rec.val_acc == best]
+        assert len(set(tied)) > 1
+        assert checkpoint_accuracies(g, params, history) == (best, tied[-1])
 
 
 def _dense_h_safe(a, feature):
