@@ -32,7 +32,6 @@ class AttackSpec:
     kind: AttackKind
     edge_ratio: float = 0.0
     feat_eps: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for budget in (self.edge_ratio, self.feat_eps):
@@ -51,14 +50,13 @@ def format_budget(budget: float) -> str:
     return short if float(short) == budget else repr(float(budget))
 
 
-def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
+def random_edge_attack(g: Graph, spec: AttackSpec, rng) -> Graph:
     """Add floor(edge_ratio * m) distinct undirected non-edges, chosen uniformly.
 
     Never removes edges, never adds self-loops; labels and masks are untouched.
     The pairs i < j are numbered row by row, and the draw picks positions
     among the non-edges in that order, in O(m log m) time and memory.
     """
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
     m = g.num_undirected_edges()
     n_add = np.floor(spec.edge_ratio * m)  # inf for a huge ratio: refused below
     if n_add == 0:
@@ -82,9 +80,8 @@ def random_edge_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     return dataclasses.replace(g, edges=edges)
 
 
-def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
+def feature_noise_attack(g: Graph, spec: AttackSpec, rng) -> Graph:
     """Add a random direction scaled to Frobenius norm just under feat_eps."""
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
     if spec.feat_eps == 0.0:
         return g
     direction = rng.standard_normal(g.features.shape)
@@ -92,7 +89,7 @@ def feature_noise_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
     return dataclasses.replace(g, features=g.features + direction)
 
 
-def apply_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
+def apply_attack(g: Graph, spec: AttackSpec, rng) -> Graph:
     attack = random_edge_attack if spec.kind == AttackKind.RANDOM_EDGES else feature_noise_attack
     return attack(g, spec, rng)
 
@@ -100,9 +97,11 @@ def apply_attack(g: Graph, spec: AttackSpec, rng=None) -> Graph:
 # --- plain GCN baseline --------------------------------------------------------
 
 @dataclass(frozen=True)
-class GCNWeights:
+class GCNFit:
+    """The weights `train_gcn` chose and the test accuracy of their logits."""
     w1: np.ndarray
     w2: np.ndarray
+    test_acc: float
 
     def __post_init__(self):
         for name in ("w1", "w2"):
@@ -124,21 +123,16 @@ def _gcn_logits(a_hat: np.ndarray, a_hat_f: np.ndarray, w1: np.ndarray, w2: np.n
     return prop @ w2, pre, prop
 
 
-def gcn_baseline_forward(g: Graph, weights: GCNWeights) -> np.ndarray:
-    """Two propagation rounds: A_hat relu(A_hat F W1) W2 with A_hat the
-    symmetric-normalized adjacency with self-loops."""
-    if g.features.shape[1] != weights.w1.shape[0]:
-        raise ValueError("feature width does not match first GCN weight")
-    a_hat = _sym_normalized(g.adjacency)
-    return _gcn_logits(a_hat, a_hat @ g.features, weights.w1, weights.w2)[0]
-
-
-def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
-    """Train the baseline on the (possibly attacked) graph as the coupled model
-    is trained: the same initialization, Adam step and checkpoint selection,
-    with `config`'s seed, epochs, patience, `hidden_dim`, learning rate and
-    weight decay. An Adam step that leaves a non-finite weight or logit stops
-    training at the best checkpoint so far."""
+def train_gcn(g: Graph, config: TrainConfig) -> GCNFit:
+    """Train the baseline, two propagation rounds A_hat relu(A_hat F W1) W2
+    with A_hat the symmetric-normalized adjacency with self-loops, on the
+    (possibly attacked) graph as the coupled model is trained: the same
+    initialization, Adam step and checkpoint selection, with `config`'s seed,
+    epochs, patience, `hidden_dim`, learning rate and weight decay. An Adam
+    step that leaves a non-finite weight or logit stops training at the best
+    checkpoint so far. The fit's test accuracy is read from the logits that
+    selected its weights, or from one forward of the initial weights when no
+    epoch completes."""
     require_train_and_val(g)
     rng = np.random.default_rng(config.seed)
     w = {"w1": _uniform_init(rng, g.feat_dim, config.hidden_dim),
@@ -147,7 +141,8 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
     a_hat = _sym_normalized(g.adjacency)
     a_hat_f = a_hat @ g.features
 
-    def epoch_step(epoch, w):
+    def epoch_step(epoch, checkpoint):
+        w = checkpoint[0]
         # a step that overflows to inf or nan stops training just below
         with np.errstate(over="ignore", invalid="ignore"):
             logits, pre, prop = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])
@@ -158,9 +153,12 @@ def train_gcn(g: Graph, config: TrainConfig) -> GCNWeights:
             logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
         if not all(np.isfinite(t).all() for t in (*w.values(), logits)):
             return None
-        return w, accuracy(logits, g.labels, g.val_mask)
+        return (w, logits), accuracy(logits, g.labels, g.val_mask)
 
-    return GCNWeights(**select_checkpoint(w, config.epochs, config.patience, epoch_step))
+    w, logits = select_checkpoint((w, None), config.epochs, config.patience, epoch_step)
+    if logits is None:
+        logits = _gcn_logits(a_hat, a_hat_f, w["w1"], w["w2"])[0]
+    return GCNFit(w1=w["w1"], w2=w["w2"], test_acc=accuracy(logits, g.labels, g.test_mask))
 
 
 # --- evaluation harness ---------------------------------------------------------
@@ -184,8 +182,7 @@ def _score(attacked: Graph, model_name: str, config: TrainConfig) -> float:
     if model_name != "gcn":
         raise ValueError(f"unknown model {model_name!r}")
     # the config by keyword: perfbench's sweep capture wraps train_gcn(g, **kwargs)
-    logits = gcn_baseline_forward(attacked, train_gcn(attacked, config=config))
-    return accuracy(logits, attacked.labels, attacked.test_mask)
+    return train_gcn(attacked, config=config).test_acc
 
 
 def evaluate_robustness(clean: Graph, specs: list, models: list, config: TrainConfig,
@@ -193,7 +190,8 @@ def evaluate_robustness(clean: Graph, specs: list, models: list, config: TrainCo
     """Poisoning protocol: attack, train on the attacked graph, record test
     accuracy over the caller's `seeds`; one aggregate row per (model, attack
     spec). Every model sees the same attacked graph for a given (spec, seed),
-    built once, and trains with `config` under that seed."""
+    built once from the generator seeded with (`config.seed`, seed), and trains
+    with `config` under that seed."""
     if not clean.test_mask.any():
         raise ValueError("clean graph needs split masks")
     if len(seeds) == 0:
@@ -202,7 +200,7 @@ def evaluate_robustness(clean: Graph, specs: list, models: list, config: TrainCo
     for spec in specs:
         accs = [[] for _ in models]
         for seed in seeds:
-            attacked = apply_attack(clean, spec, np.random.default_rng([spec.seed, seed]))
+            attacked = apply_attack(clean, spec, np.random.default_rng([config.seed, seed]))
             seeded = dataclasses.replace(config, seed=seed)
             for per_model, model_name in zip(accs, models):
                 per_model.append(_score(attacked, model_name, seeded))

@@ -145,9 +145,8 @@ def cmd_attack_sweep(args) -> int:
            f"an integer from 1 to {sys.maxsize}")
     g = load_graph(settings["graph"])
     tc = TrainConfig(**{key: settings[key] for key in TRAIN_CONFIG})
-    seed0 = settings["seed"]
-    specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r, seed=seed0) for r in ratios]
-    specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e, seed=seed0) for e in feat_epss]
+    specs = [AttackSpec(kind=AttackKind.RANDOM_EDGES, edge_ratio=r) for r in ratios]
+    specs += [AttackSpec(kind=AttackKind.FEATURE_NOISE, feat_eps=e) for e in feat_epss]
     rows = evaluate_robustness(g, specs, models, tc, seeds=tuple(range(settings["n_seeds"])))
     out = _out_dir(args)
     csv_text = results_to_csv(rows)
