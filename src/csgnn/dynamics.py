@@ -19,8 +19,7 @@ is exactly the weighted-Laplacian map
     X(F, A) = -(1 + slope) L(A o A) F Ktilde,   L(B) = diag(B 1) - B,
 
 and that is the form every function here computes, without (n, n, c) edge
-tensors. `graph_gradient` and its adjoint remain as the operators the
-property suite checks for adjointness.
+tensors.
 
 Writing B = I_c (x) G(A), the vectorized field is -(Ktilde (x) I_n) B^T sigma(B f),
 the preconditioned gradient of the convex energy  E(F) = sum gamma(G(A) F)
@@ -85,26 +84,6 @@ class LayerParams:
 # (..., n, n) and (..., n, c), with one layer, or a stacked LayerParams, for
 # all of them; each matrix of a stack gets the bits a call on it alone gives.
 
-def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(G(A)F)_ijk = A_ij (F_ik - F_jk): an (n, n, c) edge tensor, zero wherever A_ij = 0."""
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    if f.ndim != a.ndim or f.shape[-2] != a.shape[-1]:
-        raise ValueError(f"features must have {a.shape[-1]} rows, got {f.shape}")
-    return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
-
-
-def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik) for an (n, n, c) edge tensor O."""
-    a = np.asarray(a, dtype=float)
-    o = np.asarray(o, dtype=float)
-    if o.ndim < 3 or o.shape[-3] != a.shape[-1] or o.shape[-2] != a.shape[-1]:
-        raise ValueError(f"edge tensor shape {o.shape} does not match adjacency {a.shape}")
-    return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
-
-
 def symmetrized(k: np.ndarray) -> np.ndarray:
     """Ktilde = (K + K^T)/2."""
     return 0.5 * (k + transposed(k))
@@ -158,21 +137,6 @@ def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarra
     if f.shape[-2] != a.shape[-1]:
         raise ValueError(f"features ({f.shape}) and adjacency ({a.shape}) disagree on n")
     return f + per_matrix(params.h) * feature_field(f, a, params)
-
-
-def energy(a: np.ndarray, f: np.ndarray, leaky_slope: float = 0.1) -> float:
-    """Convex layer energy sum gamma(G(A) F), gamma' = sigma and gamma(0) = 0.
-
-    It is (1 + slope)/2 * sum F o L(A o A) F: the pairwise cancellation that
-    gives the field's Laplacian form. A float for one state, one energy per
-    state for stacks.
-    """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape[-2] != a.shape[-1]:
-        raise ValueError("shape mismatch between adjacency and features")
-    e = (f * _laplacian_apply(a * a, f)).sum(axis=(-2, -1))
-    return scalar_or_stack(0.5 * (1.0 + leaky_slope) * e)
 
 
 def gradient_operator_sq_norm(a: np.ndarray) -> float:

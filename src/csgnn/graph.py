@@ -1,9 +1,8 @@
-"""Graph containers, perturbation metrics, and the on-disk graph format.
+"""Graph containers, the perturbation budget, and the on-disk graph format.
 
 A graph is undirected and unweighted, held by its m edges, plus an n x c_in
 feature matrix, integer class labels (-1 marks unlabeled nodes) and three
-disjoint boolean split masks. Attack budgets are measured with the l0 edit
-count, the vectorized l1 norm, and the Frobenius norm.
+disjoint boolean split masks.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .stacks import any_of, freeze, scalar_or_stack
+from .stacks import any_of, freeze
 
 
 @dataclass(frozen=True)
@@ -109,38 +108,6 @@ class PerturbationBudget:
         for eps in (self.eps_feat, self.eps_adj):
             if any_of(~np.isfinite(eps) | (eps < 0)):
                 raise ValueError(f"budgets must be finite and nonnegative, got {eps}")
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def l0_distance(a: np.ndarray, a_star: np.ndarray) -> int:
-    """Number of entries where the two matrices differ (exact inequality, no tolerance)."""
-    a = np.asarray(a, dtype=float)
-    a_star = np.asarray(a_star, dtype=float)
-    _check_same_shape(a, a_star)
-    return int(np.count_nonzero(a != a_star))
-
-
-def l1_vec_distance(a: np.ndarray, a_star: np.ndarray) -> float:
-    """Vectorized l1 distance: sum of absolute entrywise differences.
-
-    For stacks of shape (..., n, m), one distance per pair of matrices.
-    """
-    a = np.asarray(a, dtype=float)
-    a_star = np.asarray(a_star, dtype=float)
-    _check_same_shape(a, a_star)
-    return scalar_or_stack(np.abs(a - a_star).sum(axis=(-2, -1)))
-
-
-def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
-    """For stacks of shape (..., n, c), one distance per pair of matrices."""
-    f = np.asarray(f, dtype=float)
-    f_star = np.asarray(f_star, dtype=float)
-    _check_same_shape(f, f_star)
-    return scalar_or_stack(np.sqrt(((f - f_star) ** 2).sum(axis=(-2, -1))))
 
 
 # On-disk layout: edges.txt ("i j" per undirected edge, 0-indexed), features.csv

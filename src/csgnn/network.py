@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import LayerParams, feature_step, max_feature_step, symmetrized
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, max_step_adjacency
-from .graph import Graph, PerturbationBudget, frobenius_distance, l1_vec_distance
+from .graph import Graph, PerturbationBudget
 from .stacks import all_symmetric, freeze, scalar_or_stack, transposed
 
 
@@ -170,18 +170,6 @@ def evolve(f0: np.ndarray, a0: np.ndarray, layers) -> tuple:
         raise ValueError("the adjacency A0 must be exactly symmetric (an undirected graph)")
     states = adjacency_states(a0, layers)
     return _feature_states(f0, states, layers, [None] * len(states)), states
-
-
-def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
-    """d_{m1,m2}((F,A),(F*,A*)) = m1 ||F-F*||_F + m2 ||vec(A)-vec(A*)||_1.
-
-    One distance per pair of states for stacked states.
-    """
-    if m1 <= 0 or m2 <= 0:
-        raise ValueError("weights must be positive")
-    f1, a1 = s1
-    f2, a2 = s2
-    return m1 * frobenius_distance(f1, f2) + m2 * l1_vec_distance(a1, a2)
 
 
 _EPS = np.finfo(float).eps

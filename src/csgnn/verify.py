@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, equivariant, graph, network, training
+from . import dynamics, equivariant, network
 from .dynamics import LayerParams
 from .equivariant import AdjacencyStepConfig, EquivariantCoeffs
 from .graph import PerturbationBudget
-from .network import CoupledLayer, NetworkParams
-from .stacks import transposed
+from .network import CoupledLayer
+from .stacks import scalar_or_stack, transposed
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -154,6 +154,55 @@ def _frobenius_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ transposed(flat))[..., 0, 0]
 
 
+# --- metrics and edge-form oracles ----------------------------------------------
+#
+# The suites' instruments, which no product command runs. They take the float
+# arrays that the suites and the tests build, unchecked, and stacks as the
+# product functions do: each matrix of a stack gets the bits a call on it
+# alone gives.
+
+def l0_distance(a: np.ndarray, a_star: np.ndarray) -> int:
+    """Number of entries where the two matrices differ (exact inequality, no tolerance)."""
+    return int(np.count_nonzero(a != a_star))
+
+
+def l1_vec_distance(a: np.ndarray, a_star: np.ndarray) -> float:
+    """Vectorized l1 distance: sum of absolute entrywise differences."""
+    return scalar_or_stack(np.abs(a - a_star).sum(axis=(-2, -1)))
+
+
+def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
+    """||F - F*||_F."""
+    return scalar_or_stack(np.sqrt(((f - f_star) ** 2).sum(axis=(-2, -1))))
+
+
+def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
+    """d_{m1,m2}((F,A),(F*,A*)) = m1 ||F-F*||_F + m2 ||vec(A)-vec(A*)||_1."""
+    f1, a1 = s1
+    f2, a2 = s2
+    return m1 * frobenius_distance(f1, f2) + m2 * l1_vec_distance(a1, a2)
+
+
+def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(G(A)F)_ijk = A_ij (F_ik - F_jk): an (n, n, c) edge tensor, zero wherever A_ij = 0."""
+    return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
+
+
+def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik) for an (n, n, c) edge tensor O."""
+    return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
+
+
+def energy(a: np.ndarray, f: np.ndarray, leaky_slope: float) -> float:
+    """Convex layer energy sum gamma(G(A) F), gamma' = sigma and gamma(0) = 0.
+
+    It is (1 + slope)/2 * sum F o L(A o A) F: the pairwise cancellation that
+    gives the field's Laplacian form.
+    """
+    e = (f * dynamics._laplacian_apply(a * a, f)).sum(axis=(-2, -1))
+    return scalar_or_stack(0.5 * (1.0 + leaky_slope) * e)
+
+
 # --- individual suites ---------------------------------------------------------
 
 def check_metric_l0_l1_binary(rng, trials: int) -> CheckResult:
@@ -162,7 +211,7 @@ def check_metric_l0_l1_binary(rng, trials: int) -> CheckResult:
         n = int(rng.integers(1, 11))
         a = (rng.random((n, n)) < 0.5).astype(float)
         b = (rng.random((n, n)) < 0.5).astype(float)
-        values.append(abs(graph.l0_distance(a, b) - graph.l1_vec_distance(a, b)))
+        values.append(abs(l0_distance(a, b) - l1_vec_distance(a, b)))
     return _verdict("metric_l0_l1_binary_agreement", values, 0.0, 0.0)
 
 
@@ -175,7 +224,7 @@ def check_metric_l1_lower_bound(rng, trials: int) -> CheckResult:
         diff = np.abs(a - b)
         changed = diff[diff > 0]
         bound = changed.size * changed.min() if changed.size else 0.0
-        values.append(bound - graph.l1_vec_distance(a, b))
+        values.append(bound - l1_vec_distance(a, b))
     return _verdict("metric_l1_lower_bound", values, -np.inf, 1e-12)
 
 
@@ -210,9 +259,9 @@ def check_adjacency_l1_contraction(rng, trials: int) -> CheckResult:
 
     def evaluate(k, alpha, a, b):
         cfg = _at_max_step(k, alpha)
-        d_out = graph.l1_vec_distance(equivariant.adjacency_step(a, cfg),
-                                      equivariant.adjacency_step(b, cfg))
-        return d_out - graph.l1_vec_distance(a, b)
+        d_out = l1_vec_distance(equivariant.adjacency_step(a, cfg),
+                                equivariant.adjacency_step(b, cfg))
+        return d_out - l1_vec_distance(a, b)
 
     return _stacked_check("adjacency_l1_contraction", trials, draw, evaluate, -np.inf, 1e-9)
 
@@ -327,8 +376,8 @@ def check_feature_adjointness(rng, trials: int) -> CheckResult:
 
     def evaluate(a, f, o):
         a = a + transposed(a)
-        lhs = (dynamics.graph_gradient(a, f) * o).sum(axis=(-3, -2, -1))
-        rhs = (f * dynamics.graph_gradient_adjoint(a, o)).sum(axis=(-2, -1))
+        lhs = (graph_gradient(a, f) * o).sum(axis=(-3, -2, -1))
+        rhs = (f * graph_gradient_adjoint(a, o)).sum(axis=(-2, -1))
         return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
 
     return _stacked_check("feature_gradient_adjointness", trials, draw, evaluate, 0.0, 1e-10)
@@ -372,8 +421,8 @@ def check_energy_monotonicity(rng, trials: int) -> CheckResult:
     def evaluate(b, a, f):
         a = a + transposed(a)
         params = _at_max_feature_step(a, _positive_definite(b))
-        e0 = dynamics.energy(a, f, params.leaky_slope)
-        return dynamics.energy(a, dynamics.feature_step(f, a, params), params.leaky_slope) - e0
+        e0 = energy(a, f, params.leaky_slope)
+        return energy(a, dynamics.feature_step(f, a, params), params.leaky_slope) - e0
 
     return _stacked_check("feature_energy_monotonicity", trials, draw, evaluate, -np.inf, 1e-9)
 
@@ -463,7 +512,7 @@ def check_expansivity_bound(rng, trials: int) -> CheckResult:
         # the coupled map's output is (F_L, A_L); evolve stops at A_{L-1}
         a_out = equivariant.adjacency_step(as_[-1], layers[-1].adjacency)
         a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
-        measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
+        measured = weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
         budget = PerturbationBudget(eps_feat=budget_feat, eps_adj=budget_adj)
         # the bound `certify` prints, over the clean trajectory evolved above
         return measured - network.trajectory_bound(fs, as_, layers, budget)[0]
@@ -493,8 +542,8 @@ def check_coupled_weighted_contraction(rng, trials: int) -> CheckResult:
             # per trial, the distance before and after the layer
             dist = np.empty((trials, 2))
             for idx, s0, s0p, s1, s1p in cases:
-                dist[idx, 0] = network.weighted_distance(m1, m2, s0, s0p)
-                dist[idx, 1] = network.weighted_distance(m1, m2, s1, s1p)
+                dist[idx, 0] = weighted_distance(m1, m2, s0, s0p)
+                dist[idx, 1] = weighted_distance(m1, m2, s1, s1p)
             rate = int(np.count_nonzero(dist[:, 1] <= dist[:, 0] + 1e-12)) / trials
             if rate > best_rate:
                 best_rate, best, distances = rate, (m1, m2), dist

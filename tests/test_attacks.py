@@ -8,9 +8,9 @@ from conftest import graph_of
 from csgnn.attacks import (AttackKind, AttackSpec, _gcn_logits, _sym_normalized, apply_attack,
                            evaluate_robustness, feature_noise_attack, random_edge_attack,
                            results_to_csv, train_gcn)
-from csgnn.graph import frobenius_distance, l0_distance, l1_vec_distance
 from csgnn.sbm import gen_sbm
 from csgnn.training import TrainConfig, accuracy
+from csgnn.verify import frobenius_distance, l0_distance, l1_vec_distance
 
 
 def small_graph(rng, n=12, p=0.35):

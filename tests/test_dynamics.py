@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from csgnn import dynamics
-from csgnn.dynamics import (H_SAFE_EPS, LayerParams, energy, feature_field,
-                            feature_field_vjp, feature_step, graph_gradient,
-                            graph_gradient_adjoint, gradient_operator_sq_norm,
-                            max_feature_step)
+from csgnn.dynamics import (H_SAFE_EPS, LayerParams, feature_field, feature_field_vjp,
+                            feature_step, gradient_operator_sq_norm, max_feature_step)
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs, adjacency_step, leaky_relu
 from csgnn.sbm import gen_sbm
+from csgnn.verify import energy, graph_gradient, graph_gradient_adjoint
 
 PATH_GRAPH = np.array([[0.0, 1.0], [1.0, 0.0]])
 TWO_NODE_F = np.array([[1.0], [3.0]])
@@ -50,10 +49,6 @@ class TestGraphGradient:
         out = graph_gradient(a, rng.standard_normal((6, 2)))
         assert np.all(out[a == 0.0] == 0.0)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            graph_gradient(np.zeros((3, 3)), np.zeros((2, 1)))
-
 
 class TestAdjoint:
     def test_hand_case_equals_twice_laplacian(self):
@@ -63,11 +58,6 @@ class TestAdjoint:
     def test_zero_tensor(self):
         out = graph_gradient_adjoint(PATH_GRAPH, np.zeros((2, 2, 1)))
         assert np.array_equal(out, np.zeros((2, 1)))
-
-    def test_shape_mismatch(self):
-        for o in (np.zeros((2, 2)), np.zeros((3, 2, 1)), np.zeros((2, 3, 1))):
-            with pytest.raises(ValueError, match="edge tensor shape"):
-                graph_gradient_adjoint(PATH_GRAPH, o)
 
     def test_adjointness_identity(self):
         rng = np.random.default_rng(3)

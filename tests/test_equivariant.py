@@ -8,7 +8,7 @@ from csgnn.equivariant import (FD_STEP, KINK_TOL, AdjacencyStepConfig, Equivaria
                                equivariant_linear_adjoint, jacobian_l1_probe_unchecked,
                                leaky_relu, max_step_adjacency,
                                operator_l1_norm, slope_uniform_margin, vec)
-from csgnn.graph import l1_vec_distance
+from csgnn.verify import l1_vec_distance
 
 TINY = np.finfo(float).tiny           # smallest normal
 SUB = np.nextafter(0.0, 1.0)          # smallest subnormal

@@ -11,12 +11,13 @@ from conftest import graph_of
 from csgnn.dynamics import LayerParams, feature_field, feature_step
 from csgnn.equivariant import (AdjacencyStepConfig, EquivariantCoeffs, adjacency_step,
                                max_step_adjacency)
-from csgnn.graph import PerturbationBudget, l1_vec_distance
+from csgnn.graph import PerturbationBudget
 from csgnn import network
 from csgnn.network import (CoupledLayer, NetworkParams, certificate, evolve, forward,
-                           lipschitz_upper, load_checkpoint, save_checkpoint, weighted_distance)
+                           lipschitz_upper, load_checkpoint, save_checkpoint)
 from csgnn.sbm import gen_sbm
 from csgnn.training import TrainConfig, train
+from csgnn.verify import l1_vec_distance, weighted_distance
 
 
 def zero_dynamics_layer(c, h=0.5):
@@ -220,10 +221,6 @@ class TestDistances:
         base = weighted_distance(1.0, 1.0, s1, s2)
         assert weighted_distance(2.5, 2.5, s1, s2) == pytest.approx(2.5 * base, rel=1e-12)
 
-    def test_weighted_distance_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            weighted_distance(0.0, 1.0, (np.zeros((1, 1)), np.zeros((1, 1))),
-                              (np.zeros((1, 1)), np.zeros((1, 1))))
 
 
 class TestExpansivityBound:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_of
-from csgnn import dynamics, equivariant, graph, network, stacks
+from csgnn import dynamics, equivariant, network, stacks, verify
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig, EquivariantCoeffs
 from csgnn.graph import PerturbationBudget
@@ -115,15 +115,15 @@ def test_feature_functions_match_per_matrix_calls(n, symmetric, kind):
     a = _adjacency(rng, n, symmetric)
     f = rng.standard_normal((M, n, c))
     o = rng.standard_normal((M, n, n, c))
-    assert _same(dynamics.graph_gradient(a, f),
-                 [dynamics.graph_gradient(a[i], f[i]) for i in range(M)])
-    assert _same(dynamics.graph_gradient_adjoint(a, o),
-                 [dynamics.graph_gradient_adjoint(a[i], o[i]) for i in range(M)])
+    assert _same(verify.graph_gradient(a, f),
+                 [verify.graph_gradient(a[i], f[i]) for i in range(M)])
+    assert _same(verify.graph_gradient_adjoint(a, o),
+                 [verify.graph_gradient_adjoint(a[i], o[i]) for i in range(M)])
     assert _same(dynamics.feature_field(f, a, params),
                  [dynamics.feature_field(f[i], a[i], singles[i]) for i in range(M)])
     assert _same(dynamics.feature_step(f, a, params),
                  [dynamics.feature_step(f[i], a[i], singles[i]) for i in range(M)])
-    assert _same(dynamics.energy(a, f, 0.2), [dynamics.energy(a[i], f[i], 0.2) for i in range(M)])
+    assert _same(verify.energy(a, f, 0.2), [verify.energy(a[i], f[i], 0.2) for i in range(M)])
     assert _same(dynamics.gradient_operator_sq_norm(a),
                  [dynamics.gradient_operator_sq_norm(a[i]) for i in range(M)])
     assert _same(dynamics.max_feature_step(a, params),
@@ -152,11 +152,11 @@ def test_distances_bounds_and_trajectories_match_per_matrix_calls(n):
     f, fp = rng.standard_normal((2, M, n, c))
     a = _adjacency(rng, n, symmetric=True)
     ap = _adjacency(rng, n, symmetric=True)
-    assert _same(graph.l1_vec_distance(a, ap), [graph.l1_vec_distance(a[i], ap[i]) for i in range(M)])
-    assert _same(graph.frobenius_distance(f, fp),
-                 [graph.frobenius_distance(f[i], fp[i]) for i in range(M)])
-    assert _same(network.weighted_distance(0.5, 2.0, (f, a), (fp, ap)),
-                 [network.weighted_distance(0.5, 2.0, (f[i], a[i]), (fp[i], ap[i])) for i in range(M)])
+    assert _same(verify.l1_vec_distance(a, ap), [verify.l1_vec_distance(a[i], ap[i]) for i in range(M)])
+    assert _same(verify.frobenius_distance(f, fp),
+                 [verify.frobenius_distance(f[i], fp[i]) for i in range(M)])
+    assert _same(verify.weighted_distance(0.5, 2.0, (f, a), (fp, ap)),
+                 [verify.weighted_distance(0.5, 2.0, (f[i], a[i]), (fp[i], ap[i])) for i in range(M)])
     assert _same(network._max_row_gap(f), [network._max_row_gap(f[i]) for i in range(M)])
 
     sets = _coeff_sets(rng, False)

@@ -13,7 +13,7 @@ same stream.
 import numpy as np
 import pytest
 
-from csgnn import dynamics, equivariant, graph, network, verify
+from csgnn import dynamics, equivariant, network, verify
 from csgnn.dynamics import LayerParams
 from csgnn.equivariant import AdjacencyStepConfig
 from csgnn.graph import PerturbationBudget
@@ -35,9 +35,9 @@ def loop_adjacency_l1_contraction(rng, trials):
         cfg = AdjacencyStepConfig(coeffs=coeffs, h=equivariant.max_step_adjacency(coeffs))
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        d_in = graph.l1_vec_distance(a, b)
-        d_out = graph.l1_vec_distance(equivariant.adjacency_step(a, cfg),
-                                      equivariant.adjacency_step(b, cfg))
+        d_in = verify.l1_vec_distance(a, b)
+        d_out = verify.l1_vec_distance(equivariant.adjacency_step(a, cfg),
+                                       equivariant.adjacency_step(b, cfg))
         yield d_out - d_in
 
 
@@ -87,8 +87,8 @@ def loop_feature_adjointness(rng, trials):
         a = a + a.T
         f = rng.standard_normal((n, c))
         o = rng.standard_normal((n, n, c))
-        lhs = float((dynamics.graph_gradient(a, f) * o).sum())
-        rhs = float((f * dynamics.graph_gradient_adjoint(a, o)).sum())
+        lhs = float((verify.graph_gradient(a, f) * o).sum())
+        rhs = float((f * verify.graph_gradient_adjoint(a, o)).sum())
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
@@ -122,8 +122,8 @@ def loop_energy_monotonicity(rng, trials):
         h = dynamics.max_feature_step(a, params)
         params = LayerParams(h=h, K=k)
         f = rng.standard_normal((n, c))
-        e0 = dynamics.energy(a, f, params.leaky_slope)
-        e1 = dynamics.energy(a, dynamics.feature_step(f, a, params), params.leaky_slope)
+        e0 = verify.energy(a, f, params.leaky_slope)
+        e1 = verify.energy(a, dynamics.feature_step(f, a, params), params.leaky_slope)
         yield e1 - e0
 
 
@@ -192,7 +192,7 @@ def loop_expansivity_bound(rng, trials):
         fs_p, as_p = network.evolve(f0 + df, a0 + da, layers)
         a_out = equivariant.adjacency_step(as_[-1], layers[-1].adjacency)
         a_out_p = equivariant.adjacency_step(as_p[-1], layers[-1].adjacency)
-        measured = network.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
+        measured = verify.weighted_distance(1.0, 1.0, (fs[-1], a_out), (fs_p[-1], a_out_p))
         yield measured - network.certificate(f0, a0, layers, budget)["bound"]
 
 
@@ -213,8 +213,8 @@ def loop_coupled_weighted_contraction(rng, trials):
         for m2 in grid:
             ok, dist = 0, []
             for s0, s0p, s1, s1p in cases:
-                before = network.weighted_distance(m1, m2, s0, s0p)
-                after = network.weighted_distance(m1, m2, s1, s1p)
+                before = verify.weighted_distance(m1, m2, s0, s0p)
+                after = verify.weighted_distance(m1, m2, s1, s1p)
                 dist.append((before, after))
                 if after <= before + 1e-12:
                     ok += 1
