@@ -157,27 +157,37 @@ def _frobenius_norm(x: np.ndarray) -> np.ndarray:
 # --- metrics and edge-form oracles ----------------------------------------------
 #
 # The suites' instruments, which no product command runs. They take the float
-# arrays that the suites and the tests build, unchecked, and stacks as the
-# product functions do: each matrix of a stack gets the bits a call on it
-# alone gives.
+# arrays that the suites and the tests build, and stacks as the product
+# functions do: each matrix of a stack gets the bits a call on it alone gives.
+# A shape that numpy would broadcast into a wrong value is refused.
+
+def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
 
 def l0_distance(a: np.ndarray, a_star: np.ndarray) -> int:
     """Number of entries where the two matrices differ (exact inequality, no tolerance)."""
+    _check_same_shape(a, a_star)
     return int(np.count_nonzero(a != a_star))
 
 
 def l1_vec_distance(a: np.ndarray, a_star: np.ndarray) -> float:
     """Vectorized l1 distance: sum of absolute entrywise differences."""
+    _check_same_shape(a, a_star)
     return scalar_or_stack(np.abs(a - a_star).sum(axis=(-2, -1)))
 
 
 def frobenius_distance(f: np.ndarray, f_star: np.ndarray) -> float:
     """||F - F*||_F."""
+    _check_same_shape(f, f_star)
     return scalar_or_stack(np.sqrt(((f - f_star) ** 2).sum(axis=(-2, -1))))
 
 
 def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
     """d_{m1,m2}((F,A),(F*,A*)) = m1 ||F-F*||_F + m2 ||vec(A)-vec(A*)||_1."""
+    if m1 <= 0 or m2 <= 0:
+        raise ValueError("weights must be positive")
     f1, a1 = s1
     f2, a2 = s2
     return m1 * frobenius_distance(f1, f2) + m2 * l1_vec_distance(a1, a2)
@@ -185,11 +195,17 @@ def weighted_distance(m1: float, m2: float, s1: tuple, s2: tuple) -> float:
 
 def graph_gradient(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(G(A)F)_ijk = A_ij (F_ik - F_jk): an (n, n, c) edge tensor, zero wherever A_ij = 0."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"adjacency must be square, got {a.shape}")
+    if f.ndim != a.ndim or f.shape[-2] != a.shape[-1]:
+        raise ValueError(f"features must have {a.shape[-1]} rows, got {f.shape}")
     return a[..., :, :, None] * (f[..., :, None, :] - f[..., None, :, :])
 
 
 def graph_gradient_adjoint(a: np.ndarray, o: np.ndarray) -> np.ndarray:
     """(G(A)^T O)_ik = sum_j (A_ij O_ijk - A_ji O_jik) for an (n, n, c) edge tensor O."""
+    if o.ndim < 3 or o.shape[-3] != a.shape[-1] or o.shape[-2] != a.shape[-1]:
+        raise ValueError(f"edge tensor shape {o.shape} does not match adjacency {a.shape}")
     return np.einsum("...ij,...ijk->...ik", a, o) - np.einsum("...ji,...jik->...ik", a, o)
 
 

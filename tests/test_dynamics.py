@@ -49,6 +49,10 @@ class TestGraphGradient:
         out = graph_gradient(a, rng.standard_normal((6, 2)))
         assert np.all(out[a == 0.0] == 0.0)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            graph_gradient(np.zeros((3, 3)), np.zeros((2, 1)))
+
 
 class TestAdjoint:
     def test_hand_case_equals_twice_laplacian(self):
@@ -58,6 +62,11 @@ class TestAdjoint:
     def test_zero_tensor(self):
         out = graph_gradient_adjoint(PATH_GRAPH, np.zeros((2, 2, 1)))
         assert np.array_equal(out, np.zeros((2, 1)))
+
+    def test_shape_mismatch(self):
+        for o in (np.zeros((2, 2)), np.zeros((3, 2, 1)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="edge tensor shape"):
+                graph_gradient_adjoint(PATH_GRAPH, o)
 
     def test_adjointness_identity(self):
         rng = np.random.default_rng(3)

@@ -54,6 +54,11 @@ class TestMetrics:
         oracle = np.sqrt(sum((f[i, j] - g[i, j]) ** 2 for i in range(6) for j in range(3)))
         assert frobenius_distance(f, g) == pytest.approx(oracle, rel=1e-14)
 
+    @pytest.mark.parametrize("fn", [l0_distance, l1_vec_distance, frobenius_distance])
+    def test_shape_mismatch_raises(self, fn):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fn(np.zeros((2, 2)), np.zeros((3, 3)))
+
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_metrics_symmetric_and_zero_iff_equal(self, n, seed):

@@ -221,6 +221,11 @@ class TestDistances:
         base = weighted_distance(1.0, 1.0, s1, s2)
         assert weighted_distance(2.5, 2.5, s1, s2) == pytest.approx(2.5 * base, rel=1e-12)
 
+    def test_weighted_distance_rejects_nonpositive_weights(self):
+        with pytest.raises(ValueError):
+            weighted_distance(0.0, 1.0, (np.zeros((1, 1)), np.zeros((1, 1))),
+                              (np.zeros((1, 1)), np.zeros((1, 1))))
+
 
 
 class TestExpansivityBound:
