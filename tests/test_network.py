@@ -227,7 +227,6 @@ class TestDistances:
                               (np.zeros((1, 1)), np.zeros((1, 1))))
 
 
-
 class TestExpansivityBound:
     """Hand cases of the bound eps_feat + eps_adj * (1 + sum_l h_l lip_l)."""
 
