@@ -215,9 +215,7 @@ def energy(a: np.ndarray, f: np.ndarray, leaky_slope: float) -> float:
     It is (1 + slope)/2 * sum F o L(A o A) F: the pairwise cancellation that
     gives the field's Laplacian form.
     """
-    if f.shape[-2] != a.shape[-1]:
-        raise ValueError("shape mismatch between adjacency and features")
-    e =(f * dynamics._laplacian_apply(a * a, f)).sum(axis=(-2, -1))
+    e = (f * dynamics._laplacian_apply(a * a, f)).sum(axis=(-2, -1))
     return scalar_or_stack(0.5 * (1.0 + leaky_slope) * e)
 
 
