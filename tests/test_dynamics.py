@@ -235,6 +235,11 @@ class TestEnergy:
             e1 = energy(a, feature_step(f, a, p), leaky_slope=p.leaky_slope)
             assert e1 <= e0 + 1e-9
 
+    def test_shape_mismatch(self):
+        for a in (np.zeros((3, 3)), np.zeros((1, 1))):
+            with pytest.raises(ValueError):
+                energy(a, np.zeros((2, 1)), leaky_slope=1.0)
+
 
 def moved_distance(f, df, a, params):
     """||step(F + dF) - step(F)||_F, to set against ||dF||_F."""
