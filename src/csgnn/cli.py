@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, KeyError, FloatingPointError, OverflowError,
             MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

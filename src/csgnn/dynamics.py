@@ -37,9 +37,10 @@ Ktilde) lie in [1 - (1 + slope)/2, 1] below h_safe. Nothing keeps a trained
 Ktilde positive definite: an indefinite one gets a stability clamp only.
 
 ||G(A)||_2^2 is lam_max(L(2 A o A)). Below 256 nodes it comes from a dense
-`eigvalsh` of that matrix; from 256 nodes on, from matrix-free Lanczos whose
-top Ritz value is padded by its residual, so the estimate errs towards a
-smaller step.
+`eigvalsh` of that matrix; from 256 nodes on, from Gershgorin's closed form
+4 max_i sum_{j != i} A_ij^2, padded for rounding. That is a proven upper
+bound, at most twice lam_max, so the step it gives is safe and at least half
+the exact one.
 """
 
 from __future__ import annotations
@@ -140,81 +141,41 @@ def feature_step(f: np.ndarray, a: np.ndarray, params: LayerParams) -> np.ndarra
 
 
 def gradient_operator_sq_norm(a: np.ndarray) -> float:
-    """||G(A)||_2^2 = lam_max(L(2 A o A)).
+    """||G(A)||_2^2 = lam_max(L(2 A o A)), or from `_CLOSED_FORM_MIN_N` nodes
+    on a proven upper bound on it.
 
     For a single channel, (G(A)v)_ij = A_ij (v_i - v_j), so (G(A))^T G(A) is the
     graph Laplacian L(B) with B = A o A + (A o A)^T, which is 2 (A o A) on a
-    symmetric A. Below `_LANCZOS_MIN_N` nodes the Laplacian is formed and
-    `eigvalsh` gives lam_max exactly; from there on `_lanczos_lam_max`
-    computes it from products x -> d o x - B x, d = B 1, without forming L.
-    A non-finite A raises np.linalg.LinAlgError on both paths. A stack of
-    adjacency matrices takes the dense path and gives one value per matrix.
+    symmetric A. Below `_CLOSED_FORM_MIN_N` nodes the Laplacian is formed and
+    `eigvalsh` gives lam_max exactly. From there on Gershgorin's 4 max_i d_i,
+    d_i = sum_{j != i} A_ij^2, bounds it with no n x n temporary, at most
+    twice: lam_max >= max_i L_ii = 2 max_i d_i. d_i is the row's sum of
+    squares s_i less A_ii^2, padded by n eps s_i for the rounding of a sum of
+    n nonnegative terms. A non-finite A raises np.linalg.LinAlgError on both
+    paths. A stack of adjacency matrices takes the dense path and gives one
+    value per matrix.
     """
     a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    if a.ndim == 2 and n >= _CLOSED_FORM_MIN_N:
+        sq = np.einsum("ij,ij->i", a, a)
+        if not np.isfinite(sq).all():
+            raise np.linalg.LinAlgError("gradient operator has non-finite entries")
+        return 4.0 * float((sq - np.diagonal(a) ** 2 + n * np.finfo(float).eps * sq).max())
     wts = np.multiply(a, a, order="C")
     wts *= 2.0
     deg = wts.sum(axis=-1)
     if not np.isfinite(deg).all():
         raise np.linalg.LinAlgError("gradient operator has non-finite entries")
-    n = a.shape[-1]
-    if a.ndim == 2 and n >= _LANCZOS_MIN_N:
-        return _lanczos_lam_max(lambda x: deg * x - wts @ x, n)
     lap = 0.0 - wts  # np.diag(deg) - wts to the bit, with +0 off the diagonal
     lap.reshape(lap.shape[:-2] + (n * n,))[..., ::n + 1] += deg
     lam = np.linalg.eigvalsh(lap).max(axis=-1)
     return float(max(lam, 0.0)) if lam.ndim == 0 else np.maximum(lam, 0.0)
 
 
-# Measured crossover on SBM adjacencies, one BLAS thread: `eigvalsh` against
-# Lanczos takes 0.7 against 3.5 ms at n=100, 4.8 against 4.7 ms at n=256 and
-# 158 against 45 ms at n=1000.
-_LANCZOS_MIN_N = 256
-_LANCZOS_RTOL = 1e-12
-_LANCZOS_CHECK_EVERY = 4
-
-
-def _lanczos_lam_max(op, n: int) -> float:
-    """Upper estimate of the largest eigenvalue of a symmetric PSD operator.
-
-    Lanczos with full reorthogonalization from a fixed Gaussian start vector
-    (its own generator, seed 0; almost surely not the constant vector, which
-    spans the Laplacian's null space). It stops once the top Ritz pair
-    (theta, y) of the tridiagonal T_k has residual ||op(Q y) - theta Q y|| =
-    beta_k |e_k^T y| <= 1e-12 theta, on breakdown (beta_k = 0: the Krylov
-    space is invariant) or when the Krylov space spans R^n. Some eigenvalue
-    lies within that residual of theta, and theta never exceeds lam_max, so
-    theta + residual is returned: it bounds lam_max from above whenever theta
-    has converged to the top of the spectrum, which a random start vector
-    ensures with probability one. The basis starts at min(n, 64) rows and
-    doubles when full, so a run that converges in a few dozen steps never
-    allocates the n x n one.
-    """
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = np.empty((min(n, 64), n))
-    alphas, betas = [], []
-    for k in range(n):
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
-        basis[k] = q
-        v = op(q)
-        alphas.append(float(q @ v))
-        vk = basis[:k + 1]
-        v -= vk.T @ (vk @ v)
-        v -= vk.T @ (vk @ v)
-        beta = float(np.linalg.norm(v))
-        last = beta == 0.0 or k + 1 == n
-        # the k x k eigh costs more than a matvec at moderate n, so the
-        # residual is tested every few steps only
-        if last or k % _LANCZOS_CHECK_EVERY == _LANCZOS_CHECK_EVERY - 1:
-            evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            theta = float(evals[-1])
-            resid = beta * abs(float(evecs[-1, -1]))
-            if last or resid <= _LANCZOS_RTOL * theta:
-                break
-        betas.append(beta)
-        q = v / beta
-    return max(theta + resid, 0.0)
+# below it the exact `eigvalsh` is cheap, and perfbench's check (n=7) and
+# every `verify` suite (n < 9) rely on exact values
+_CLOSED_FORM_MIN_N = 256
 
 
 def max_feature_step(a: np.ndarray, params: LayerParams, l1_radius: float = 0.0) -> float:

@@ -79,8 +79,8 @@ class Graph:
 
     @functools.cached_property
     def gradient_operator_sq_norm(self) -> float:
-        """||G(A)||_2^2 of the adjacency, the graph term of every step bound on
-        it; computed on first use only. One float: a Graph caches no n x n array."""
+        """`dynamics.gradient_operator_sq_norm` of the adjacency, the graph term of
+        every step bound on it, computed on first use. One float: no n x n array."""
         return dynamics.gradient_operator_sq_norm(self.adjacency)
 
     def num_undirected_edges(self) -> int:

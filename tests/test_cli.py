@@ -184,6 +184,18 @@ def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_error_without_text_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    # a MemoryError from an allocation that exhausts the address space has no
+    # text, and "error: " alone said nothing
+    def oversized(**kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("csgnn.cli.gen_sbm", oversized)
+    assert run(["gen-sbm", "--out", str(tmp_path / "out"), "--set", "n=100000000"]) == 3
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestGenSbm:
     def test_outputs_are_byte_deterministic(self, tmp_path):
         args = ["gen-sbm", "--seed", "3", "--set", "n=24", "--set", "feat_dim=3"]

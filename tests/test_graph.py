@@ -137,7 +137,7 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_graph_term_cached_with_the_bits_of_a_fresh_call(self, n):
-        # n = 40 takes the dense eigvalsh path, n = 300 the Lanczos one
+        # n = 40 takes the dense eigvalsh path, n = 300 the closed form
         g = _random_binary_graph(np.random.default_rng(n), n)
         assert "gradient_operator_sq_norm" not in vars(g)
         fresh = dynamics.gradient_operator_sq_norm(np.array(g.adjacency))

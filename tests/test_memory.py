@@ -1,5 +1,5 @@
 """tracemalloc peaks of the phases that hold adjacency-sized arrays: one
-training epoch and the Lanczos step bound at n=300, in units of one n x n
+training epoch and the closed-form step bound at n=300, in units of one n x n
 float64 array, and the data path (the SBM generator and the graph loader) at
 n=3000, against the edges it stores. Each phase runs once before it is
 measured, so one-time allocations (lazy imports, caches) are not counted."""
@@ -71,10 +71,10 @@ def test_load_graph_holds_its_edges_and_one_block_of_rows(tmp_path):
     assert peak <= edges_and_one_block(g), peak
 
 
-def test_the_lanczos_step_bound_holds_about_one_adjacency_sized_array():
-    # the edge weights 2 A o A, plus a 64-row Krylov basis; the n x n basis
-    # read 2.11
+def test_the_closed_form_step_bound_holds_no_adjacency_sized_array():
+    # the row sums of squares and the diagonal, O(n); Lanczos held the edge
+    # weights 2 A o A plus a 64-row Krylov basis and read 1.4
     a = np.array(readme_like_graph().adjacency)
-    assert N >= dynamics._LANCZOS_MIN_N
+    assert N >= dynamics._CLOSED_FORM_MIN_N
     peak = peak_in_adjacency_arrays(lambda: dynamics.gradient_operator_sq_norm(a))
-    assert peak <= 1.4, peak
+    assert peak <= 0.05, peak

@@ -1,11 +1,13 @@
 """`train` and `certify` outputs pinned to the bit.
 
 The n=300 digests and the certificate text below were produced by the code
-that checked adjacency symmetry on every kernel call; deciding it once per
-trajectory must not move a bit. The n=100 digests were produced by the code
-that still carried the learn_w parameterization; removing it must not move a
-bit of a learn_k run. The n=300 run takes the Lanczos step bound, the n=100
-run trains with dropout. The README block's digests (its `train`, `certify`
+that replaced the Lanczos estimate of lam_max(L(2 A o A)) from 256 nodes on
+with Gershgorin's closed form. That bound is up to twice the estimate, so the
+run's feature steps and h_feat_safe shrink by about that factor; the pins
+moved by design then. The n=100 digests were produced by the code that still
+carried the learn_w parameterization; removing it must not move a bit of a
+learn_k run. The n=300 run takes the closed-form step bound, the n=100 run
+trains with dropout. The README block's digests (its `train`, `certify`
 and two `attack-sweep` commands on the README graph, as CI's "README CLI
 block" step runs them) were produced by the code that scored each GCN fit
 with a second normalisation and forward; handing back the selecting
@@ -20,9 +22,9 @@ import pytest
 from csgnn.cli import main
 
 N300_DIGESTS = {
-    "metrics.csv": "412efc64013e6d95b366fa5e6bbb9241cf3d1e8681088f3443aa87ad34986e88",
-    "model.ckpt": "940e4353fe1fdfe445fcc131942a9d881c8161e7cd025444cc193a9d15816dad",
-    "summary.txt": "2168361e47b64864296c1a7a2f23717148562afdf66456edcb92cede22bc5485",
+    "metrics.csv": "2e107e1abe82acf787e065d0dc7b063806aecda81f9de71cc403f27b2bf93d07",
+    "model.ckpt": "c5cc191b418d39d151dc114dc093abb320a0a7975d12aeb946eb0ee63516c9c6",
+    "summary.txt": "5fe0af03a2cdcb497e1117bd4694e1b36573a24e94bddb26a714af16aeddb323",
 }
 N100_DROPOUT_DIGESTS = {
     "metrics.csv": "38924c2344b8d488b62e6582fbfe7634f8d48c08946a86458c5ebd62a1747b65",
@@ -41,13 +43,13 @@ N300_CERTIFICATE = """\
 expansivity certificate (embedded-state budgets)
 eps_feat = 0.5
 eps_adj  = 2
-encoder spectral gain = 1.98732
+encoder spectral gain = 1.982060551
 layer  h_feat      h_feat_safe  h_adj       h_adj_max   slope_margin  lip_upper
-1      0.004188    0.001541     0.5         1.834       0.05937       210.72
-2      0.005185    0.001827     0.5         1.707       0.02262       202.34
+1      0.002086    0.0009459    0.5         1.824       0.05657       213.976
+2      0.002696    0.00118      0.5         1.707       0.02262       208.05
 warning: layers 1,2 have h_feat above h_feat_safe; their feature step bound does not hold \
 over the eps_adj ball around the clean trajectory
-certified output-distance bound = 6.363335265
+certified output-distance bound = 4.514731559
 """
 
 
@@ -57,7 +59,7 @@ def _digests(run_dir, names=("metrics.csv", "model.ckpt", "summary.txt")) -> dic
 
 @pytest.fixture(scope="module")
 def n300(tmp_path_factory):
-    """An n=300 SBM (past the Lanczos crossover) and a 6-epoch learn_k fit on it."""
+    """An n=300 SBM (on the closed-form step bound) and a 6-epoch learn_k fit on it."""
     root = tmp_path_factory.mktemp("n300")
     assert main(["gen-sbm", "--out", str(root / "graph"), "--seed", "1", "--set", "n=300",
                  "--set", "p_in=0.05", "--set", "p_out=0.005", "--set", "signal=1.3"]) == 0
